@@ -33,7 +33,7 @@ from .runio import (hash_file, load_config, spec_to_config, write_analytic_csv,
                     write_flux_mismatch_csv, write_json, write_matrix_csv,
                     write_sweep_csv, write_tissue_csv)
 from .scenario import RunSpec, default_spec, run_spec
-from .solver import SINK, ZERO_FLUX, make_grid
+from .solver import SINK, ZERO_FLUX, make_grid, sample_indices
 from .verification import (convergence_study, mass_audit, ode_oracle,
                            oracle_time_grid)
 
@@ -115,14 +115,6 @@ def _resolve_mode(p: DimensionlessParams, overrides: dict) -> AnalyticParams:
     return mode
 
 
-def _sample_times(spec: RunSpec) -> np.ndarray:
-    cfg = spec.solver
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
-    idx = [j for j in range(n_steps + 1)
-           if j % cfg.sample_every == 0 or j == n_steps]
-    return np.asarray(idx, float) * cfg.dt
-
-
 def _finish(out: Path, args, spec: RunSpec, p, started: str,
             artifact_names: list[str], extra: dict | None = None) -> None:
     """Write config.resolved.json and the run manifest with output hashes."""
@@ -173,7 +165,8 @@ def _cmd_analytic(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     p = spec.dimensionless()
     mode = _resolve_mode(p, overrides)
-    times = _sample_times(spec)
+    cfg = spec.solver
+    times = sample_indices(cfg.n_steps, cfg.sample_every).astype(float) * cfg.dt
     grid = make_grid(p, spec.nx0, spec.nx1)
     write_analytic_csv(out / "analytic.csv", times, grid.x_matrix, grid.x_tissue, p, mode)
     fm, ft = interface_fluxes(p, mode, times)

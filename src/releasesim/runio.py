@@ -85,22 +85,32 @@ def hash_file(path) -> str:
 # ---------------------------------------------------------------------------
 # answer files
 
+def _write_trajectory(path, header: list[str], times, x, fields) -> None:
+    """Long-format trajectory, one sample block at a time: t, x, fields...
+
+    Each distinct t and x is formatted once; field values go through
+    "%.17g" %-formatting, the same bytes as ``_fmt``.
+    """
+    x_txt = ["%.17g" % v for v in x.tolist()]
+    # "\0" stands in for the sample's t on every line of the block
+    block = "".join(f"\0,{xv}{',%.17g' * len(fields)}\n" for xv in x_txt)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for it, t in enumerate(times.tolist()):
+            values = np.column_stack([f[it] for f in fields]).ravel().tolist()
+            fh.write(block.replace("\0", "%.17g" % t) % tuple(values))
+
+
 def write_matrix_csv(path, ts: TimeSeries) -> None:
     """Long-format matrix-layer trajectory: t, x, C0_star, C0."""
-    def rows():
-        for it, t in enumerate(ts.times):
-            for ix, x in enumerate(ts.grid.x_matrix):
-                yield (t, x, ts.c0s[it, ix], ts.c0[it, ix])
-    _write_csv(path, ["t", "x", "C0_star", "C0"], rows())
+    _write_trajectory(path, ["t", "x", "C0_star", "C0"], ts.times,
+                      ts.grid.x_matrix, (ts.c0s, ts.c0))
 
 
 def write_tissue_csv(path, ts: TimeSeries) -> None:
     """Long-format tissue-layer trajectory: t, x, C1_star, C1, Ci."""
-    def rows():
-        for it, t in enumerate(ts.times):
-            for ix, x in enumerate(ts.grid.x_tissue):
-                yield (t, x, ts.c1s[it, ix], ts.c1[it, ix], ts.ci[it, ix])
-    _write_csv(path, ["t", "x", "C1_star", "C1", "Ci"], rows())
+    _write_trajectory(path, ["t", "x", "C1_star", "C1", "Ci"], ts.times,
+                      ts.grid.x_tissue, (ts.c1s, ts.c1, ts.ci))
 
 
 def write_analytic_csv(path, times, x_matrix, x_tissue, p, ap: AnalyticParams) -> None:

@@ -128,16 +128,28 @@ class SolverConfig:
     clamp_nonnegative: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.t_end >= 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.outer_bc not in (ZERO_FLUX, SINK):
             raise ValueError(f"outer_bc must be '{ZERO_FLUX}' or '{SINK}', got {self.outer_bc!r}")
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps to the horizon: round(t_end / dt)."""
+        return int(round(self.t_end / self.dt))
+
+
+def sample_indices(n_steps: int, sample_every: int) -> np.ndarray:
+    """Sampled step numbers: every ``sample_every``-th step plus the first
+    and last."""
+    idx = np.arange(0, n_steps + 1, sample_every)
+    return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
 
 def make_grid(p: DimensionlessParams, nx0: int, nx1: int) -> CompositeGrid:
@@ -160,16 +172,14 @@ def _pack(state: SimState) -> np.ndarray:
     return np.concatenate([state.c0s, state.c0, state.c1s, state.c1, state.ci])
 
 
-def _unpack(u: np.ndarray, t: float, grid: CompositeGrid) -> SimState:
+def _split(u: np.ndarray, grid: CompositeGrid) -> list[np.ndarray]:
+    """Views of the five fields in a packed vector, in ``_pack`` order."""
     nm, nt = grid.nm, grid.nt
-    return SimState(
-        t=t,
-        c0s=u[:nm].copy(),
-        c0=u[nm:2 * nm].copy(),
-        c1s=u[2 * nm:2 * nm + nt].copy(),
-        c1=u[2 * nm + nt:2 * nm + 2 * nt].copy(),
-        ci=u[2 * nm + 2 * nt:].copy(),
-    )
+    return np.split(u, [nm, 2 * nm, 2 * nm + nt, 2 * nm + 2 * nt])
+
+
+def _unpack(u: np.ndarray, t: float, grid: CompositeGrid) -> SimState:
+    return SimState(t, *(field.copy() for field in _split(u, grid)))
 
 
 def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
@@ -317,15 +327,19 @@ class ThetaStepper:
                 f"step matrix factorization failed (dt={dt}, theta={theta}): {exc}"
             ) from exc
 
-    def step(self, state: SimState) -> SimState:
-        u = _pack(state)
+    def advance(self, u: np.ndarray, t_new: float) -> np.ndarray:
+        """One step of the packed state vector ``u`` (left untouched) to the
+        clock ``t_new``, which only labels a failure; returns a new vector."""
         u_new = self._lu.solve(self._rhs_mat @ u + self._rhs_src)
-        t_new = state.t + self.config.dt
         if not np.isfinite(u_new).all():
             raise NumericalError(f"non-finite solution while advancing to t={t_new:.6g}; reduce dt")
         if self.config.clamp_nonnegative:
             np.maximum(u_new, 0.0, out=u_new)
-        return _unpack(u_new, t_new, self.grid)
+        return u_new
+
+    def step(self, state: SimState) -> SimState:
+        t_new = state.t + self.config.dt
+        return _unpack(self.advance(_pack(state), t_new), t_new, self.grid)
 
 
 def step(state: SimState, grid: CompositeGrid, p: DimensionlessParams,
@@ -371,29 +385,27 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     The number of steps is round(t_end / dt); the first and last states are
     always sampled.  Passing ``init_state`` starts from arbitrary fields (and
     clock), which the cross-verification against the closed forms relies on.
+    The samples are preallocated: samples x unknowns x 8 bytes.
     """
     state = initialize(grid) if init_state is None else init_state
     t0 = state.t
-    n_steps = int(round(config.t_end / config.dt))
-    samples = [state]
-    sample_idx = [0]
-    if n_steps > 0:
+    idx = sample_indices(config.n_steps, config.sample_every)
+    u = _pack(state)
+    fields = [np.empty((len(idx), part.size)) for part in _split(u, grid)]
+
+    def record(k: int, u: np.ndarray) -> None:
+        for field, part in zip(fields, _split(u, grid)):
+            field[k] = part
+
+    record(0, u)
+    if len(idx) > 1:
         stepper = ThetaStepper(grid, p, config)
-        for j in range(1, n_steps + 1):
-            state = stepper.step(state)
-            if j % config.sample_every == 0 or j == n_steps:
-                samples.append(state)
-                sample_idx.append(j)
-    # record j*dt, not the stepper's accumulated clock, so sample times are
-    # free of summation drift
-    return TimeSeries(
-        times=t0 + np.asarray(sample_idx, float) * config.dt,
-        c0s=np.stack([s.c0s for s in samples]),
-        c0=np.stack([s.c0 for s in samples]),
-        c1s=np.stack([s.c1s for s in samples]),
-        c1=np.stack([s.c1 for s in samples]),
-        ci=np.stack([s.ci for s in samples]),
-        grid=grid,
-        params=p,
-        config=config,
-    )
+        advance, dt = stepper.advance, config.dt
+        for k in range(1, len(idx)):
+            for j in range(idx[k - 1] + 1, idx[k] + 1):
+                u = advance(u, t0 + j * dt)
+            record(k, u)
+    # record j*dt, not an accumulated clock, so sample times are free of
+    # summation drift
+    return TimeSeries(t0 + idx.astype(float) * config.dt, *fields,
+                      grid=grid, params=p, config=config)

@@ -116,6 +116,39 @@ class TestDataFiles:
         assert error_rows == [["ka", "-1", "error", "", "nan", "nan", "nan", "nan"]]
 
 
+    def test_trajectory_writers_match_per_cell_formatting(self, tmp_path):
+        grid = rs.make_grid(rs.reference_params(), 4, 4)
+        rng = np.random.default_rng(7)
+        specials = np.array([-1.25, -0.0, 0.0, 5e-324, 1e-300, 1.5e300, -1.5e300,
+                             1.0 / 3.0, -2.0 / 3.0, 12345.678])
+        times = np.array([0.0, 0.1, 0.1 * 3, 1e-300, 160.0])
+
+        def field(nodes):
+            n = len(times) * nodes
+            values = np.concatenate([specials, rng.standard_normal(n - len(specials))])
+            return rng.permutation(values).reshape(len(times), nodes)
+
+        ts = rs.TimeSeries(times=times, c0s=field(grid.nm), c0=field(grid.nm),
+                           c1s=field(grid.nt), c1=field(grid.nt), ci=field(grid.nt),
+                           grid=grid, params=rs.reference_params(),
+                           config=rs.SolverConfig())
+
+        def per_cell(header, x, fields):
+            lines = [",".join(header)]
+            for it, t in enumerate(ts.times):
+                for ix, xv in enumerate(x):
+                    cells = [t, xv] + [f[it, ix] for f in fields]
+                    lines.append(",".join(format(float(v), ".17g") for v in cells))
+            return ("\n".join(lines) + "\n").encode("utf-8")
+
+        write_matrix_csv(tmp_path / "m.csv", ts)
+        write_tissue_csv(tmp_path / "t.csv", ts)
+        assert (tmp_path / "m.csv").read_bytes() == per_cell(
+            ["t", "x", "C0_star", "C0"], grid.x_matrix, (ts.c0s, ts.c0))
+        assert (tmp_path / "t.csv").read_bytes() == per_cell(
+            ["t", "x", "C1_star", "C1", "Ci"], grid.x_tissue, (ts.c1s, ts.c1, ts.ci))
+
+
 class TestConfig:
     def test_empty_config_is_the_default_spec(self):
         spec, overrides = config_to_spec({})
@@ -357,3 +390,15 @@ class TestCliErrors:
         assert code == 2
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "NumericalError"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-end", "inf"), ("--dt", "inf"), ("--t-end", "nan"), ("--dt", "nan"),
+    ])
+    def test_non_finite_horizon_or_step_exits_one(self, tmp_path, capsys, flag, value):
+        code = main(["simulate", "--out", str(tmp_path / "o"), flag, value])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 1
+        assert "finite" in err["message"]

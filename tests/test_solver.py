@@ -136,6 +136,43 @@ class TestTrajectoryBookkeeping:
         assert short_run.c0s[0, 0] == 1.0
 
 
+def stepped_reference(p, grid, cfg, init):
+    """The sampled trajectory as a plain loop of ThetaStepper.step."""
+    stepper = rs.ThetaStepper(grid, p, cfg)
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    state, samples, js = init, [init], [0]
+    for j in range(1, n_steps + 1):
+        state = stepper.step(state)
+        if j % cfg.sample_every == 0 or j == n_steps:
+            samples.append(state)
+            js.append(j)
+    return samples, init.t + np.asarray(js, float) * cfg.dt
+
+
+class TestPackedLoopMatchesStepper:
+    @pytest.mark.parametrize("params_update, cfg_update, t0", [
+        ({}, {}, 0.0),
+        ({}, dict(outer_bc=rs.SINK), 0.0),
+        (dict(pm=0.8, sigma=1.3), {}, 0.0),
+        ({}, dict(clamp_nonnegative=True), 0.0),
+        ({}, dict(sample_every=7), 0.0),
+        ({}, dict(outer_bc=rs.SINK, sample_every=3), 3.0),
+    ], ids=["zero-flux", "sink", "finite-pm", "clamp", "ragged-sampling", "restart-clock"])
+    def test_simulate_is_bitwise_a_loop_of_steps(self, ref_params, params_update,
+                                                 cfg_update, t0):
+        p = replace(ref_params, **params_update)
+        grid = rs.make_grid(p, 8, 12)
+        cfg = replace(rs.SolverConfig(dt=0.05, t_end=2.0, sample_every=4), **cfg_update)
+        init = replace(uniform_state(grid, 0.5), t=t0) if t0 else rs.initialize(grid)
+        ts = rs.simulate(p, grid, cfg, init_state=init)
+        samples, times = stepped_reference(p, grid, cfg, init)
+        np.testing.assert_array_equal(ts.times, times)
+        for name in ("c0s", "c0", "c1s", "c1", "ci"):
+            field = getattr(ts, name)
+            assert field.flags.c_contiguous
+            np.testing.assert_array_equal(field, np.stack([getattr(s, name) for s in samples]))
+
+
 class TestPhysicalInvariants:
     @pytest.mark.parametrize("pm,sigma", [(0.0, 1.3), (float("inf"), 1.0)])
     def test_uniform_field_is_stationary_without_kinetics(self, pm, sigma):
