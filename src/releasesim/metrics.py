@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NumericalError
 from .scenario import RunSpec, get_param, replace_param, run_spec
 from .solver import TimeSeries
-from .verification import mass_audit
+from .verification import _cumulative_trapezoid, mass_audit
 
 # Answer-file species labels -> (trajectory field, layer).
 SPECIES_FIELDS = {
@@ -193,7 +192,7 @@ def release_metrics(ts: TimeSeries, matrix_probes=None, tissue_probes=None,
     ledger = mass_audit(ts)
     total0 = ledger.initial_total
     ci_total = ts.ci @ grid.tissue_weights()
-    exposure = float(cumulative_trapezoid(ci_total, ts.times, initial=0.0)[-1])
+    exposure = float(_cumulative_trapezoid(ci_total, ts.times)[-1])
     probes = []
     for x in np.asarray(matrix_probes, float):
         for species in ("C0_star", "C0"):

@@ -5,7 +5,8 @@ import pytest
 
 import releasesim as rs
 from releasesim.errors import NumericalError
-from releasesim.verification import _observed_orders
+from releasesim.verification import (_cumulative_trapezoid, _observed_orders,
+                                     _rk4_linear, check_oracle)
 
 from conftest import make_rng
 
@@ -56,6 +57,104 @@ class TestOdeOracle:
         assert len(t) >= 501
         steps = np.diff(t)
         np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
+
+
+def _rk4_lfilter_reference(decay, forcing_half, dt, y0):
+    """The oracle's RK4 step with its recurrence run by scipy.signal.lfilter:
+    the reference the LAPACK solve must equal bit for bit."""
+    from scipy.signal import lfilter
+
+    z = -decay * dt
+    k1 = forcing_half[0:-1:2]
+    k2 = 0.5 * z * k1 + forcing_half[1::2]
+    k3 = 0.5 * z * k2 + forcing_half[1::2]
+    k4 = z * k3 + forcing_half[2::2]
+    s = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rho = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    y = lfilter([1.0], [1.0, -rho], s, zi=[rho * y0])[0]
+    return np.concatenate([[y0], y])
+
+
+class TestOracleArithmetic:
+    @pytest.mark.parametrize("decay, dt", [
+        (0.0, 0.01),      # kid = 0: rho = 1
+        (1e-7, 0.01),     # rho a hair below 1
+        (0.37, 0.02),
+        (40.0, 0.04),     # z = -1.6, close to RK4's smallest rho (~0.27)
+    ])
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
+    def test_recurrence_matches_the_lfilter_run_bit_for_bit(self, decay, dt, magnitude):
+        rng = make_rng(20)
+        n = 500
+        tt = dt * np.arange(2 * n + 1) / 2
+        # forcing of both signs: a decaying oscillation plus noise
+        f = magnitude * (np.exp(-0.1 * tt) * np.cos(3.0 * tt) + 0.3 * rng.standard_normal(2 * n + 1))
+        for y0 in (0.0, magnitude, -0.5 * magnitude):
+            np.testing.assert_array_equal(_rk4_linear(decay, f, dt, y0),
+                                          _rk4_lfilter_reference(decay, f, dt, y0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1601])
+    def test_trapezoid_helper_matches_scipy_bit_for_bit(self, n):
+        from scipy.integrate import cumulative_trapezoid
+
+        rng = make_rng(21)
+        t = np.cumsum(rng.uniform(0.01, 1.0, n))       # non-uniform spacing
+        y = rng.standard_normal(n) * np.exp(rng.uniform(-5, 5, n))
+        np.testing.assert_array_equal(_cumulative_trapezoid(y, t),
+                                      cumulative_trapezoid(y, t, initial=0.0))
+
+
+def _oracle_outcome(call):
+    try:
+        return call()
+    except NumericalError as exc:
+        return f"NumericalError: {exc}"
+
+
+class TestSharedOracle:
+    def _singles(self, p, ap, t):
+        x_t = 0.5 * (p.l0 + p.l1)
+        return (_oracle_outcome(lambda: rs.ode_oracle("matrix_solid", p, ap, 0.0, t)),
+                _oracle_outcome(lambda: rs.ode_oracle("tissue_bound", p, ap, x_t, t)),
+                _oracle_outcome(lambda: rs.ode_oracle("internalized", p, ap, x_t, t)))
+
+    def test_check_returns_exactly_the_single_balance_values(self, ref_params, ref_mode):
+        rng = make_rng(22)
+        cases = [(ref_params, ref_mode)]
+        for _ in range(3):
+            p = rs.sample_params(rng)
+            cases.append((p, rs.sample_mode(rng, p)))
+        for p, ap in cases:
+            t = rs.oracle_time_grid(p, ap)
+            singles = self._singles(p, ap, t)
+            x_t = 0.5 * (p.l0 + p.l1)
+            pair = _oracle_outcome(
+                lambda: rs.ode_oracle(("tissue_bound", "internalized"), p, ap, x_t, t))
+            # a refusal is the first balance's refusal, word for word
+            assert pair == next((v for v in singles[1:] if isinstance(v, str)), singles[1:])
+            checked = _oracle_outcome(lambda: tuple(check_oracle(p, ap)["deviations"].values()))
+            assert checked == next((v for v in singles if isinstance(v, str)), singles)
+
+    def test_coarse_grid_raises_the_same_error(self, ref_params, ref_mode):
+        t = np.linspace(0.0, 25.0, 11)
+        x_t = 0.5 * (ref_params.l0 + ref_params.l1)
+        pair = _oracle_outcome(
+            lambda: rs.ode_oracle(("tissue_bound", "internalized"), ref_params, ref_mode, x_t, t))
+        single = _oracle_outcome(
+            lambda: rs.ode_oracle("tissue_bound", ref_params, ref_mode, x_t, t))
+        assert isinstance(pair, str) and "too coarse" in pair
+        assert pair == single
+
+    def test_balances_of_both_layers_are_not_mixed(self, ref_params, ref_mode):
+        with pytest.raises(ValueError, match="one layer"):
+            rs.ode_oracle(("matrix_solid", "tissue_bound"), ref_params, ref_mode, 0.5,
+                          np.linspace(0.0, 1.0, 11))
+
+    def test_overflowing_run_is_refused_not_reported(self, ref_params, ref_mode):
+        # z = -20 per step: RK4's growth factor is ~5.5e3, so the run overflows
+        t = np.linspace(0.0, 200 * 20.0 / ref_params.solid_rate, 201)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="too coarse"):
+            rs.ode_oracle("matrix_solid", ref_params, ref_mode, 0.0, t)
 
 
 class TestSampling:
