@@ -3,9 +3,9 @@ matrix and the tissue it feeds, with closed-form single-mode solutions, a
 conservative composite-grid solver, and the verification glue between them.
 """
 
-from .analytic import (AnalyticParams, MatrixRates, TissueRates, default_mode,
-                       eval_matrix, eval_tissue, interface_fluxes,
-                       matrix_rates, residuals, tissue_rates)
+from .analytic import (AnalyticParams, RatePair, default_mode, eval_matrix,
+                       eval_tissue, interface_fluxes, matrix_rates, residuals,
+                       tissue_rates)
 from .errors import ConfigError, NumericalError, ValidationError
 from .metrics import (NAMED_METRICS, ProbeSeriesMetrics, ReleaseMetrics,
                       SensitivityRecord, SweepRow, local_sensitivity,
@@ -30,7 +30,7 @@ from .verification import (ComparisonReport, ConvergenceReport, MassLedger,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticParams", "MatrixRates", "TissueRates", "default_mode",
+    "AnalyticParams", "RatePair", "default_mode",
     "eval_matrix", "eval_tissue", "interface_fluxes", "matrix_rates",
     "residuals", "tissue_rates",
     "ConfigError", "NumericalError", "ValidationError",

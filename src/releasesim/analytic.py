@@ -119,18 +119,8 @@ def default_mode(p: DimensionlessParams) -> AnalyticParams:
 
 
 @dataclass(frozen=True)
-class MatrixRates:
-    """Decay-rate pair of the matrix mode, roots of z**2 - rate_sum*z + rate_prod."""
-
-    rate_sum: float
-    rate_prod: float
-    slow: float
-    fast: float
-
-
-@dataclass(frozen=True)
-class TissueRates:
-    """Decay-rate pair of the tissue mode, roots of z**2 - rate_sum*z + rate_prod."""
+class RatePair:
+    """Decay-rate pair of one layer's mode, roots of z**2 - rate_sum*z + rate_prod."""
 
     rate_sum: float
     rate_prod: float
@@ -154,7 +144,7 @@ def _split_rates(rate_sum: float, rate_prod: float) -> tuple[float, float]:
     return (other, big) if other <= big else (big, other)
 
 
-def matrix_rates(p: DimensionlessParams, a: float, gamma: float | None = None) -> MatrixRates:
+def matrix_rates(p: DimensionlessParams, a: float, gamma: float | None = None) -> RatePair:
     """Decay rates of the matrix mode with wavenumber ``a``.
 
     The mode pair (free, solid) decays with the two roots of
@@ -175,10 +165,10 @@ def matrix_rates(p: DimensionlessParams, a: float, gamma: float | None = None) -
     rate_sum = p.alpha0 * (p.phi0 + 1.0) + p.km + p.beta0 + p.delta0 + diffusive
     rate_prod = diffusive * p.solid_rate
     slow, fast = _split_rates(rate_sum, rate_prod)
-    return MatrixRates(rate_sum=rate_sum, rate_prod=rate_prod, slow=slow, fast=fast)
+    return RatePair(rate_sum=rate_sum, rate_prod=rate_prod, slow=slow, fast=fast)
 
 
-def tissue_rates(p: DimensionlessParams, b: float) -> TissueRates:
+def tissue_rates(p: DimensionlessParams, b: float) -> RatePair:
     """Decay rates of the tissue mode with wavenumber ``b``.
 
         rate_sum  = kd + ki + ka + b**2,
@@ -191,7 +181,7 @@ def tissue_rates(p: DimensionlessParams, b: float) -> TissueRates:
     rate_sum = p.kd + p.ki + p.ka + b * b
     rate_prod = p.ki * p.ka + b * b * (p.kd + p.ki)
     slow, fast = _split_rates(rate_sum, rate_prod)
-    return TissueRates(rate_sum=rate_sum, rate_prod=rate_prod, slow=slow, fast=fast)
+    return RatePair(rate_sum=rate_sum, rate_prod=rate_prod, slow=slow, fast=fast)
 
 
 def eval_matrix(x, t, p: DimensionlessParams, ap: AnalyticParams):
@@ -256,11 +246,17 @@ def interface_fluxes(p: DimensionlessParams, ap: AnalyticParams, t):
     return ap.gamma * slope0, p.d1 * slope1
 
 
-def _default_times(p: DimensionlessParams, ap: AnalyticParams) -> np.ndarray:
+def _mode_rates(p: DimensionlessParams, ap: AnalyticParams) -> list[float]:
+    """The nonzero decay rates the closed forms carry: both mode pairs and
+    the kinetic rates they are convolved with."""
     mr = matrix_rates(p, ap.a, ap.gamma)
     tr = tissue_rates(p, ap.b)
     rates = [mr.slow, mr.fast, p.solid_rate, tr.slow, tr.fast, p.bound_rate, p.kid]
-    positive = [v for v in rates if v > 1e-12]
+    return [v for v in rates if v > 1e-12]
+
+
+def _default_times(p: DimensionlessParams, ap: AnalyticParams) -> np.ndarray:
+    positive = _mode_rates(p, ap)
     horizon = 5.0 / min(positive) if positive else 1.0
     return np.linspace(0.0, min(horizon, 1e3), 41)
 

@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from math import isinf
+from math import isfinite, isinf
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_sweep = sub.add_parser("sweep", help="rerun across one parameter's values")
     common(sp_sweep)
     sp_sweep.add_argument("--param", required=True, help="flat parameter name, e.g. ka")
-    sp_sweep.add_argument("--values", required=True,
-                          help="comma-separated values, e.g. 0.1,0.2,0.5")
+    values = sp_sweep.add_mutually_exclusive_group(required=True)
+    values.add_argument("--values", help="comma-separated values, e.g. 0.1,0.2,0.5")
+    values.add_argument("--range", nargs=3, metavar=("LO", "HI", "N"),
+                        help="N evenly spaced values from LO to HI")
+    sp_sweep.add_argument("--log", action="store_true",
+                          help="space the --range values geometrically")
     return parser
 
 
@@ -225,27 +229,57 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 2
 
 
+def _sweep_values(args) -> list[float]:
+    """The sweep points of ``--values`` or of ``--range LO HI N [--log]``."""
+    if args.range is None:
+        if args.log:
+            raise ValidationError("--log applies to --range only")
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise ValidationError(f"--values must be comma-separated numbers: {exc}") from exc
+        if not values:
+            raise ValidationError("--values is empty")
+        return values
+    try:
+        lo, hi, n = float(args.range[0]), float(args.range[1]), int(args.range[2])
+    except ValueError as exc:
+        raise ValidationError(f"--range takes two numbers and an integer: {exc}") from exc
+    if not (isfinite(lo) and isfinite(hi)):
+        raise ValidationError(f"--range LO and HI must be finite, got {lo:g} and {hi:g}")
+    if n < 1:
+        raise ValidationError(f"--range N must be >= 1, got {n}")
+    if args.log:
+        if lo <= 0 or hi <= 0:
+            raise ValidationError(f"--range --log needs LO > 0 and HI > 0, got {lo:g} and {hi:g}")
+        return np.geomspace(lo, hi, n).tolist()
+    return np.linspace(lo, hi, n).tolist()
+
+
 def _cmd_sweep(args) -> int:
     started = _now()
     spec, _ = _load_spec(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     p = spec.dimensionless()
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"--values must be comma-separated numbers: {exc}") from exc
-    if not values:
-        raise ValidationError("--values is empty")
+    values = _sweep_values(args)
     rows = run_sweep(spec, args.param, values)
-    for row in rows:
-        if row.error is not None:
-            print(f"warning: {args.param}={row.value:g} failed: {row.error}",
-                  file=sys.stderr)
     write_sweep_csv(out / "sweep.csv", rows)
     _finish(out, args, spec, p, started, ["sweep.csv"],
             extra={"sweep": {"param": args.param, "values": values,
                              "failed": sum(r.error is not None for r in rows)}})
+    print(f"{args.param:>10} {'status':>7} {'matrix_frac':>12} "
+          f"{'degraded':>9} {'exposure':>9}")
+    for row in rows:
+        line = f"{row.value:10.4g} {row.status:>7}"
+        if row.error is None:
+            m = row.metrics
+            line += (f" {m.matrix_fraction:12.4f} {m.degraded_fraction:9.4f}"
+                     f" {m.ci_exposure:9.4f}")
+        else:
+            print(f"warning: {args.param}={row.value:g} failed: {row.error}",
+                  file=sys.stderr)
+        print(line)
     return 0
 
 

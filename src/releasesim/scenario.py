@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .analytic import AnalyticParams, default_mode
 from .params import (DimensionlessParams, InterfaceParams, MatrixParams,
                      TissueParams, nondimensionalize)
-from .solver import CompositeGrid, SolverConfig, TimeSeries, make_grid, simulate
+from .solver import SolverConfig, TimeSeries, make_grid, simulate
 
 
 @dataclass(frozen=True)
@@ -28,12 +27,6 @@ class RunSpec:
 
     def dimensionless(self) -> DimensionlessParams:
         return nondimensionalize(self.matrix, self.tissue, self.interface)
-
-    def grid(self) -> CompositeGrid:
-        return make_grid(self.dimensionless(), self.nx0, self.nx1)
-
-    def mode(self) -> AnalyticParams:
-        return default_mode(self.dimensionless())
 
 
 def default_spec() -> RunSpec:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .analytic import (AnalyticParams, eval_matrix, eval_tissue, interface_fluxes,
-                       residuals)
+from .analytic import (AnalyticParams, _mode_rates, eval_matrix, eval_tissue,
+                       interface_fluxes, residuals)
 from .errors import NumericalError
 from .params import DimensionlessParams
 from .scenario import RunSpec, run_spec
@@ -137,12 +137,7 @@ def ode_oracle(which: str | tuple[str, ...], p: DimensionlessParams, ap: Analyti
 def oracle_time_grid(p: DimensionlessParams, ap: AnalyticParams, n_min: int = 2000) -> np.ndarray:
     """Uniform grid covering ten e-folds of the slowest relevant rate, with
     steps short against the fastest one."""
-    from .analytic import matrix_rates, tissue_rates
-
-    mr = matrix_rates(p, ap.a, ap.gamma)
-    tr = tissue_rates(p, ap.b)
-    rates = [v for v in (mr.slow, mr.fast, p.solid_rate, tr.slow, tr.fast,
-                         p.bound_rate, p.kid) if v > 1e-12]
+    rates = _mode_rates(p, ap)
     if not rates:
         return np.linspace(0.0, 10.0, n_min + 1)
     horizon = min(10.0 / min(rates), 1e4)

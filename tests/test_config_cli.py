@@ -1,14 +1,17 @@
 import csv
 import hashlib
 import json
+import re
+import shlex
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import releasesim as rs
-from releasesim.cli import main
+from releasesim.cli import _build_parser, main
 from releasesim.errors import ConfigError, ValidationError
 from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
                               load_config, save_config, spec_to_config,
@@ -362,6 +365,48 @@ class TestCliSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x"),
                      "--param", "ka", "--values", values]) == 1
 
+    @pytest.mark.parametrize("log, space", [([], np.linspace), (["--log"], np.geomspace)],
+                             ids=["linear", "log"])
+    def test_range_equals_the_same_values(self, tmp_path, capsys, log, space):
+        tiny = ["--nx0", "4", "--nx1", "4", "--t-end", "0.2", "--dt", "0.1"]
+        by_range, by_values = tmp_path / "range", tmp_path / "values"
+        assert main(["sweep", "--out", str(by_range), "--param", "ka",
+                     "--range", "0.1", "0.5", "3", *log, *tiny]) == 0
+        table = capsys.readouterr().out.splitlines()[-3:]
+        values = ",".join("%.17g" % v for v in space(0.1, 0.5, 3))
+        assert main(["sweep", "--out", str(by_values), "--param", "ka",
+                     "--values", values, *tiny]) == 0
+        assert (by_range / "sweep.csv").read_bytes() == (by_values / "sweep.csv").read_bytes()
+        assert [line.split()[:2] for line in table] == [
+            ["%.4g" % v, "ok"] for v in space(0.1, 0.5, 3)]
+
+    @pytest.mark.parametrize("bad", [
+        ["--range", "nan", "0.5", "3"],
+        ["--range", "0.1", "inf", "3"],
+        ["--range", "0.1", "0.5", "0"],
+        ["--range", "0.1", "0.5", "2.5"],
+        ["--range", "0.1", "0.5", "three"],
+        ["--range", "0", "0.5", "3", "--log"],
+        ["--range", "0.1", "-0.5", "3", "--log"],
+        ["--values", "0.1,0.5", "--log"],
+    ])
+    def test_bad_range_exits_one(self, tmp_path, capsys, bad):
+        code = main(["sweep", "--out", str(tmp_path / "x"), "--param", "ka", *bad])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValidationError"
+        assert err["exit_code"] == 1
+
+    @pytest.mark.parametrize("given", [
+        ["--values", "0.1", "--range", "0.1", "0.5", "3"], [],
+    ])
+    def test_exactly_one_of_values_and_range(self, tmp_path, given):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--out", str(tmp_path / "x"), "--param", "ka", *given])
+        assert exc.value.code != 0
+
 
 class TestCliErrors:
     def test_invalid_config_exits_one(self, tmp_path, capsys):
@@ -402,3 +447,17 @@ class TestCliErrors:
         err = json.loads(lines[0])
         assert err["exit_code"] == 1
         assert "finite" in err["message"]
+
+
+class TestReadme:
+    def test_shell_examples_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        commands = [line for block in blocks for line in block.splitlines()
+                    if line.startswith("releasesim ")]
+        assert len(commands) >= 6
+        for line in commands:
+            try:
+                _build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
