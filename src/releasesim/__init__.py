@@ -19,8 +19,7 @@ from .runio import (load_config, save_config, spec_to_config, write_json,
 from .scenario import (RunSpec, default_spec, get_param, param_names,
                        replace_param, run_spec)
 from .solver import (SINK, ZERO_FLUX, CompositeGrid, SimState, SolverConfig,
-                     ThetaStepper, TimeSeries, initialize, make_grid, simulate,
-                     step)
+                     ThetaStepper, TimeSeries, initialize, make_grid, simulate)
 from .verification import (ComparisonReport, ConvergenceReport, MassLedger,
                            analytic_state, compare_analytic_numeric,
                            convergence_study, mass_audit, ode_oracle,
@@ -45,7 +44,7 @@ __all__ = [
     "RunSpec", "default_spec", "get_param", "param_names", "replace_param",
     "run_spec",
     "SINK", "ZERO_FLUX", "CompositeGrid", "SimState", "SolverConfig",
-    "ThetaStepper", "TimeSeries", "initialize", "make_grid", "simulate", "step",
+    "ThetaStepper", "TimeSeries", "initialize", "make_grid", "simulate",
     "ComparisonReport", "ConvergenceReport", "MassLedger", "analytic_state",
     "compare_analytic_numeric", "convergence_study", "mass_audit",
     "ode_oracle", "oracle_time_grid", "sample_mode", "sample_params",

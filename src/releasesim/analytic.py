@@ -94,7 +94,7 @@ def _ediff2_dt(u: float, v: float, w: float, t):
 
 @dataclass(frozen=True)
 class AnalyticParams:
-    """Mode shape of the separated solution: amplitudes, wavenumbers, gamma.
+    """Mode shape of the separated solution: amplitudes and wavenumbers.
 
     The defaults are not pinned by the model itself; :func:`default_mode`
     picks the quarter-wave numbers for each layer and unit amplitudes.
@@ -104,7 +104,6 @@ class AnalyticParams:
     b: float               # tissue wavenumber, >= 0
     e1: float = 1.0        # matrix mode amplitude
     e2: float = 1.0        # tissue mode amplitude
-    gamma: float = 1.0     # matrix diffusivity seen by the mode
 
 
 def default_mode(p: DimensionlessParams) -> AnalyticParams:
@@ -114,7 +113,6 @@ def default_mode(p: DimensionlessParams) -> AnalyticParams:
         b=math.pi / (2.0 * (p.l1 - p.l0)),
         e1=1.0,
         e2=1.0,
-        gamma=p.gamma,
     )
 
 
@@ -144,7 +142,7 @@ def _split_rates(rate_sum: float, rate_prod: float) -> tuple[float, float]:
     return (other, big) if other <= big else (big, other)
 
 
-def matrix_rates(p: DimensionlessParams, a: float, gamma: float | None = None) -> RatePair:
+def matrix_rates(p: DimensionlessParams, a: float) -> RatePair:
     """Decay rates of the matrix mode with wavenumber ``a``.
 
     The mode pair (free, solid) decays with the two roots of
@@ -158,10 +156,9 @@ def matrix_rates(p: DimensionlessParams, a: float, gamma: float | None = None) -
     """
     if a < 0:
         raise ValueError(f"wavenumber a must be >= 0, got {a}")
-    g = p.gamma if gamma is None else gamma
-    if not g > 0:
-        raise ValueError(f"gamma must be > 0, got {g}")
-    diffusive = a * a * g
+    if not p.gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {p.gamma}")
+    diffusive = a * a * p.gamma
     rate_sum = p.alpha0 * (p.phi0 + 1.0) + p.km + p.beta0 + p.delta0 + diffusive
     rate_prod = diffusive * p.solid_rate
     slow, fast = _split_rates(rate_sum, rate_prod)
@@ -198,7 +195,7 @@ def eval_matrix(x, t, p: DimensionlessParams, ap: AnalyticParams):
     t = np.asarray(t, dtype=float)
     if np.any(x < -1e-12) or np.any(x > p.l0 + 1e-12):
         raise ValueError("matrix positions must lie in [0, l0]")
-    mr = matrix_rates(p, ap.a, ap.gamma)
+    mr = matrix_rates(p, ap.a)
     r, q = p.solid_rate, p.free_rate
     shape = np.cos(ap.a * x)
     mode = np.exp(-mr.slow * t) - np.exp(-mr.fast * t)
@@ -239,17 +236,17 @@ def interface_fluxes(p: DimensionlessParams, ap: AnalyticParams, t):
     defect of the closed-form solution.
     """
     t = np.asarray(t, dtype=float)
-    mr = matrix_rates(p, ap.a, ap.gamma)
+    mr = matrix_rates(p, ap.a)
     tr = tissue_rates(p, ap.b)
     slope0 = -ap.e1 * ap.a * math.sin(ap.a * p.l0) * (np.exp(-mr.slow * t) - np.exp(-mr.fast * t))
     slope1 = -ap.e2 * ap.b * math.sin(ap.b * p.l0) * (np.exp(-tr.slow * t) - np.exp(-tr.fast * t))
-    return ap.gamma * slope0, p.d1 * slope1
+    return p.gamma * slope0, p.d1 * slope1
 
 
 def _mode_rates(p: DimensionlessParams, ap: AnalyticParams) -> list[float]:
     """The nonzero decay rates the closed forms carry: both mode pairs and
     the kinetic rates they are convolved with."""
-    mr = matrix_rates(p, ap.a, ap.gamma)
+    mr = matrix_rates(p, ap.a)
     tr = tissue_rates(p, ap.b)
     rates = [mr.slow, mr.fast, p.solid_rate, tr.slow, tr.fast, p.bound_rate, p.kid]
     return [v for v in rates if v > 1e-12]
@@ -285,7 +282,7 @@ def residuals(p: DimensionlessParams, ap: AnalyticParams,
     X1 = np.asarray(x_tissue, dtype=float)[None, :]
     T = np.asarray(t, dtype=float)[:, None]
 
-    mr = matrix_rates(p, ap.a, ap.gamma)
+    mr = matrix_rates(p, ap.a)
     tr = tissue_rates(p, ap.b)
     r, q, s = p.solid_rate, p.free_rate, p.bound_rate
     src = p.km * p.c_lim
@@ -297,7 +294,7 @@ def residuals(p: DimensionlessParams, ap: AnalyticParams,
             - src * _ediff_dt(r, 0.0, T)
             + q * ap.e1 * shape0 * (_ediff_dt(mr.slow, r, T) - _ediff_dt(mr.fast, r, T)))
     res_solid = dc0s - (-r * c0s + q * c0 - src)
-    res_mfree = dc0 - (ap.gamma * (-ap.a * ap.a) * c0 + r * c0s - q * c0 + src)
+    res_mfree = dc0 - (p.gamma * (-ap.a * ap.a) * c0 + r * c0s - q * c0 + src)
 
     c1, c1s, ci = eval_tissue(X1, T, p, ap)
     shape1 = np.cos(ap.b * X1)

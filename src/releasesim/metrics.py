@@ -94,10 +94,11 @@ class ProbeSeriesMetrics:
         }
 
 
-def probe_metrics(times: np.ndarray, values: np.ndarray, species: str, x: float,
-                  threshold: float = EXTINCTION_FRACTION) -> ProbeSeriesMetrics:
+def probe_metrics(times: np.ndarray, values: np.ndarray, species: str,
+                  x: float) -> ProbeSeriesMetrics:
     """Summarize one probe series: refined peak, refined time of peak, and
-    the first time the series falls to ``threshold`` of the peak after it."""
+    the first time the series falls to ``EXTINCTION_FRACTION`` of the peak
+    after it."""
     times = np.asarray(times, float)
     values = np.asarray(values, float)
     i = int(np.argmax(values))
@@ -117,7 +118,7 @@ def probe_metrics(times: np.ndarray, values: np.ndarray, species: str, x: float,
             "its peak metrics are lower bounds",
             stacklevel=2,
         )
-    thr = threshold * peak
+    thr = EXTINCTION_FRACTION * peak
     t_extinct = None
     below = np.nonzero(values[i:] <= thr)[0]
     if below.size and not (below[0] == 0 and i == 0):
@@ -176,8 +177,7 @@ class ReleaseMetrics:
         }
 
 
-def release_metrics(ts: TimeSeries, matrix_probes=None, tissue_probes=None,
-                    threshold: float = EXTINCTION_FRACTION) -> ReleaseMetrics:
+def release_metrics(ts: TimeSeries, matrix_probes=None, tissue_probes=None) -> ReleaseMetrics:
     """Summarize a trajectory.
 
     Fractions are of the initial drug load; exposure is the time integral of
@@ -197,11 +197,11 @@ def release_metrics(ts: TimeSeries, matrix_probes=None, tissue_probes=None,
     for x in np.asarray(matrix_probes, float):
         for species in ("C0_star", "C0"):
             series = probe_series(ts, species, float(x))
-            probes.append(probe_metrics(ts.times, series, species, float(x), threshold))
+            probes.append(probe_metrics(ts.times, series, species, float(x)))
     for x in np.asarray(tissue_probes, float):
         for species in ("C1_star", "C1", "Ci"):
             series = probe_series(ts, species, float(x))
-            probes.append(probe_metrics(ts.times, series, species, float(x), threshold))
+            probes.append(probe_metrics(ts.times, series, species, float(x)))
     return ReleaseMetrics(
         t_end=float(ts.times[-1]),
         times=ts.times.copy(),

@@ -22,7 +22,7 @@ from .errors import ConfigError, ValidationError
 from .params import (InterfaceParams, MatrixParams, TissueParams,
                      validate_params)
 from .scenario import RunSpec
-from .solver import SINK, ZERO_FLUX, SolverConfig, TimeSeries
+from .solver import SolverConfig, TimeSeries
 
 CONFIG_SECTIONS = ("matrix", "tissue", "interface", "grid", "solver", "analytic")
 _GRID_KEYS = ("nx0", "nx1")
@@ -235,22 +235,13 @@ def config_to_spec(cfg: dict) -> tuple[RunSpec, dict]:
     raw_solver = _require_mapping(cfg.get("solver", {}), "section 'solver'")
     _check_keys("solver", raw_solver, _SOLVER_KEYS)
     defaults = SolverConfig()
-    outer_bc = raw_solver.get("outer_bc", defaults.outer_bc)
-    if outer_bc not in (ZERO_FLUX, SINK):
-        raise ConfigError(
-            f'solver.outer_bc must be "{ZERO_FLUX}" or "{SINK}", got {outer_bc!r}'
-        )
-    clamp = raw_solver.get("clamp_nonnegative", defaults.clamp_nonnegative)
-    if not isinstance(clamp, bool):
-        raise ConfigError(f"solver.clamp_nonnegative must be true or false, got {clamp!r}")
     try:
         solver = SolverConfig(
             dt=_get_number("solver", raw_solver, "dt", defaults.dt),
             t_end=_get_number("solver", raw_solver, "t_end", defaults.t_end),
             theta=_get_number("solver", raw_solver, "theta", defaults.theta),
-            outer_bc=outer_bc,
+            outer_bc=raw_solver.get("outer_bc", defaults.outer_bc),
             sample_every=_get_int("solver", raw_solver, "sample_every", defaults.sample_every),
-            clamp_nonnegative=clamp,
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc

@@ -103,11 +103,6 @@ class SimState:
     c1: np.ndarray    # free drug, tissue nodes
     ci: np.ndarray    # internalized drug, tissue nodes
 
-    def min_values(self) -> dict[str, float]:
-        """Most negative entry per field (undershoot report; nothing is clipped)."""
-        return {name: float(getattr(self, name).min())
-                for name in ("c0s", "c0", "c1s", "c1", "ci")}
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -115,9 +110,9 @@ class SolverConfig:
 
     ``t_end`` is the horizon measured from the initial state's clock;
     ``theta`` = 0.5 gives the trapezoid scheme, 1.0 implicit Euler.
-    Sampling keeps every ``sample_every``-th step plus the first and last.
-    ``clamp_nonnegative`` zeroes negative entries after each step (off by
-    default; the solid pool legitimately turns negative when km*c_lim > 0).
+    ``t_end`` must be a whole number of steps of ``dt`` (to 1e-9 relative),
+    so every run ends exactly at the horizon asked for.  Sampling keeps
+    every ``sample_every``-th step plus the first and last.
     """
 
     dt: float = 0.01
@@ -125,13 +120,17 @@ class SolverConfig:
     theta: float = 0.5
     outer_bc: str = ZERO_FLUX
     sample_every: int = 10
-    clamp_nonnegative: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt is not finite: t_end={self.t_end!r}, dt={self.dt!r}")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end={self.t_end!r} is not a whole number of steps "
+                             f"of dt={self.dt!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.outer_bc not in (ZERO_FLUX, SINK):
@@ -141,7 +140,7 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        """Steps to the horizon: round(t_end / dt)."""
+        """Steps to the horizon, t_end / dt (a whole number)."""
         return int(round(self.t_end / self.dt))
 
 
@@ -176,10 +175,6 @@ def _split(u: np.ndarray, grid: CompositeGrid) -> list[np.ndarray]:
     """Views of the five fields in a packed vector, in ``_pack`` order."""
     nm, nt = grid.nm, grid.nt
     return np.split(u, [nm, 2 * nm, 2 * nm + nt, 2 * nm + 2 * nt])
-
-
-def _unpack(u: np.ndarray, t: float, grid: CompositeGrid) -> SimState:
-    return SimState(t, *(field.copy() for field in _split(u, grid)))
 
 
 def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
@@ -298,9 +293,6 @@ class ThetaStepper:
     """One-step propagator; factorizes the step matrix once and reuses it."""
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
-        self.grid = grid
-        self.p = p
-        self.config = config
         L, g, constraints = _assemble(grid, p, config.outer_bc)
         n = L.shape[0]
         keep = np.ones(n)
@@ -333,20 +325,7 @@ class ThetaStepper:
         u_new = self._lu.solve(self._rhs_mat @ u + self._rhs_src)
         if not np.isfinite(u_new).all():
             raise NumericalError(f"non-finite solution while advancing to t={t_new:.6g}; reduce dt")
-        if self.config.clamp_nonnegative:
-            np.maximum(u_new, 0.0, out=u_new)
         return u_new
-
-    def step(self, state: SimState) -> SimState:
-        t_new = state.t + self.config.dt
-        return _unpack(self.advance(_pack(state), t_new), t_new, self.grid)
-
-
-def step(state: SimState, grid: CompositeGrid, p: DimensionlessParams,
-         config: SolverConfig) -> SimState:
-    """Advance one dt.  Builds and factorizes the step matrix on every call;
-    use :class:`ThetaStepper` directly when stepping in a loop."""
-    return ThetaStepper(grid, p, config).step(state)
 
 
 @dataclass(frozen=True)
@@ -382,8 +361,8 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
              init_state: SimState | None = None) -> TimeSeries:
     """Run the theta scheme over the horizon ``config.t_end``.
 
-    The number of steps is round(t_end / dt); the first and last states are
-    always sampled.  Passing ``init_state`` starts from arbitrary fields (and
+    The number of steps is t_end / dt, a whole number; the first and last
+    states are always sampled.  Passing ``init_state`` starts from arbitrary fields (and
     clock), which the cross-verification against the closed forms relies on.
     The samples are preallocated: samples x unknowns x 8 bytes.
     """

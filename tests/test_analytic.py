@@ -52,7 +52,7 @@ class TestRateQuadratics:
         rng = make_rng(1)
         for _ in range(300):
             p = random_params(rng)
-            ap = rs.sample_mode(rng, p)
+            ap = rs.sample_mode(rng)
             for r in (rs.matrix_rates(p, ap.a), rs.tissue_rates(p, ap.b)):
                 disc = r.rate_sum ** 2 - 4.0 * r.rate_prod
                 assert disc >= 0.0
@@ -155,7 +155,7 @@ class TestDifferenceQuotients:
 def solid_partial_fraction(x, t, p, ap):
     """Textbook partial-fraction form of the solid field; valid only for
     well-separated rates."""
-    mr = rs.matrix_rates(p, ap.a, ap.gamma)
+    mr = rs.matrix_rates(p, ap.a)
     m1, m2 = mr.slow, mr.fast
     r, q = p.solid_rate, p.free_rate
     lead = ap.e1 * q * np.cos(ap.a * x) / ((m1 - r) * (m2 - r))
@@ -215,8 +215,8 @@ class TestClosedForms:
         kept = 0
         while kept < 25:
             p = random_params(rng)
-            ap = rs.sample_mode(rng, p)
-            mr = rs.matrix_rates(p, ap.a, ap.gamma)
+            ap = rs.sample_mode(rng)
+            mr = rs.matrix_rates(p, ap.a)
             tr = rs.tissue_rates(p, ap.b)
             nodes = sorted([tr.slow, tr.fast, p.bound_rate, p.kid])
             gaps = [abs(mr.slow - p.solid_rate), abs(mr.fast - p.solid_rate),
@@ -297,7 +297,7 @@ class TestResiduals:
         rng = make_rng(3)
         for _ in range(25):
             p = random_params(rng)
-            ap = rs.sample_mode(rng, p)
+            ap = rs.sample_mode(rng)
             res = rs.residuals(p, ap)
             assert res["matrix_solid"] <= 1e-9
             assert res["tissue_bound"] <= 1e-9
@@ -306,7 +306,7 @@ class TestResiduals:
     def test_free_matrix_residual_is_the_startup_transient(self, ref_params, ref_mode):
         # at t = 0 the defect is E1*(fast-slow)*cos(a x) - solid_rate - km*clim
         p, ap = ref_params, ref_mode
-        mr = rs.matrix_rates(p, ap.a, ap.gamma)
+        mr = rs.matrix_rates(p, ap.a)
         res = rs.residuals(p, ap, x_matrix=np.array([0.0]), t=np.array([0.0]))
         expected = abs(ap.e1 * (mr.fast - mr.slow) - p.solid_rate - p.km * p.c_lim)
         assert res["matrix_free"] == pytest.approx(expected, rel=1e-10)

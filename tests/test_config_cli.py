@@ -438,6 +438,7 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-end", "inf"), ("--dt", "inf"), ("--t-end", "nan"), ("--dt", "nan"),
+        ("--dt", "1e-310"),   # t_end / dt overflows
     ])
     def test_non_finite_horizon_or_step_exits_one(self, tmp_path, capsys, flag, value):
         code = main(["simulate", "--out", str(tmp_path / "o"), flag, value])
@@ -448,11 +449,36 @@ class TestCliErrors:
         assert err["exit_code"] == 1
         assert "finite" in err["message"]
 
+    def test_horizon_off_the_step_grid_exits_one(self, tmp_path, capsys):
+        # 3 steps of 0.3 would stop at t = 0.9, short of the horizon asked for
+        out = tmp_path / "o"
+        code = main(["simulate", "--out", str(out), "--t-end", "1", "--dt", "0.3"])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == 1
+        assert "whole number of steps" in err["message"]
+        assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 class TestReadme:
+    def test_config_example_is_the_default(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        example = json.loads(blocks[0])
+        spec, analytic = config_to_spec(example)
+        assert spec == rs.default_spec()
+        mode = rs.default_mode(spec.dimensionless())
+        assert analytic == {"a": mode.a, "b": mode.b, "e1": mode.e1, "e2": mode.e2}
+        sections = {k: v for k, v in example.items() if k != "analytic"}
+        assert spec_to_config(rs.default_spec()) == sections
+
     def test_shell_examples_parse(self):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
         commands = [line for block in blocks for line in block.splitlines()
                     if line.startswith("releasesim ")]
         assert len(commands) >= 6

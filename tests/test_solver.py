@@ -63,10 +63,23 @@ class TestGridAndConfigValidation:
         dict(theta=-0.1),
         dict(outer_bc="leaky"),
         dict(sample_every=0),
+        # horizons off the step grid: 3 steps of 0.3 would stop at t = 0.9
+        dict(dt=0.3, t_end=1.0),
+        dict(dt=0.1, t_end=0.55),
+        dict(dt=0.01, t_end=160.005),
+        dict(dt=0.01, t_end=1e-12),
+        dict(dt=1e-10, t_end=1e300),
     ])
     def test_solver_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             rs.SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("dt, t_end, n", [(0.1, 0.3, 3), (0.01, 160.0, 16000),
+                                              (2e-3, 1.0, 500), (0.0625 / 16, 1.0, 256),
+                                              (0.1, 0.0, 0)])
+    def test_horizon_on_the_step_grid_is_accepted(self, dt, t_end, n):
+        # 0.3 / 0.1 and 160 / 0.01 are whole only up to round-off
+        assert rs.SolverConfig(dt=dt, t_end=t_end).n_steps == n
 
 
 class TestTrajectoryBookkeeping:
@@ -94,10 +107,10 @@ class TestTrajectoryBookkeeping:
 
     def test_first_and_last_steps_always_sampled(self, ref_params):
         grid = rs.make_grid(ref_params, 8, 8)
-        cfg = rs.SolverConfig(dt=0.1, t_end=0.55, sample_every=1000)
+        cfg = rs.SolverConfig(dt=0.1, t_end=0.6, sample_every=1000)
         ts = rs.simulate(ref_params, grid, cfg)
         assert ts.n_samples == 2
-        assert ts.times[-1] == pytest.approx(0.6)  # round(0.55/0.1) = 6 steps
+        assert ts.times[-1] == pytest.approx(0.6)
 
     def test_doubling_sample_every_roughly_halves_samples(self, ref_params):
         grid = rs.make_grid(ref_params, 8, 8)
@@ -136,17 +149,22 @@ class TestTrajectoryBookkeeping:
         assert short_run.c0s[0, 0] == 1.0
 
 
+FIELDS = ("c0s", "c0", "c1s", "c1", "ci")
+
+
 def stepped_reference(p, grid, cfg, init):
-    """The sampled trajectory as a plain loop of ThetaStepper.step."""
+    """The sampled trajectory as a plain loop of ThetaStepper.advance on a
+    state packed in field order."""
     stepper = rs.ThetaStepper(grid, p, cfg)
     n_steps = int(round(cfg.t_end / cfg.dt))
-    state, samples, js = init, [init], [0]
+    u = np.concatenate([getattr(init, name) for name in FIELDS])
+    samples, js = [u], [0]
     for j in range(1, n_steps + 1):
-        state = stepper.step(state)
+        u = stepper.advance(u, init.t + j * cfg.dt)
         if j % cfg.sample_every == 0 or j == n_steps:
-            samples.append(state)
+            samples.append(u)
             js.append(j)
-    return samples, init.t + np.asarray(js, float) * cfg.dt
+    return np.stack(samples), init.t + np.asarray(js, float) * cfg.dt
 
 
 class TestPackedLoopMatchesStepper:
@@ -154,10 +172,9 @@ class TestPackedLoopMatchesStepper:
         ({}, {}, 0.0),
         ({}, dict(outer_bc=rs.SINK), 0.0),
         (dict(pm=0.8, sigma=1.3), {}, 0.0),
-        ({}, dict(clamp_nonnegative=True), 0.0),
         ({}, dict(sample_every=7), 0.0),
         ({}, dict(outer_bc=rs.SINK, sample_every=3), 3.0),
-    ], ids=["zero-flux", "sink", "finite-pm", "clamp", "ragged-sampling", "restart-clock"])
+    ], ids=["zero-flux", "sink", "finite-pm", "ragged-sampling", "restart-clock"])
     def test_simulate_is_bitwise_a_loop_of_steps(self, ref_params, params_update,
                                                  cfg_update, t0):
         p = replace(ref_params, **params_update)
@@ -167,10 +184,10 @@ class TestPackedLoopMatchesStepper:
         ts = rs.simulate(p, grid, cfg, init_state=init)
         samples, times = stepped_reference(p, grid, cfg, init)
         np.testing.assert_array_equal(ts.times, times)
-        for name in ("c0s", "c0", "c1s", "c1", "ci"):
-            field = getattr(ts, name)
-            assert field.flags.c_contiguous
-            np.testing.assert_array_equal(field, np.stack([getattr(s, name) for s in samples]))
+        packed = np.concatenate([getattr(ts, name) for name in FIELDS], axis=1)
+        np.testing.assert_array_equal(packed, samples)
+        for name in FIELDS:
+            assert getattr(ts, name).flags.c_contiguous
 
 
 class TestPhysicalInvariants:
@@ -238,14 +255,6 @@ class TestPhysicalInvariants:
         # solubilisation; make sure that behaviour is real, not clipped
         assert mins["c0s"] < -1e-3
 
-    def test_clamp_flag_forces_nonnegative_samples(self, ref_params):
-        grid = rs.make_grid(ref_params, 16, 16)
-        cfg = rs.SolverConfig(dt=0.02, t_end=40.0, sample_every=50,
-                              clamp_nonnegative=True)
-        ts = rs.simulate(ref_params, grid, cfg)
-        for name, val in ts.min_values().items():
-            assert val >= 0.0, name
-
     def test_finite_permeability_limits_to_infinite(self, ref_params):
         grid = rs.make_grid(ref_params, 16, 16)
         cfg = rs.SolverConfig(dt=0.05, t_end=2.0)
@@ -278,12 +287,3 @@ class TestFailureModes:
         cfg = rs.SolverConfig(dt=0.5, t_end=50.0, theta=0.0)
         with pytest.raises(NumericalError):
             rs.simulate(ref_params, grid, cfg)
-
-    def test_single_step_helper_matches_stepper(self, ref_params):
-        grid = rs.make_grid(ref_params, 8, 8)
-        cfg = rs.SolverConfig(dt=0.05, t_end=1.0)
-        s1 = rs.step(rs.initialize(grid), grid, ref_params, cfg)
-        ts = rs.simulate(ref_params, grid,
-                         rs.SolverConfig(dt=0.05, t_end=0.05, sample_every=1))
-        np.testing.assert_array_equal(s1.c0s, ts.c0s[-1])
-        np.testing.assert_array_equal(s1.c1, ts.c1[-1])
