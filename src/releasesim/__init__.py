@@ -4,8 +4,9 @@ conservative composite-grid solver, and the verification glue between them.
 """
 
 from .analytic import (AnalyticParams, RatePair, default_mode, eval_matrix,
-                       eval_tissue, interface_fluxes, matrix_rates, residuals,
-                       tissue_rates)
+                       eval_tissue, interface_fluxes, matrix_free, matrix_rates,
+                       matrix_solid, residuals, tissue_bound, tissue_free,
+                       tissue_internalized, tissue_rates)
 from .errors import ConfigError, NumericalError, ValidationError
 from .metrics import (NAMED_METRICS, ProbeSeriesMetrics, ReleaseMetrics,
                       SensitivityRecord, SweepRow, local_sensitivity,
@@ -30,8 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticParams", "RatePair", "default_mode",
-    "eval_matrix", "eval_tissue", "interface_fluxes", "matrix_rates",
-    "residuals", "tissue_rates",
+    "eval_matrix", "eval_tissue", "interface_fluxes", "matrix_free",
+    "matrix_rates", "matrix_solid", "residuals", "tissue_bound", "tissue_free",
+    "tissue_internalized", "tissue_rates",
     "ConfigError", "NumericalError", "ValidationError",
     "NAMED_METRICS", "ProbeSeriesMetrics", "ReleaseMetrics",
     "SensitivityRecord", "SweepRow", "local_sensitivity", "parabolic_peak",

@@ -181,51 +181,79 @@ def tissue_rates(p: DimensionlessParams, b: float) -> RatePair:
     return RatePair(rate_sum=rate_sum, rate_prod=rate_prod, slow=slow, fast=fast)
 
 
-def eval_matrix(x, t, p: DimensionlessParams, ap: AnalyticParams):
-    """Closed-form matrix fields (free, solid) at positions x and times t.
-
-    ``x`` and ``t`` broadcast against each other.  The free field is the pure
-    biexponential mode; the solid field integrates its kinetic balance
-    exactly against that driver from the uniform initial loading 1, which
-    adds a spatially uniform transient and the solubilisation offset.
-
-    Returns (c0, c0s).
-    """
+def _layer_positions(x, p: DimensionlessParams, layer: str) -> np.ndarray:
+    """``x`` as a float array, checked to lie in the named layer up to 1e-12."""
+    lo, hi, span = (0.0, p.l0, "[0, l0]") if layer == "matrix" else (p.l0, p.l1, "[l0, l1]")
     x = np.asarray(x, dtype=float)
+    if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+        raise ValueError(f"{layer} positions must lie in {span}")
+    return x
+
+
+def matrix_free(x, t, p: DimensionlessParams, ap: AnalyticParams):
+    """Closed-form matrix free drug C0: the pure biexponential mode."""
+    x = _layer_positions(x, p, "matrix")
     t = np.asarray(t, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > p.l0 + 1e-12):
-        raise ValueError("matrix positions must lie in [0, l0]")
+    mr = matrix_rates(p, ap.a)
+    mode = np.exp(-mr.slow * t) - np.exp(-mr.fast * t)
+    return ap.e1 * mode * np.cos(ap.a * x)
+
+
+def matrix_solid(x, t, p: DimensionlessParams, ap: AnalyticParams):
+    """Closed-form solid drug C0*: its kinetic balance integrated exactly
+    against the free mode from the uniform initial loading 1, which adds a
+    spatially uniform transient and the solubilisation offset."""
+    x = _layer_positions(x, p, "matrix")
+    t = np.asarray(t, dtype=float)
     mr = matrix_rates(p, ap.a)
     r, q = p.solid_rate, p.free_rate
-    shape = np.cos(ap.a * x)
-    mode = np.exp(-mr.slow * t) - np.exp(-mr.fast * t)
-    c0 = ap.e1 * mode * shape
     kin = _ediff(mr.slow, r, t) - _ediff(mr.fast, r, t)
-    c0s = np.exp(-r * t) - p.km * p.c_lim * _ediff(r, 0.0, t) + q * ap.e1 * shape * kin
-    return c0, c0s
+    return np.exp(-r * t) - p.km * p.c_lim * _ediff(r, 0.0, t) + q * ap.e1 * np.cos(ap.a * x) * kin
+
+
+def tissue_free(x, t, p: DimensionlessParams, ap: AnalyticParams):
+    """Closed-form tissue free drug C1: the biexponential tissue mode."""
+    x = _layer_positions(x, p, "tissue")
+    t = np.asarray(t, dtype=float)
+    tr = tissue_rates(p, ap.b)
+    mode = np.exp(-tr.slow * t) - np.exp(-tr.fast * t)
+    return ap.e2 * mode * np.cos(ap.b * x)
+
+
+def tissue_bound(x, t, p: DimensionlessParams, ap: AnalyticParams):
+    """Closed-form bound drug C1*: the exact kinetic convolution of the free
+    mode, from zero initial data."""
+    x = _layer_positions(x, p, "tissue")
+    t = np.asarray(t, dtype=float)
+    tr = tissue_rates(p, ap.b)
+    s = p.bound_rate
+    return p.ka * ap.e2 * np.cos(ap.b * x) * (_ediff(tr.slow, s, t) - _ediff(tr.fast, s, t))
+
+
+def tissue_internalized(x, t, p: DimensionlessParams, ap: AnalyticParams):
+    """Closed-form internalized drug Ci: the exact second kinetic
+    convolution of the free mode, from zero initial data."""
+    x = _layer_positions(x, p, "tissue")
+    t = np.asarray(t, dtype=float)
+    tr = tissue_rates(p, ap.b)
+    s = p.bound_rate
+    return p.ki * p.ka * ap.e2 * np.cos(ap.b * x) * (
+        _ediff2(tr.slow, s, p.kid, t) - _ediff2(tr.fast, s, p.kid, t)
+    )
+
+
+def eval_matrix(x, t, p: DimensionlessParams, ap: AnalyticParams):
+    """Closed-form matrix fields at positions x and times t, which broadcast
+    against each other.  Returns (c0, c0s): :func:`matrix_free` and
+    :func:`matrix_solid`."""
+    return tuple(field(x, t, p, ap) for field in (matrix_free, matrix_solid))
 
 
 def eval_tissue(x, t, p: DimensionlessParams, ap: AnalyticParams):
-    """Closed-form tissue fields (free, bound, internalized) at x and t.
-
-    The free field is the biexponential tissue mode; bound and internalized
-    fields are its exact first and second kinetic convolutions (zero initial
-    data).  Returns (c1, c1s, ci).
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(x < p.l0 - 1e-12) or np.any(x > p.l1 + 1e-12):
-        raise ValueError("tissue positions must lie in [l0, l1]")
-    tr = tissue_rates(p, ap.b)
-    s = p.bound_rate
-    shape = np.cos(ap.b * x)
-    mode = np.exp(-tr.slow * t) - np.exp(-tr.fast * t)
-    c1 = ap.e2 * mode * shape
-    c1s = p.ka * ap.e2 * shape * (_ediff(tr.slow, s, t) - _ediff(tr.fast, s, t))
-    ci = p.ki * p.ka * ap.e2 * shape * (
-        _ediff2(tr.slow, s, p.kid, t) - _ediff2(tr.fast, s, p.kid, t)
-    )
-    return c1, c1s, ci
+    """Closed-form tissue fields at x and t.  Returns (c1, c1s, ci):
+    :func:`tissue_free`, :func:`tissue_bound` and :func:`tissue_internalized`."""
+    return tuple(field(x, t, p, ap)
+                 for field in (tissue_free, tissue_bound, tissue_internalized))
 
 
 def interface_fluxes(p: DimensionlessParams, ap: AnalyticParams, t):

@@ -4,7 +4,10 @@ Four independent instruments:
 
 * :func:`ode_oracle` re-integrates a kinetic balance with classical RK4
   driven by the closed-form driver fields and reports the deviation from the
-  closed-form answer.
+  closed-form answer.  It calls the per-field evaluators of
+  :mod:`releasesim.analytic` (``matrix_free``, ``matrix_solid``,
+  ``tissue_free``, ``tissue_bound``, ``tissue_internalized``): each balance's
+  driver on the quarter-step grid, its own field on the output grid.
 * :func:`mass_audit` books total drug against the lysosomal sink and the
   boundary outflow with trapezoid quadrature in space and time.
 * :func:`spatial_convergence` / :func:`temporal_convergence` measure observed
@@ -22,7 +25,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .analytic import (AnalyticParams, _mode_rates, eval_matrix, eval_tissue,
-                       interface_fluxes, residuals)
+                       interface_fluxes, matrix_free, matrix_solid, residuals,
+                       tissue_bound, tissue_free, tissue_internalized)
 from .errors import NumericalError
 from .params import DimensionlessParams
 from .scenario import RunSpec, run_spec
@@ -69,16 +73,19 @@ def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def _oracle_problem(which: str, p: DimensionlessParams):
-    """(closed form, decay rate, forcing from the closed form's fields, y0,
-    index of the balance's own field) for one balance."""
+def _oracle_problem(which: str, p: DimensionlessParams, ap: AnalyticParams, x: float):
+    """(forcing as a function of t, decay rate, the balance's own closed-form
+    field as a function of t, y0, layer) for one balance at station x."""
     if which == "matrix_solid":
         src = p.km * p.c_lim
-        return eval_matrix, p.solid_rate, lambda f: p.free_rate * f[0] - src, 1.0, 1
+        return (lambda t: p.free_rate * matrix_free(x, t, p, ap) - src, p.solid_rate,
+                lambda t: matrix_solid(x, t, p, ap), 1.0, "matrix")
     if which == "tissue_bound":
-        return eval_tissue, p.bound_rate, lambda f: p.ka * f[0], 0.0, 1
+        return (lambda t: p.ka * tissue_free(x, t, p, ap), p.bound_rate,
+                lambda t: tissue_bound(x, t, p, ap), 0.0, "tissue")
     if which == "internalized":
-        return eval_tissue, p.kid, lambda f: p.ki * f[1], 0.0, 2
+        return (lambda t: p.ki * tissue_bound(x, t, p, ap), p.kid,
+                lambda t: tissue_internalized(x, t, p, ap), 0.0, "tissue")
     raise ValueError(f"unknown balance {which!r}; expected matrix_solid, tissue_bound, or internalized")
 
 
@@ -88,41 +95,44 @@ def ode_oracle(which: str | tuple[str, ...], p: DimensionlessParams, ap: Analyti
 
     ``which`` names one balance, or is a tuple of balances of one layer at
     the same station.  A tuple returns one deviation per name, in order, and
-    evaluates the closed form they share once.
+    builds the quarter-step grid they share once.  Each balance evaluates
+    only its forcing field on the quarter-step grid and only its own field
+    on ``t_grid``.
 
-    ``t_grid`` must be uniform and dense enough that the integrator's own
-    step-doubling error estimate stays below 1e-9 of the solution scale;
-    otherwise a NumericalError asks for a finer grid.  The deviation is
-    normalized by the closed form's max magnitude over the grid.
+    ``t_grid`` must start at 0 (the balances' initial values are given
+    there), be uniform with a positive step, and be dense enough that the
+    integrator's own step-doubling error estimate stays below 1e-9 of the
+    solution scale; otherwise a NumericalError asks for a finer grid.  The
+    deviation is normalized by the closed form's max magnitude over the grid.
     """
+    x = float(x)
     names = (which,) if isinstance(which, str) else tuple(which)
-    problems = [_oracle_problem(name, p) for name in names]
-    closed = problems[0][0]
-    if any(prob[0] is not closed for prob in problems):
+    problems = [_oracle_problem(name, p, ap, x) for name in names]
+    if len({prob[4] for prob in problems}) > 1:
         raise ValueError("balances evaluated together must share one layer")
     t = np.asarray(t_grid, dtype=float)
     if len(t) < 3:
         raise ValueError("t_grid needs at least 3 points")
+    if t[0] != 0.0:
+        raise ValueError(f"t_grid must start at 0, got {t[0]}")
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-10, atol=0.0):
         raise ValueError("t_grid must be uniformly spaced")
     dt = float(dts[0])
-    x = float(x)
+    if not dt > 0.0:
+        raise ValueError(f"t_grid must increase, got step {dt}")
 
     n = len(t) - 1
     # the half-step grid is every other quarter-step point, bit for bit:
     # (dt/4)*(2k) and (dt/2)*k are the same exact product, rounded once
-    fields = closed(x, t[0] + 0.25 * dt * np.arange(4 * n + 1), p, ap)
-    forcings = [forcing(fields) for _, _, forcing, _, _ in problems]
-    del fields
-    fields = closed(x, t, p, ap)
+    t_quarter = 0.25 * dt * np.arange(4 * n + 1)
     devs = []
-    for name, (_, decay, _, y0, own) in zip(names, problems):
-        f_quarter = forcings.pop(0)   # freed once its balance is done
+    for name, (forcing, decay, own, y0, _) in zip(names, problems):
+        f_quarter = forcing(t_quarter)
         y = _rk4_linear(decay, f_quarter[::2], dt, y0)
         y_fine = _rk4_linear(decay, f_quarter, 0.5 * dt, y0)[::2]
         del f_quarter
-        ref = fields[own]
+        ref = own(t)
         scale = max(float(np.max(np.abs(ref))), 1e-30)
         est = float(np.max(np.abs(y - y_fine))) / 15.0
         # a NaN estimate (an overflowed run) fails the test too

@@ -286,6 +286,51 @@ class TestClosedForms:
             np.testing.assert_allclose(b, 2.0 * a, rtol=1e-14)
 
 
+class TestPerFieldEvaluators:
+    MATRIX = (rs.matrix_free, rs.matrix_solid)
+    TISSUE = (rs.tissue_free, rs.tissue_bound, rs.tissue_internalized)
+
+    @staticmethod
+    def _cases(ref_params, ref_mode):
+        rng = make_rng(3)
+        cases = [(ref_params, ref_mode)]
+        for _ in range(3):
+            p = rs.sample_params(rng)
+            cases.append((p, rs.sample_mode(rng)))
+        return cases
+
+    @staticmethod
+    def _points(p):
+        """(x_matrix, x_tissue, t) triples: residuals' (1, 9) x (41, 1)
+        broadcast, equal-length 1-D arrays, and write_analytic_csv's
+        scalar t against an array of nodes."""
+        x0 = np.linspace(0.05, 0.95, 9) * p.l0
+        x1 = p.l0 + np.linspace(0.05, 0.95, 9) * (p.l1 - p.l0)
+        t = np.linspace(0.0, 12.0, 41)
+        return [(x0[None, :], x1[None, :], t[:, None]),
+                (np.linspace(0.0, p.l0, 41), np.linspace(p.l0, p.l1, 41), t),
+                (np.linspace(0.0, p.l0, 17), np.linspace(p.l0, p.l1, 17), 2.5)]
+
+    def test_each_field_is_its_combined_component_bit_for_bit(self, ref_params, ref_mode):
+        for p, ap in self._cases(ref_params, ref_mode):
+            for x0, x1, t in self._points(p):
+                for field, combined in zip(self.MATRIX, rs.eval_matrix(x0, t, p, ap)):
+                    np.testing.assert_array_equal(field(x0, t, p, ap), combined)
+                for field, combined in zip(self.TISSUE, rs.eval_tissue(x1, t, p, ap)):
+                    np.testing.assert_array_equal(field(x1, t, p, ap), combined)
+
+    def test_positions_outside_the_layer_rejected_by_every_field(self, ref_params, ref_mode):
+        p = ref_params
+        for field in self.MATRIX:
+            for x in (-0.1, 1.5 * p.l0, np.array([0.5 * p.l0, p.l1])):
+                with pytest.raises(ValueError, match=r"matrix positions"):
+                    field(x, 1.0, p, ref_mode)
+        for field in self.TISSUE:
+            for x in (0.5 * p.l0, p.l1 + 0.1, np.array([p.l1, 0.0])):
+                with pytest.raises(ValueError, match=r"tissue positions"):
+                    field(x, 1.0, p, ref_mode)
+
+
 class TestResiduals:
     def test_kinetic_balances_vanish_on_reference(self, ref_params, ref_mode):
         res = rs.residuals(ref_params, ref_mode)

@@ -46,6 +46,21 @@ class TestOdeOracle:
             rs.ode_oracle("matrix_solid", ref_params, ref_mode, 0.0,
                           [0.0, 0.1, 0.3, 0.4])
 
+    @pytest.mark.parametrize("t_grid, message", [
+        ([0.0, 0.0, 0.0], "must increase"),
+        (np.linspace(0.0, -40.0, 4001), "must increase"),
+        ([1.0, 1.0, 1.0], "start at 0"),
+        (np.linspace(1.0, 41.0, 4001), "start at 0"),
+    ])
+    def test_degenerate_grids_are_rejected(self, ref_params, ref_mode, t_grid, message):
+        # the initial values hold at t = 0; any other start, a zero step or
+        # a backward grid would be reported as a passing deviation
+        x_t = 0.5 * (ref_params.l0 + ref_params.l1)
+        for which, x in (("matrix_solid", 0.0), ("tissue_bound", x_t),
+                         (("tissue_bound", "internalized"), x_t)):
+            with pytest.raises(ValueError, match=message):
+                rs.ode_oracle(which, ref_params, ref_mode, x, t_grid)
+
     def test_unknown_balance_rejected(self, ref_params, ref_mode):
         with pytest.raises(ValueError, match="unknown balance"):
             rs.ode_oracle("free_matrix", ref_params, ref_mode, 0.0,
@@ -155,6 +170,111 @@ class TestSharedOracle:
         t = np.linspace(0.0, 200 * 20.0 / ref_params.solid_rate, 201)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="too coarse"):
             rs.ode_oracle("matrix_solid", ref_params, ref_mode, 0.0, t)
+
+
+def _all_fields_oracle(which, p, ap, x, t_grid):
+    """The oracle as it was before the per-field evaluators: every field of
+    the layer on the quarter-step grid, then every field again on t_grid.
+    The reference the oracle must equal exactly."""
+    closed_forms = {"matrix_solid": (rs.eval_matrix, 1), "tissue_bound": (rs.eval_tissue, 1),
+                    "internalized": (rs.eval_tissue, 2)}
+    names = (which,) if isinstance(which, str) else tuple(which)
+    forcing = {"matrix_solid": lambda f: p.free_rate * f[0] - p.km * p.c_lim,
+               "tissue_bound": lambda f: p.ka * f[0], "internalized": lambda f: p.ki * f[1]}
+    decay = {"matrix_solid": p.solid_rate, "tissue_bound": p.bound_rate, "internalized": p.kid}
+    y0 = {"matrix_solid": 1.0, "tissue_bound": 0.0, "internalized": 0.0}
+    closed = closed_forms[names[0]][0]
+    t = np.asarray(t_grid, dtype=float)
+    dt = float(np.diff(t)[0])
+    n = len(t) - 1
+    fields = closed(float(x), t[0] + 0.25 * dt * np.arange(4 * n + 1), p, ap)
+    forcings = [forcing[name](fields) for name in names]
+    fields = closed(float(x), t, p, ap)
+    devs = []
+    for name, f_quarter in zip(names, forcings):
+        y = _rk4_linear(decay[name], f_quarter[::2], dt, y0[name])
+        y_fine = _rk4_linear(decay[name], f_quarter, 0.5 * dt, y0[name])[::2]
+        ref = fields[closed_forms[name][1]]
+        scale = max(float(np.max(np.abs(ref))), 1e-30)
+        est = float(np.max(np.abs(y - y_fine))) / 15.0
+        if not est <= 1e-9 * max(scale, 1.0):
+            raise NumericalError(
+                f"t_grid too coarse for the {name} oracle: step-doubling estimate {est:.3g}"
+            )
+        devs.append(float(np.max(np.abs(y - ref))) / scale)
+    return devs[0] if isinstance(which, str) else tuple(devs)
+
+
+def _stiff_draws():
+    """Four tissue-rate draws spread over the ranges of the stiff benchmark
+    workload: ka in [3, 5], kd in [0.5, 1.5], kid in [0.015, 0.03]."""
+    spec = rs.default_spec()
+    draws = []
+    for ka, kd, kid in ((3.1, 1.4, 0.016), (3.6, 0.6, 0.029), (4.2, 1.1, 0.02), (4.9, 0.8, 0.024)):
+        p = replace(spec, tissue=replace(spec.tissue, ka=ka, kd=kd, kid=kid)).dimensionless()
+        draws.append((p, rs.default_mode(p)))
+    return draws
+
+
+class TestFieldwiseOracle:
+    def test_equals_the_all_fields_oracle_exactly(self, ref_params, ref_mode):
+        rng = make_rng(23)
+        sampled = []
+        for _ in range(3):
+            p = rs.sample_params(rng)
+            sampled.append((p, rs.sample_mode(rng)))
+        pair = ("tissue_bound", "internalized")
+        cases = [((ref_params, ref_mode), ("matrix_solid", "tissue_bound", "internalized", pair))]
+        cases += [(case, ("matrix_solid", "tissue_bound", "internalized", pair)) for case in sampled]
+        # the stiff draws run what check_oracle runs: the solid balance and the pair
+        cases += [(case, ("matrix_solid", pair)) for case in _stiff_draws()]
+        for (p, ap), balances in cases:
+            t = rs.oracle_time_grid(p, ap)
+            x_t = 0.5 * (p.l0 + p.l1)
+            for which in balances:
+                x = 0.0 if which == "matrix_solid" else x_t
+                new = _oracle_outcome(lambda: rs.ode_oracle(which, p, ap, x, t))
+                old = _oracle_outcome(lambda: _all_fields_oracle(which, p, ap, x, t))
+                assert new == old, (which, p)
+
+    def test_coarse_grid_message_is_unchanged(self, ref_params, ref_mode):
+        t = np.linspace(0.0, 25.0, 11)
+        x_t = 0.5 * (ref_params.l0 + ref_params.l1)
+        for which, x in (("matrix_solid", 0.0), ("tissue_bound", x_t), ("internalized", x_t),
+                         (("tissue_bound", "internalized"), x_t)):
+            new = _oracle_outcome(lambda: rs.ode_oracle(which, ref_params, ref_mode, x, t))
+            old = _oracle_outcome(lambda: _all_fields_oracle(which, ref_params, ref_mode, x, t))
+            assert isinstance(new, str) and "too coarse" in new
+            assert new == old
+
+    def test_each_field_is_evaluated_only_where_it_is_used(self, ref_params, ref_mode, monkeypatch):
+        # the oracle's cost is the closed form on the 4n+1 quarter grid: a
+        # balance may evaluate its forcing there, its own field only on the
+        # n+1 output points, and no other field at all
+        from releasesim import analytic, verification
+
+        calls = []
+        for name in ("matrix_free", "matrix_solid", "tissue_free", "tissue_bound",
+                     "tissue_internalized"):
+            def recording(x, t, p, ap, _name=name, _field=getattr(analytic, name)):
+                calls.append((_name, np.size(t)))
+                return _field(x, t, p, ap)
+            for module in (analytic, verification):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, recording)
+
+        t = rs.oracle_time_grid(ref_params, ref_mode)
+        n = len(t) - 1
+        x_t = 0.5 * (ref_params.l0 + ref_params.l1)
+
+        def sizes(which, x, field):
+            calls.clear()
+            rs.ode_oracle(which, ref_params, ref_mode, x, t)
+            return [size for name, size in calls if name == field]
+
+        assert sizes("tissue_bound", x_t, "tissue_internalized") == []
+        assert sizes("internalized", x_t, "tissue_internalized") == [n + 1]
+        assert sizes("matrix_solid", 0.0, "matrix_solid") == [n + 1]
 
 
 class TestSampling:
