@@ -19,7 +19,7 @@ from .runio import (load_config, save_config, spec_to_config, write_json,
                     write_matrix_csv, write_sweep_csv, write_tissue_csv)
 from .scenario import (RunSpec, default_spec, get_param, param_names,
                        replace_param, run_spec)
-from .solver import (SINK, ZERO_FLUX, CompositeGrid, SimState, SolverConfig,
+from .solver import (FIELDS, SINK, ZERO_FLUX, CompositeGrid, SolverConfig,
                      ThetaStepper, TimeSeries, initialize, make_grid, simulate)
 from .verification import (ComparisonReport, ConvergenceReport, MassLedger,
                            analytic_state, compare_analytic_numeric,
@@ -45,7 +45,7 @@ __all__ = [
     "write_matrix_csv", "write_sweep_csv", "write_tissue_csv",
     "RunSpec", "default_spec", "get_param", "param_names", "replace_param",
     "run_spec",
-    "SINK", "ZERO_FLUX", "CompositeGrid", "SimState", "SolverConfig",
+    "FIELDS", "SINK", "ZERO_FLUX", "CompositeGrid", "SolverConfig",
     "ThetaStepper", "TimeSeries", "initialize", "make_grid", "simulate",
     "ComparisonReport", "ConvergenceReport", "MassLedger", "analytic_state",
     "compare_analytic_numeric", "convergence_study", "mass_audit",

@@ -148,17 +148,17 @@ def matrix_rates(p: DimensionlessParams, a: float) -> RatePair:
     The mode pair (free, solid) decays with the two roots of
 
         z**2 - rate_sum * z + rate_prod = 0,
-        rate_sum  = alpha0*(phi0 + 1) + km + beta0 + delta0 + a**2 * gamma,
-        rate_prod = a**2 * gamma * (alpha0*phi0 + beta0).
+        rate_sum  = alpha0*(phi0 + 1) + km + beta0 + delta0 + a**2,
+        rate_prod = a**2 * (alpha0*phi0 + beta0),
+
+    with the unit dimensionless matrix diffusivity baked into the a**2 terms.
 
     Both roots are real and nonnegative for admissible parameters; a negative
     discriminant (only reachable with negative rate constants) raises.
     """
     if a < 0:
         raise ValueError(f"wavenumber a must be >= 0, got {a}")
-    if not p.gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {p.gamma}")
-    diffusive = a * a * p.gamma
+    diffusive = a * a
     rate_sum = p.alpha0 * (p.phi0 + 1.0) + p.km + p.beta0 + p.delta0 + diffusive
     rate_prod = diffusive * p.solid_rate
     slow, fast = _split_rates(rate_sum, rate_prod)
@@ -259,7 +259,8 @@ def eval_tissue(x, t, p: DimensionlessParams, ap: AnalyticParams):
 def interface_fluxes(p: DimensionlessParams, ap: AnalyticParams, t):
     """Diffusive flux each layer's mode carries at the interface x = l0.
 
-    Returns (matrix_side, tissue_side): gamma * dC0/dx and d1 * dC1/dx there.
+    Returns (matrix_side, tissue_side): dC0/dx (unit matrix diffusivity) and
+    d1 * dC1/dx there.
     A generic mode pair does not balance these; the gap is the interface
     defect of the closed-form solution.
     """
@@ -268,7 +269,7 @@ def interface_fluxes(p: DimensionlessParams, ap: AnalyticParams, t):
     tr = tissue_rates(p, ap.b)
     slope0 = -ap.e1 * ap.a * math.sin(ap.a * p.l0) * (np.exp(-mr.slow * t) - np.exp(-mr.fast * t))
     slope1 = -ap.e2 * ap.b * math.sin(ap.b * p.l0) * (np.exp(-tr.slow * t) - np.exp(-tr.fast * t))
-    return p.gamma * slope0, p.d1 * slope1
+    return slope0, p.d1 * slope1
 
 
 def _mode_rates(p: DimensionlessParams, ap: AnalyticParams) -> list[float]:
@@ -322,7 +323,7 @@ def residuals(p: DimensionlessParams, ap: AnalyticParams,
             - src * _ediff_dt(r, 0.0, T)
             + q * ap.e1 * shape0 * (_ediff_dt(mr.slow, r, T) - _ediff_dt(mr.fast, r, T)))
     res_solid = dc0s - (-r * c0s + q * c0 - src)
-    res_mfree = dc0 - (p.gamma * (-ap.a * ap.a) * c0 + r * c0s - q * c0 + src)
+    res_mfree = dc0 - (-ap.a * ap.a * c0 + r * c0s - q * c0 + src)
 
     c1, c1s, ci = eval_tissue(X1, T, p, ap)
     shape1 = np.cos(ap.b * X1)

@@ -10,9 +10,9 @@ dimensionless form produced by :func:`nondimensionalize`:
 * times by the matrix diffusion time l0**2 / D0,
 * concentrations by the initial solid-drug loading M.
 
-Under this scaling the matrix diffusivity is exactly 1 (kept as the field
-``gamma`` so closed-form helpers can accept a general value), the initial
-loading is 1, and the solubility limit becomes the ratio c_lim = Clim / M.
+Under this scaling the matrix diffusivity is exactly 1, so it appears in no
+parameter set, the initial loading is 1, and the solubility limit becomes
+the ratio c_lim = Clim / M.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ class DimensionlessParams:
     c_lim: float
     beta0: float
     delta0: float
-    gamma: float           # matrix diffusivity; exactly 1 under the chosen scaling
     ka: float
     kd: float
     ki: float
@@ -164,7 +163,6 @@ def nondimensionalize(matrix: MatrixParams, tissue: TissueParams,
         c_lim=matrix.c_lim / matrix.m0,
         beta0=matrix.beta0 * tau,
         delta0=matrix.delta0 * tau,
-        gamma=1.0,
         ka=tissue.ka * tau,
         kd=tissue.kd * tau,
         ki=tissue.ki * tau,

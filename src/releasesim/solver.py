@@ -22,6 +22,7 @@ new time level.  The step matrix is factorized once per
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,18 @@ from .params import DimensionlessParams
 
 ZERO_FLUX = "zero-flux"
 SINK = "sink"
+
+#: Field order of the packed state vector: solid and free drug on the matrix
+#: nodes, then bound, free and internalized drug on the tissue nodes.
+FIELDS = ("c0s", "c0", "c1s", "c1", "ci")
+
+
+def _require_int(name: str, value) -> None:
+    """Reject a count that is not an integer (``np.int64`` is one)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -50,6 +63,8 @@ class CompositeGrid:
     l0: float = 1.0
 
     def __post_init__(self):
+        _require_int("nx0", self.nx0)
+        _require_int("nx1", self.nx1)
         if self.nx0 < 4 or self.nx1 < 4:
             raise ValueError(f"need at least 4 cells per layer, got nx0={self.nx0}, nx1={self.nx1}")
         if not self.l1 > self.l0:
@@ -62,6 +77,18 @@ class CompositeGrid:
     @property
     def nt(self) -> int:
         return self.nx1 + 1
+
+    @property
+    def n(self) -> int:
+        """Unknowns of the packed state vector."""
+        return 2 * self.nm + 3 * self.nt
+
+    def field_slice(self, name: str) -> slice:
+        """Where field ``name`` sits in a packed state vector."""
+        k = FIELDS.index(name)
+        sizes = (self.nm,) * 2 + (self.nt,) * 3
+        start = sum(sizes[:k])
+        return slice(start, start + sizes[k])
 
     @property
     def h0(self) -> float:
@@ -93,22 +120,10 @@ class CompositeGrid:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Concentration fields at one instant; arrays are treated as immutable."""
-
-    t: float
-    c0s: np.ndarray   # solid drug, matrix nodes
-    c0: np.ndarray    # free drug, matrix nodes
-    c1s: np.ndarray   # bound drug, tissue nodes
-    c1: np.ndarray    # free drug, tissue nodes
-    ci: np.ndarray    # internalized drug, tissue nodes
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping controls.
 
-    ``t_end`` is the horizon measured from the initial state's clock;
+    ``t_end`` is the horizon measured from the initial clock;
     ``theta`` = 0.5 gives the trapezoid scheme, 1.0 implicit Euler.
     ``t_end`` must be a whole number of steps of ``dt`` (to 1e-9 relative),
     so every run ends exactly at the horizon asked for.  Sampling keeps
@@ -135,6 +150,7 @@ class SolverConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.outer_bc not in (ZERO_FLUX, SINK):
             raise ValueError(f"outer_bc must be '{ZERO_FLUX}' or '{SINK}', got {self.outer_bc!r}")
+        _require_int("sample_every", self.sample_every)
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
 
@@ -155,26 +171,11 @@ def make_grid(p: DimensionlessParams, nx0: int, nx1: int) -> CompositeGrid:
     return CompositeGrid(nx0=nx0, nx1=nx1, l1=p.l1, l0=p.l0)
 
 
-def initialize(grid: CompositeGrid) -> SimState:
-    """Uniform unit solid loading, every other field zero, clock at zero."""
-    return SimState(
-        t=0.0,
-        c0s=np.ones(grid.nm),
-        c0=np.zeros(grid.nm),
-        c1s=np.zeros(grid.nt),
-        c1=np.zeros(grid.nt),
-        ci=np.zeros(grid.nt),
-    )
-
-
-def _pack(state: SimState) -> np.ndarray:
-    return np.concatenate([state.c0s, state.c0, state.c1s, state.c1, state.ci])
-
-
-def _split(u: np.ndarray, grid: CompositeGrid) -> list[np.ndarray]:
-    """Views of the five fields in a packed vector, in ``_pack`` order."""
-    nm, nt = grid.nm, grid.nt
-    return np.split(u, [nm, 2 * nm, 2 * nm + nt, 2 * nm + 2 * nt])
+def initialize(grid: CompositeGrid) -> np.ndarray:
+    """Packed initial state: uniform unit solid loading, every other field zero."""
+    u = np.zeros(grid.n)
+    u[grid.field_slice("c0s")] = 1.0
+    return u
 
 
 def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
@@ -184,14 +185,12 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
     list of (column, coefficient) pairs; constrained rows replace the ODE
     there and are imposed exactly at the new time level.
     """
-    nm, nt = grid.nm, grid.nt
+    nm, nt, n = grid.nm, grid.nt, grid.n
     h0, h1 = grid.h0, grid.h1
-    n = 2 * nm + 3 * nt
-    o_c0s, o_c0 = 0, nm
-    o_c1s, o_c1, o_ci = 2 * nm, 2 * nm + nt, 2 * nm + 2 * nt
+    o_c0s, o_c0, o_c1s, o_c1, o_ci = (grid.field_slice(name).start for name in FIELDS)
     r, q, s = p.solid_rate, p.free_rate, p.bound_rate
     src = p.km * p.c_lim
-    dm = p.gamma / h0 ** 2
+    dm = 1.0 / h0 ** 2
     dt_ = p.d1 / h1 ** 2
 
     rows: list[int] = []
@@ -249,8 +248,8 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
         # half-cell balances summed so the membrane flux cancels exactly.
         constraints[m_if] = [(m_if, 1.0), (t_if, -p.sigma)]
         w = 0.5 * (p.sigma * h0 + h1)
-        add(t_if, o_c0 + nm - 2, p.gamma / (h0 * w))
-        add(t_if, m_if, -p.gamma / (h0 * w))
+        add(t_if, o_c0 + nm - 2, 1.0 / (h0 * w))
+        add(t_if, m_if, -1.0 / (h0 * w))
         add(t_if, o_c1 + 1, p.d1 / (h1 * w))
         add(t_if, t_if, -p.d1 / (h1 * w))
         add(t_if, o_c0s + nm - 1, 0.5 * h0 * r / w)
@@ -330,61 +329,64 @@ class ThetaStepper:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled trajectory: times plus one (samples, nodes) array per field."""
+    """Sampled trajectory: the times and the packed state at each of them.
+
+    ``u`` has shape (samples, ``grid.n``), one packed state per row, its
+    columns in ``FIELDS`` order.  The field attributes ``c0s`` ... ``ci`` are
+    read-only (samples, nodes) views of ``u``.
+    """
 
     times: np.ndarray
-    c0s: np.ndarray
-    c0: np.ndarray
-    c1s: np.ndarray
-    c1: np.ndarray
-    ci: np.ndarray
+    u: np.ndarray
     grid: CompositeGrid
     params: DimensionlessParams
     config: SolverConfig
+
+    def _view(self, name: str) -> np.ndarray:
+        view = self.u[:, self.grid.field_slice(name)]
+        view.flags.writeable = False
+        return view
+
+    c0s = property(lambda self: self._view("c0s"), doc="solid drug, matrix nodes")
+    c0 = property(lambda self: self._view("c0"), doc="free drug, matrix nodes")
+    c1s = property(lambda self: self._view("c1s"), doc="bound drug, tissue nodes")
+    c1 = property(lambda self: self._view("c1"), doc="free drug, tissue nodes")
+    ci = property(lambda self: self._view("ci"), doc="internalized drug, tissue nodes")
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
 
-    def state_at(self, i: int) -> SimState:
-        return SimState(t=float(self.times[i]), c0s=self.c0s[i].copy(),
-                        c0=self.c0[i].copy(), c1s=self.c1s[i].copy(),
-                        c1=self.c1[i].copy(), ci=self.ci[i].copy())
-
     def min_values(self) -> dict[str, float]:
         """Most negative entry per field over the whole trajectory."""
-        return {name: float(getattr(self, name).min())
-                for name in ("c0s", "c0", "c1s", "c1", "ci")}
+        return {name: float(self._view(name).min()) for name in FIELDS}
 
 
 def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
-             init_state: SimState | None = None) -> TimeSeries:
-    """Run the theta scheme over the horizon ``config.t_end``.
+             u0: np.ndarray | None = None, t0: float = 0.0) -> TimeSeries:
+    """Run the theta scheme from the clock ``t0`` over the horizon ``config.t_end``.
 
     The number of steps is t_end / dt, a whole number; the first and last
-    states are always sampled.  Passing ``init_state`` starts from arbitrary fields (and
-    clock), which the cross-verification against the closed forms relies on.
-    The samples are preallocated: samples x unknowns x 8 bytes.
+    states are always sampled.  ``u0`` is a packed initial state (default
+    :func:`initialize`); it is copied, never modified.  Starting from
+    arbitrary fields and clock is what the cross-verification against the
+    closed forms relies on.  The samples are preallocated: samples x
+    unknowns x 8 bytes.
     """
-    state = initialize(grid) if init_state is None else init_state
-    t0 = state.t
+    u = initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
+    if u.shape != (grid.n,):
+        raise ValueError(f"u0 must have shape ({grid.n},), got {u.shape}")
     idx = sample_indices(config.n_steps, config.sample_every)
-    u = _pack(state)
-    fields = [np.empty((len(idx), part.size)) for part in _split(u, grid)]
-
-    def record(k: int, u: np.ndarray) -> None:
-        for field, part in zip(fields, _split(u, grid)):
-            field[k] = part
-
-    record(0, u)
+    samples = np.empty((len(idx), grid.n))
+    samples[0] = u
     if len(idx) > 1:
         stepper = ThetaStepper(grid, p, config)
         advance, dt = stepper.advance, config.dt
         for k in range(1, len(idx)):
             for j in range(idx[k - 1] + 1, idx[k] + 1):
                 u = advance(u, t0 + j * dt)
-            record(k, u)
+            samples[k] = u
     # record j*dt, not an accumulated clock, so sample times are free of
     # summation drift
-    return TimeSeries(t0 + idx.astype(float) * config.dt, *fields,
+    return TimeSeries(t0 + idx.astype(float) * config.dt, samples,
                       grid=grid, params=p, config=config)

@@ -30,10 +30,8 @@ from .analytic import (AnalyticParams, _mode_rates, eval_matrix, eval_tissue,
 from .errors import NumericalError
 from .params import DimensionlessParams
 from .scenario import RunSpec, run_spec
-from .solver import (SINK, ZERO_FLUX, CompositeGrid, SimState, SolverConfig,
+from .solver import (FIELDS, SINK, ZERO_FLUX, CompositeGrid, SolverConfig,
                      TimeSeries, make_grid, simulate)
-
-_FIELDS = ("c0s", "c0", "c1s", "c1", "ci")
 
 # Largest uniform grid oracle_time_grid will build.  Pathologically stiff
 # parameter draws (fast rate thousands of times the slow one) would need more
@@ -165,7 +163,7 @@ def sample_params(rng: np.random.Generator, pm_infinite: bool = True) -> Dimensi
     return DimensionlessParams(
         alpha0=lu(1e-2, 1e1), k=lu(1e-1, 1e1), eps0=float(rng.uniform(0.1, 0.9)),
         km=lu(1e-2, 1e1), c_lim=lu(1e-2, 1e1), beta0=lu(1e-2, 1e1),
-        delta0=lu(1e-2, 1e1), gamma=1.0, ka=lu(1e-2, 1e1), kd=lu(1e-2, 1e1),
+        delta0=lu(1e-2, 1e1), ka=lu(1e-2, 1e1), kd=lu(1e-2, 1e1),
         ki=lu(1e-2, 1e1), kid=lu(1e-2, 1e1), d1=lu(1e-1, 1e1),
         l1=1.0 + float(rng.uniform(0.5, 2.0)),
         pm=np.inf if pm_infinite else lu(1e-1, 1e2),
@@ -250,21 +248,23 @@ def mass_audit(ts: TimeSeries) -> MassLedger:
     )
 
 
-def _species_errors(coarse: TimeSeries, ref: TimeSeries, stride_m: int, stride_t: int) -> dict[str, float]:
+def _field_deviations(u: np.ndarray, grid: CompositeGrid, ref: np.ndarray,
+                      ref_grid: CompositeGrid, stride: int = 1) -> dict[str, float]:
+    """Per field, max |u - ref| / max(max |ref|, 1e-30) between two packed
+    states; ``ref_grid`` is ``stride`` times finer than ``grid`` and the
+    fields are compared at their shared nodes."""
     out = {}
-    for name in _FIELDS:
-        a = getattr(coarse, name)[-1]
-        b = getattr(ref, name)[-1]
-        b_sub = b[::stride_m] if name in ("c0s", "c0") else b[::stride_t]
+    for name in FIELDS:
+        b = ref[ref_grid.field_slice(name)]
         scale = max(float(np.max(np.abs(b))), 1e-30)
-        out[name] = float(np.max(np.abs(a - b_sub))) / scale
+        out[name] = float(np.max(np.abs(u[grid.field_slice(name)] - b[::stride]))) / scale
     return out
 
 
 def _observed_orders(errors: list[dict[str, float]]) -> dict[str, list[float]]:
-    orders: dict[str, list[float]] = {name: [] for name in _FIELDS}
+    orders: dict[str, list[float]] = {name: [] for name in FIELDS}
     for lo, hi in zip(errors, errors[1:]):
-        for name in _FIELDS:
+        for name in FIELDS:
             if hi[name] <= 0 or lo[name] <= 0:
                 orders[name].append(float("nan"))
             else:
@@ -322,7 +322,7 @@ def spatial_convergence(p: DimensionlessParams, config: SolverConfig,
     for n in cells:
         ts = simulate(p, make_grid(p, n, n), config)
         stride = ref_cells // n
-        errors.append(_species_errors(ts, ref, stride, stride))
+        errors.append(_field_deviations(ts.u[-1], ts.grid, ref.u[-1], ref.grid, stride))
     report = ConvergenceReport(levels=tuple(cells), errors=tuple(errors),
                                orders=_observed_orders(errors))
     report.warn_if_preasymptotic("spatial refinement")
@@ -337,7 +337,7 @@ def temporal_convergence(p: DimensionlessParams, grid: CompositeGrid, config: So
     errors = []
     for dt in dts:
         ts = simulate(p, grid, replace(config, dt=dt))
-        errors.append(_species_errors(ts, ref, 1, 1))
+        errors.append(_field_deviations(ts.u[-1], grid, ref.u[-1], grid))
     report = ConvergenceReport(levels=tuple(dts), errors=tuple(errors),
                                orders=_observed_orders(errors))
     report.warn_if_preasymptotic(f"temporal refinement (theta={config.theta})")
@@ -365,7 +365,7 @@ class ComparisonReport:
     t_final: float
     deviations: dict            # species -> scaled max-abs deviation at t_final
     times: np.ndarray
-    flux_matrix: np.ndarray     # gamma * dC0/dx at the interface (mode)
+    flux_matrix: np.ndarray     # dC0/dx at the interface (mode)
     flux_tissue: np.ndarray     # d1 * dC1/dx at the interface (mode)
 
     @property
@@ -378,13 +378,15 @@ class ComparisonReport:
 
 
 def analytic_state(p: DimensionlessParams, ap: AnalyticParams, grid: CompositeGrid,
-                   t: float) -> SimState:
-    """Closed-form fields sampled on the grid nodes at time t."""
+                   t: float) -> np.ndarray:
+    """Closed-form fields sampled on the grid nodes at time t, as a packed
+    state vector."""
     c0, c0s = eval_matrix(grid.x_matrix, t, p, ap)
     c1, c1s, ci = eval_tissue(grid.x_tissue, t, p, ap)
-    return SimState(t=float(t), c0s=np.asarray(c0s, float), c0=np.asarray(c0, float),
-                    c1s=np.asarray(c1s, float), c1=np.asarray(c1, float),
-                    ci=np.asarray(ci, float))
+    u = np.empty(grid.n)
+    for name, values in {"c0s": c0s, "c0": c0, "c1s": c1s, "c1": c1, "ci": ci}.items():
+        u[grid.field_slice(name)] = values
+    return u
 
 
 def compare_analytic_numeric(p: DimensionlessParams, ap: AnalyticParams,
@@ -401,16 +403,10 @@ def compare_analytic_numeric(p: DimensionlessParams, ap: AnalyticParams,
     """
     if horizon is None:
         horizon = 10.0 * config.dt
-    init = analytic_state(p, ap, grid, t_start)
-    ts = simulate(p, grid, replace(config, t_end=horizon), init_state=init)
+    ts = simulate(p, grid, replace(config, t_end=horizon),
+                  u0=analytic_state(p, ap, grid, t_start), t0=t_start)
     t_final = float(ts.times[-1])
-    ref = analytic_state(p, ap, grid, t_final)
-    deviations = {}
-    for name in _FIELDS:
-        num = getattr(ts, name)[-1]
-        ana = getattr(ref, name)
-        scale = max(float(np.max(np.abs(ana))), 1e-30)
-        deviations[name] = float(np.max(np.abs(num - ana))) / scale
+    deviations = _field_deviations(ts.u[-1], grid, analytic_state(p, ap, grid, t_final), grid)
     fm, ft = interface_fluxes(p, ap, ts.times)
     return ComparisonReport(t_start=t_start, t_final=t_final, deviations=deviations,
                             times=ts.times.copy(), flux_matrix=np.asarray(fm, float),

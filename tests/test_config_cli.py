@@ -131,9 +131,10 @@ class TestDataFiles:
             values = np.concatenate([specials, rng.standard_normal(n - len(specials))])
             return rng.permutation(values).reshape(len(times), nodes)
 
-        ts = rs.TimeSeries(times=times, c0s=field(grid.nm), c0=field(grid.nm),
-                           c1s=field(grid.nt), c1=field(grid.nt), ci=field(grid.nt),
-                           grid=grid, params=rs.reference_params(),
+        # one block of columns per field, in the packed order
+        u = np.hstack([field(grid.nm), field(grid.nm), field(grid.nt), field(grid.nt),
+                       field(grid.nt)])
+        ts = rs.TimeSeries(times=times, u=u, grid=grid, params=rs.reference_params(),
                            config=rs.SolverConfig())
 
         def per_cell(header, x, fields):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,18 +41,17 @@ class TestPhi0:
 class TestNondimensionalize:
     def test_reference_scales_are_unit(self):
         p = rs.reference_params()
-        assert p.gamma == 1.0
         assert p.length_scale == 1.0 and p.time_scale == 1.0 and p.conc_scale == 1.0
         assert p.phi0 == 0.5
         assert p.solid_rate == pytest.approx(0.6, rel=1e-15)
         assert p.free_rate == pytest.approx(1.25, rel=1e-15)
         assert p.bound_rate == pytest.approx(0.5, rel=1e-15)
 
-    def test_gamma_is_exactly_one_for_any_scales(self):
+    def test_matrix_diffusivity_scales_out_for_any_scales(self):
         m = rs.MatrixParams(d0=3.7e-6, l0=0.02, m0=5.0)
         t = rs.TissueParams(d1=1.1e-6, l1=0.05)
         p = rs.nondimensionalize(m, t, rs.InterfaceParams())
-        assert p.gamma == 1.0
+        assert "gamma" not in {f.name for f in dataclasses.fields(p)}
         assert p.d1 == pytest.approx(1.1e-6 / 3.7e-6, rel=1e-14)
         assert p.l1 == pytest.approx(2.5, rel=1e-14)
 

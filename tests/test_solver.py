@@ -11,20 +11,14 @@ def inert_params(pm: float = 0.0, sigma: float = 1.0) -> rs.DimensionlessParams:
     """All kinetic rates zero: pure two-layer diffusion."""
     return rs.DimensionlessParams(
         alpha0=0.0, k=1.0, eps0=0.5, km=0.0, c_lim=0.0, beta0=0.0, delta0=0.0,
-        gamma=1.0, ka=0.0, kd=0.0, ki=0.0, kid=0.0, d1=0.7, l1=2.0,
+        ka=0.0, kd=0.0, ki=0.0, kid=0.0, d1=0.7, l1=2.0,
         pm=pm, sigma=sigma,
     )
 
 
-def uniform_state(grid: rs.CompositeGrid, value: float = 1.0) -> rs.SimState:
-    return rs.SimState(
-        t=0.0,
-        c0s=np.full(grid.nm, value),
-        c0=np.full(grid.nm, value),
-        c1s=np.full(grid.nt, value),
-        c1=np.full(grid.nt, value),
-        ci=np.full(grid.nt, value),
-    )
+def uniform_state(grid: rs.CompositeGrid, value: float = 1.0) -> np.ndarray:
+    """Packed state with every field equal to ``value``."""
+    return np.full(grid.n, value)
 
 
 def total_drug(ts: rs.TimeSeries) -> np.ndarray:
@@ -44,6 +38,24 @@ class TestGridAndConfigValidation:
     def test_grid_needs_positive_tissue_thickness(self):
         with pytest.raises(ValueError, match="exceed"):
             rs.CompositeGrid(nx0=8, nx1=8, l1=1.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(nx0=8.5, nx1=8), dict(nx0=8, nx1=8.0),
+                                        dict(nx0="8", nx1=8)])
+    def test_grid_rejects_non_integer_cell_counts(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            rs.CompositeGrid(**kwargs)
+
+    @pytest.mark.parametrize("sample_every", [2.5, 2.0, np.float64(3.0)])
+    def test_solver_config_rejects_non_integer_sample_every(self, sample_every):
+        with pytest.raises(ValueError, match="sample_every must be an integer"):
+            rs.SolverConfig(dt=0.1, t_end=1.0, sample_every=sample_every)
+
+    def test_numpy_integer_counts_are_accepted(self, ref_params):
+        grid = rs.make_grid(ref_params, np.int64(8), np.int32(8))
+        cfg = rs.SolverConfig(dt=0.1, t_end=1.0, sample_every=np.int64(3))
+        ts = rs.simulate(ref_params, grid, cfg)
+        assert grid.nm == 9 and grid.nt == 9
+        np.testing.assert_array_equal(ts.times, np.array([0, 3, 6, 9, 10]) * 0.1)
 
     def test_grid_geometry(self):
         g = rs.CompositeGrid(nx0=10, nx1=20, l1=3.0)
@@ -85,11 +97,11 @@ class TestGridAndConfigValidation:
 class TestTrajectoryBookkeeping:
     def test_initial_state_is_unit_solid_loading(self, ref_params):
         grid = rs.make_grid(ref_params, 8, 8)
-        s = rs.initialize(grid)
-        np.testing.assert_array_equal(s.c0s, 1.0)
-        for f in (s.c0, s.c1s, s.c1, s.ci):
-            np.testing.assert_array_equal(f, 0.0)
-        assert s.t == 0.0
+        u = rs.initialize(grid)
+        assert u.shape == (grid.n,)
+        np.testing.assert_array_equal(u[grid.field_slice("c0s")], 1.0)
+        for name in ("c0", "c1s", "c1", "ci"):
+            np.testing.assert_array_equal(u[grid.field_slice(name)], 0.0)
 
     def test_zero_horizon_returns_single_sample(self, ref_params):
         grid = rs.make_grid(ref_params, 8, 8)
@@ -125,7 +137,7 @@ class TestTrajectoryBookkeeping:
         cfg = rs.SolverConfig(dt=0.05, t_end=2.0, sample_every=4)
         a = rs.simulate(ref_params, grid, cfg)
         b = rs.simulate(ref_params, grid, cfg)
-        for name in ("times", "c0s", "c0", "c1s", "c1", "ci"):
+        for name in ("times", "u", "c0s", "c0", "c1s", "c1", "ci"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_restart_matches_uninterrupted_run(self, ref_params):
@@ -136,35 +148,74 @@ class TestTrajectoryBookkeeping:
                            rs.SolverConfig(dt=0.05, t_end=1.0, sample_every=20))
         leg2 = rs.simulate(ref_params, grid,
                            rs.SolverConfig(dt=0.05, t_end=1.0, sample_every=20),
-                           init_state=leg1.state_at(-1))
+                           u0=leg1.u[-1], t0=leg1.times[-1])
         assert leg2.times[0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(leg2.times[-1], full.times[-1], rtol=0, atol=1e-12)
         for name in ("c0s", "c0", "c1s", "c1", "ci"):
             np.testing.assert_array_equal(getattr(leg2, name)[-1],
                                           getattr(full, name)[-1])
 
-    def test_state_at_copies(self, short_run):
-        s = short_run.state_at(0)
-        s.c0s[:] = -99.0
-        assert short_run.c0s[0, 0] == 1.0
 
 
 FIELDS = ("c0s", "c0", "c1s", "c1", "ci")
 
 
-def stepped_reference(p, grid, cfg, init):
+class TestPackedState:
+    def test_field_slices_tile_the_packed_vector_in_field_order(self):
+        grid = rs.CompositeGrid(nx0=8, nx1=12)
+        assert rs.FIELDS == FIELDS
+        assert grid.n == 2 * 9 + 3 * 13
+        slices = [grid.field_slice(name) for name in FIELDS]
+        assert [sl.stop - sl.start for sl in slices] == [9, 9, 13, 13, 13]
+        assert slices[0].start == 0 and slices[-1].stop == grid.n
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+
+    @pytest.mark.parametrize("t_end", [0.0, 1.0])
+    def test_simulate_leaves_u0_unmodified_and_unaliased(self, ref_params, t_end):
+        grid = rs.make_grid(ref_params, 8, 8)
+        u0 = uniform_state(grid, 0.5)
+        ts = rs.simulate(ref_params, grid, rs.SolverConfig(dt=0.1, t_end=t_end),
+                         u0=u0, t0=2.0)
+        np.testing.assert_array_equal(u0, 0.5)
+        assert not np.shares_memory(ts.u, u0)
+        np.testing.assert_array_equal(ts.u[0], u0)
+        assert ts.times[0] == 2.0
+
+    @pytest.mark.parametrize("shape", [(44,), (46,), (1, 45), ()])
+    def test_u0_of_the_wrong_shape_raises(self, ref_params, shape):
+        grid = rs.make_grid(ref_params, 8, 8)
+        assert grid.n == 45
+        with pytest.raises(ValueError, match="u0 must have shape"):
+            rs.simulate(ref_params, grid, rs.SolverConfig(dt=0.1, t_end=1.0),
+                        u0=np.zeros(shape))
+
+    def test_fields_are_read_only_views_of_u(self, short_run):
+        grid = short_run.grid
+        assert short_run.u.shape == (short_run.n_samples, grid.n)
+        assert short_run.u.flags.c_contiguous
+        for name in FIELDS:
+            field = getattr(short_run, name)
+            assert np.shares_memory(field, short_run.u)
+            np.testing.assert_array_equal(field, short_run.u[:, grid.field_slice(name)])
+            assert field.shape == (short_run.n_samples, grid.nm if name in ("c0s", "c0")
+                                   else grid.nt)
+            with pytest.raises(ValueError, match="read-only"):
+                field[0, 0] = 0.0
+
+
+def stepped_reference(p, grid, cfg, u0, t0):
     """The sampled trajectory as a plain loop of ThetaStepper.advance on a
-    state packed in field order."""
+    packed state."""
     stepper = rs.ThetaStepper(grid, p, cfg)
     n_steps = int(round(cfg.t_end / cfg.dt))
-    u = np.concatenate([getattr(init, name) for name in FIELDS])
+    u = u0
     samples, js = [u], [0]
     for j in range(1, n_steps + 1):
-        u = stepper.advance(u, init.t + j * cfg.dt)
+        u = stepper.advance(u, t0 + j * cfg.dt)
         if j % cfg.sample_every == 0 or j == n_steps:
             samples.append(u)
             js.append(j)
-    return np.stack(samples), init.t + np.asarray(js, float) * cfg.dt
+    return np.stack(samples), t0 + np.asarray(js, float) * cfg.dt
 
 
 class TestPackedLoopMatchesStepper:
@@ -180,14 +231,16 @@ class TestPackedLoopMatchesStepper:
         p = replace(ref_params, **params_update)
         grid = rs.make_grid(p, 8, 12)
         cfg = replace(rs.SolverConfig(dt=0.05, t_end=2.0, sample_every=4), **cfg_update)
-        init = replace(uniform_state(grid, 0.5), t=t0) if t0 else rs.initialize(grid)
-        ts = rs.simulate(p, grid, cfg, init_state=init)
-        samples, times = stepped_reference(p, grid, cfg, init)
+        u0 = uniform_state(grid, 0.5) if t0 else rs.initialize(grid)
+        ts = rs.simulate(p, grid, cfg, u0=u0, t0=t0)
+        samples, times = stepped_reference(p, grid, cfg, u0, t0)
         np.testing.assert_array_equal(ts.times, times)
         packed = np.concatenate([getattr(ts, name) for name in FIELDS], axis=1)
         np.testing.assert_array_equal(packed, samples)
+        np.testing.assert_array_equal(ts.u, samples)
+        assert ts.u.flags.c_contiguous
         for name in FIELDS:
-            assert getattr(ts, name).flags.c_contiguous
+            assert np.shares_memory(getattr(ts, name), ts.u)
 
 
 class TestPhysicalInvariants:
@@ -198,7 +251,7 @@ class TestPhysicalInvariants:
         p = inert_params(pm=pm, sigma=sigma)
         grid = rs.make_grid(p, 8, 12)
         ts = rs.simulate(p, grid, rs.SolverConfig(dt=0.1, t_end=10.0),
-                         init_state=uniform_state(grid))
+                         u0=uniform_state(grid))
         for name in ("c0s", "c0", "c1s", "c1", "ci"):
             np.testing.assert_allclose(getattr(ts, name), 1.0, rtol=0, atol=1e-12)
 
@@ -206,11 +259,8 @@ class TestPhysicalInvariants:
         grid = rs.make_grid(ref_params, 16, 16)
         cfg = rs.SolverConfig(dt=0.05, t_end=3.0, sample_every=10)
         base = rs.simulate(ref_params, grid, cfg)
-        init2 = uniform_state(grid, 0.0)
-        init2 = rs.SimState(t=0.0, c0s=2.0 * np.ones(grid.nm), c0=init2.c0,
-                            c1s=init2.c1s, c1=init2.c1, ci=init2.ci)
         doubled = rs.simulate(replace(ref_params, c_lim=2.0 * ref_params.c_lim),
-                              grid, cfg, init_state=init2)
+                              grid, cfg, u0=2.0 * rs.initialize(grid))
         for name in ("c0s", "c0", "c1s", "c1", "ci"):
             np.testing.assert_allclose(getattr(doubled, name),
                                        2.0 * getattr(base, name),
@@ -277,10 +327,10 @@ class TestFailureModes:
     def test_non_finite_initial_state_raises(self, ref_params):
         grid = rs.make_grid(ref_params, 8, 8)
         bad = uniform_state(grid)
-        bad.c0[3] = np.nan
+        bad[grid.field_slice("c0")][3] = np.nan
         with pytest.raises(NumericalError):
             rs.simulate(ref_params, grid, rs.SolverConfig(dt=0.1, t_end=1.0),
-                        init_state=bad)
+                        u0=bad)
 
     def test_explicit_scheme_with_large_step_raises(self, ref_params):
         grid = rs.make_grid(ref_params, 32, 32)

@@ -406,7 +406,7 @@ class TestAnalyticNumericComparison:
         # which the solver must hold; every deviation is round-off
         p = rs.DimensionlessParams(
             alpha0=0.0, k=1.0, eps0=0.5, km=0.0, c_lim=0.0, beta0=0.0,
-            delta0=0.3, gamma=1.0, ka=0.5, kd=0.1, ki=0.2, kid=0.1,
+            delta0=0.3, ka=0.5, kd=0.1, ki=0.2, kid=0.1,
             d1=0.8, l1=2.0, pm=float("inf"), sigma=1.0,
         )
         ap = rs.AnalyticParams(a=1.0, b=1.0, e1=0.0, e2=0.0)
@@ -433,8 +433,12 @@ class TestAnalyticNumericComparison:
 
     def test_analytic_state_matches_closed_forms_on_nodes(self, ref_params, ref_mode):
         grid = rs.make_grid(ref_params, 8, 8)
-        s = rs.analytic_state(ref_params, ref_mode, grid, 1.25)
+        u = rs.analytic_state(ref_params, ref_mode, grid, 1.25)
+        assert u.shape == (grid.n,)
         c0, c0s = rs.eval_matrix(grid.x_matrix, 1.25, ref_params, ref_mode)
-        np.testing.assert_array_equal(s.c0, c0)
-        np.testing.assert_array_equal(s.c0s, c0s)
-        assert s.t == 1.25
+        c1, c1s, ci = rs.eval_tissue(grid.x_tissue, 1.25, ref_params, ref_mode)
+        np.testing.assert_array_equal(u[grid.field_slice("c0")], c0)
+        np.testing.assert_array_equal(u[grid.field_slice("c0s")], c0s)
+        np.testing.assert_array_equal(u[grid.field_slice("c1")], c1)
+        np.testing.assert_array_equal(u[grid.field_slice("c1s")], c1s)
+        np.testing.assert_array_equal(u[grid.field_slice("ci")], ci)
