@@ -33,7 +33,7 @@ from .runio import (hash_file, load_config, spec_to_config, write_analytic_csv,
                     write_flux_mismatch_csv, write_json, write_matrix_csv,
                     write_sweep_csv, write_tissue_csv)
 from .scenario import RunSpec, default_spec, run_spec
-from .solver import SINK, ZERO_FLUX, make_grid, sample_indices
+from .solver import SINK, ZERO_FLUX, make_grid, sample_times
 from .verification import (check_convergence, check_mass, check_oracle,
                            check_residuals, convergence_study, mass_audit,
                            ode_oracle)
@@ -122,11 +122,10 @@ def _resolve_mode(p: DimensionlessParams, overrides: dict) -> AnalyticParams:
 
 def _finish(out: Path, args, spec: RunSpec, p, started: str,
             artifact_names: list[str], extra: dict | None = None) -> None:
-    """Write config.resolved.json and the run manifest with output hashes."""
-    resolved = spec_to_config(spec)
-    if extra and "analytic" in extra:
-        resolved["analytic"] = extra["analytic"]
-    write_json(out / "config.resolved.json", resolved)
+    """Write config.resolved.json and the run manifest with output hashes;
+    ``extra`` goes into the manifest, an "analytic" mode also into the config."""
+    extra = extra or {}
+    write_json(out / "config.resolved.json", spec_to_config(spec, extra.get("analytic")))
     names = artifact_names + ["config.resolved.json"]
     manifest = {
         "version": __version__,
@@ -136,9 +135,8 @@ def _finish(out: Path, args, spec: RunSpec, p, started: str,
         "started": started,
         "finished": _now(),
         "outputs": {name: hash_file(out / name) for name in names},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     write_json(out / "run.json", manifest)
     for name in names + ["run.json"]:
         print(f"wrote {out / name}")
@@ -154,8 +152,8 @@ def _cmd_simulate(args) -> int:
     write_matrix_csv(out / "matrix.csv", ts)
     write_tissue_csv(out / "tissue.csv", ts)
     metrics = release_metrics(ts)
-    write_json(out / "metrics.json", metrics.to_dict())
-    write_json(out / "ledger.json", mass_audit(ts).to_dict())
+    write_json(out / "metrics.json", metrics)
+    write_json(out / "ledger.json", mass_audit(ts))
     _finish(out, args, spec, p, started,
             ["matrix.csv", "tissue.csv", "metrics.json", "ledger.json"])
     print(f"matrix fraction {metrics.matrix_fraction:.4f}, "
@@ -170,10 +168,8 @@ def _cmd_analytic(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     p = spec.dimensionless()
     mode = _resolve_mode(p, overrides)
-    cfg = spec.solver
-    times = sample_indices(cfg.n_steps, cfg.sample_every).astype(float) * cfg.dt
-    grid = make_grid(p, spec.nx0, spec.nx1)
-    write_analytic_csv(out / "analytic.csv", times, grid.x_matrix, grid.x_tissue, p, mode)
+    times = sample_times(spec.solver)
+    write_analytic_csv(out / "analytic.csv", times, make_grid(p, spec.nx0, spec.nx1), p, mode)
     fm, ft = interface_fluxes(p, mode, times)
     write_flux_mismatch_csv(out / "flux_mismatch.csv", times, np.atleast_1d(fm),
                             np.atleast_1d(ft))
@@ -188,10 +184,9 @@ def _cmd_analytic(args) -> int:
         "closed-form mode, not solver defects; see README"
     )
     write_json(out / "residuals.json", res_report)
-    mode_dict = {"a": mode.a, "b": mode.b, "e1": mode.e1, "e2": mode.e2}
     _finish(out, args, spec, p, started,
             ["analytic.csv", "flux_mismatch.csv", "residuals.json"],
-            extra={"analytic": mode_dict})
+            extra={"analytic": mode})
     print(f"max interface flux mismatch {float(np.max(np.abs(fm - ft))):.6g}")
     return 0
 

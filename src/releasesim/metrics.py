@@ -16,17 +16,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .scenario import RunSpec, get_param, replace_param, run_spec
-from .solver import TimeSeries
+from .solver import FIELD_TABLE, LAYER_FIELDS, MATRIX, TISSUE, TimeSeries
 from .verification import _cumulative_trapezoid, mass_audit
-
-# Answer-file species labels -> (trajectory field, layer).
-SPECIES_FIELDS = {
-    "C0_star": ("c0s", "matrix"),
-    "C0": ("c0", "matrix"),
-    "C1_star": ("c1s", "tissue"),
-    "C1": ("c1", "tissue"),
-    "Ci": ("ci", "tissue"),
-}
 
 # Fraction of the peak that counts as extinguished.
 EXTINCTION_FRACTION = 0.01
@@ -51,15 +42,17 @@ def parabolic_peak(t0: float, t1: float, t2: float,
 def probe_series(ts: TimeSeries, species: str, x: float) -> np.ndarray:
     """Time series of one species at a fixed station, linear in space.
 
-    The station must lie inside the species' own layer.
+    ``species`` is a field's answer-file label; the station must lie inside
+    the field's own layer.
     """
+    by_label = {label: (name, layer) for name, (label, layer) in FIELD_TABLE.items()}
     try:
-        field_name, layer = SPECIES_FIELDS[species]
+        field_name, layer = by_label[species]
     except KeyError:
         raise ValueError(
-            f"unknown species {species!r}; choose one of {', '.join(SPECIES_FIELDS)}"
+            f"unknown species {species!r}; choose one of {', '.join(by_label)}"
         ) from None
-    gx = ts.grid.x_matrix if layer == "matrix" else ts.grid.x_tissue
+    gx = ts.grid.layer_x(layer)
     tol = 1e-9 * ts.grid.l1
     if not (gx[0] - tol <= x <= gx[-1] + tol):
         raise ValueError(
@@ -82,16 +75,6 @@ class ProbeSeriesMetrics:
     t_peak: float
     t_extinct: float | None   # None when the series never falls to the threshold
     peak_at_end: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "species": self.species,
-            "x": self.x,
-            "peak": self.peak,
-            "t_peak": self.t_peak,
-            "t_extinct": self.t_extinct,
-            "peak_at_end": self.peak_at_end,
-        }
 
 
 def probe_metrics(times: np.ndarray, values: np.ndarray, species: str,
@@ -161,47 +144,28 @@ class ReleaseMetrics:
                 return pr
         raise KeyError(f"no probe for {species} at x={x:g}")
 
-    def to_dict(self) -> dict:
-        return {
-            "t_end": self.t_end,
-            "times": self.times.tolist(),
-            "matrix_fraction_series": self.matrix_fraction_series.tolist(),
-            "degraded_fraction_series": self.degraded_fraction_series.tolist(),
-            "matrix_fraction": self.matrix_fraction,
-            "tissue_fraction": self.tissue_fraction,
-            "degraded_fraction": self.degraded_fraction,
-            "outflow_fraction": self.outflow_fraction,
-            "ci_exposure": self.ci_exposure,
-            "mass_defect": self.mass_defect,
-            "probes": [pr.to_dict() for pr in self.probes],
-        }
-
 
 def release_metrics(ts: TimeSeries, matrix_probes=None, tissue_probes=None) -> ReleaseMetrics:
     """Summarize a trajectory.
 
     Fractions are of the initial drug load; exposure is the time integral of
     the internalized pool's spatial total.  Default probes are four evenly
-    spaced stations per layer, endpoints included.
+    spaced stations per layer, endpoints included.  Probes come per layer,
+    per station, one per field of the layer in packed order.
     """
     grid = ts.grid
-    if matrix_probes is None:
-        matrix_probes = np.linspace(grid.x_matrix[0], grid.x_matrix[-1], 4)
-    if tissue_probes is None:
-        tissue_probes = np.linspace(grid.x_tissue[0], grid.x_tissue[-1], 4)
     ledger = mass_audit(ts)
     total0 = ledger.initial_total
-    ci_total = ts.ci @ grid.tissue_weights()
+    ci_total = ts.ci @ grid.layer_weights(TISSUE)
     exposure = float(_cumulative_trapezoid(ci_total, ts.times)[-1])
     probes = []
-    for x in np.asarray(matrix_probes, float):
-        for species in ("C0_star", "C0"):
-            series = probe_series(ts, species, float(x))
-            probes.append(probe_metrics(ts.times, series, species, float(x)))
-    for x in np.asarray(tissue_probes, float):
-        for species in ("C1_star", "C1", "Ci"):
-            series = probe_series(ts, species, float(x))
-            probes.append(probe_metrics(ts.times, series, species, float(x)))
+    for layer, stations in ((MATRIX, matrix_probes), (TISSUE, tissue_probes)):
+        if stations is None:
+            gx = grid.layer_x(layer)
+            stations = np.linspace(gx[0], gx[-1], 4)
+        for x in np.asarray(stations, float).tolist():
+            for _, label in LAYER_FIELDS[layer]:
+                probes.append(probe_metrics(ts.times, probe_series(ts, label, x), label, x))
     return ReleaseMetrics(
         t_end=float(ts.times[-1]),
         times=ts.times.copy(),
@@ -283,14 +247,6 @@ class SensitivityRecord:
     forward: float
     backward: float
     central: float
-
-    def to_dict(self) -> dict:
-        return {
-            "param": self.param, "metric": self.metric,
-            "param_value": self.param_value, "base_metric": self.base_metric,
-            "rel_step": self.rel_step, "forward": self.forward,
-            "backward": self.backward, "central": self.central,
-        }
 
 
 def local_sensitivity(spec: RunSpec, name: str,

@@ -12,17 +12,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analytic import AnalyticParams, eval_matrix, eval_tissue
+from .analytic import AnalyticParams
 from .errors import ConfigError, ValidationError
 from .params import (InterfaceParams, MatrixParams, TissueParams,
                      validate_params)
 from .scenario import RunSpec
-from .solver import SolverConfig, TimeSeries
+from .solver import (FIELD_TABLE, LAYER_FIELDS, MATRIX, TISSUE, CompositeGrid,
+                     SolverConfig, TimeSeries)
+from .verification import analytic_state
 
 CONFIG_SECTIONS = ("matrix", "tissue", "interface", "grid", "solver", "analytic")
 _GRID_KEYS = ("nx0", "nx1")
@@ -51,7 +53,10 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _jsonable(obj):
-    """Recursively coerce to JSON-safe types; non-finite floats become null."""
+    """Recursively coerce to JSON-safe types; a dataclass becomes the mapping
+    of its fields, and non-finite floats become null."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -85,55 +90,47 @@ def hash_file(path) -> str:
 # ---------------------------------------------------------------------------
 # answer files
 
-def _write_trajectory(path, header: list[str], times, x, fields) -> None:
-    """Long-format trajectory, one sample block at a time: t, x, fields...
-
-    Each distinct t and x is formatted once; field values go through
-    "%.17g" %-formatting, the same bytes as ``_fmt``.
+def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
+                  times, rows) -> None:
+    """Long-format answer file, one block per time: line i is t, ``cells[i]``,
+    then the next ``per_line`` values of the time's row from ``rows``.  Each
+    t is formatted once; values go through "%.17g", the same bytes as ``_fmt``.
     """
-    x_txt = ["%.17g" % v for v in x.tolist()]
-    # "\0" stands in for the sample's t on every line of the block
-    block = "".join(f"\0,{xv}{',%.17g' * len(fields)}\n" for xv in x_txt)
+    # "\0" stands in for the time's t on every line of the block
+    block = "".join(f"\0,{cell}{',%.17g' * per_line}\n" for cell in cells)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for it, t in enumerate(times.tolist()):
-            values = np.column_stack([f[it] for f in fields]).ravel().tolist()
+        for t, values in zip(np.asarray(times, float).tolist(), rows):
             fh.write(block.replace("\0", "%.17g" % t) % tuple(values))
+
+
+def _write_layer(path, ts: TimeSeries, layer: str) -> None:
+    """Long-format trajectory of one layer: t, x, then its fields' labels."""
+    names = LAYER_FIELDS[layer]
+    values = np.stack([getattr(ts, name) for name, _ in names], axis=-1)
+    _write_blocks(path, ["t", "x", *(label for _, label in names)],
+                  ["%.17g" % x for x in ts.grid.layer_x(layer).tolist()], len(names),
+                  ts.times, (row.ravel().tolist() for row in values))
 
 
 def write_matrix_csv(path, ts: TimeSeries) -> None:
     """Long-format matrix-layer trajectory: t, x, C0_star, C0."""
-    _write_trajectory(path, ["t", "x", "C0_star", "C0"], ts.times,
-                      ts.grid.x_matrix, (ts.c0s, ts.c0))
+    _write_layer(path, ts, MATRIX)
 
 
 def write_tissue_csv(path, ts: TimeSeries) -> None:
     """Long-format tissue-layer trajectory: t, x, C1_star, C1, Ci."""
-    _write_trajectory(path, ["t", "x", "C1_star", "C1", "Ci"], ts.times,
-                      ts.grid.x_tissue, (ts.c1s, ts.c1, ts.ci))
+    _write_layer(path, ts, TISSUE)
 
 
-def write_analytic_csv(path, times, x_matrix, x_tissue, p, ap: AnalyticParams) -> None:
-    """Closed-form fields in long format: t, x, species, value."""
-    times = np.asarray(times, float)
-    x_matrix = np.asarray(x_matrix, float)
-    x_tissue = np.asarray(x_tissue, float)
-
-    def rows():
-        for t in times:
-            c0, c0s = eval_matrix(x_matrix, float(t), p, ap)
-            c1, c1s, ci = eval_tissue(x_tissue, float(t), p, ap)
-            for ix, x in enumerate(x_matrix):
-                yield (t, x, "C0_star", c0s[ix])
-            for ix, x in enumerate(x_matrix):
-                yield (t, x, "C0", c0[ix])
-            for ix, x in enumerate(x_tissue):
-                yield (t, x, "C1_star", c1s[ix])
-            for ix, x in enumerate(x_tissue):
-                yield (t, x, "C1", c1[ix])
-            for ix, x in enumerate(x_tissue):
-                yield (t, x, "Ci", ci[ix])
-    _write_csv(path, ["t", "x", "species", "value"], rows())
+def write_analytic_csv(path, times, grid: CompositeGrid, p, ap: AnalyticParams) -> None:
+    """Closed-form fields in long format: t, x, species, value; per time, one
+    line per node of each field, in packed order."""
+    cells = [f"{'%.17g' % x},{label}" for name, (label, layer) in FIELD_TABLE.items()
+             for x in grid.layer_x(layer).tolist()]
+    _write_blocks(path, ["t", "x", "species", "value"], cells, 1, times,
+                  (analytic_state(p, ap, grid, t).tolist()
+                   for t in np.asarray(times, float).tolist()))
 
 
 def write_flux_mismatch_csv(path, times, flux_matrix, flux_tissue) -> None:
@@ -287,8 +284,7 @@ def spec_to_config(spec: RunSpec, analytic: AnalyticParams | None = None) -> dic
         "solver": {f.name: getattr(spec.solver, f.name) for f in fields(SolverConfig)},
     }
     if analytic is not None:
-        cfg["analytic"] = {"a": analytic.a, "b": analytic.b,
-                           "e1": analytic.e1, "e2": analytic.e2}
+        cfg["analytic"] = asdict(analytic)
     return cfg
 
 

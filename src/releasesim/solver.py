@@ -34,10 +34,23 @@ from .params import DimensionlessParams
 
 ZERO_FLUX = "zero-flux"
 SINK = "sink"
+MATRIX = "matrix"
+TISSUE = "tissue"
 
-#: Field order of the packed state vector: solid and free drug on the matrix
-#: nodes, then bound, free and internalized drug on the tissue nodes.
-FIELDS = ("c0s", "c0", "c1s", "c1", "ci")
+#: Each field of the packed state vector, in its packed order, with its
+#: answer-file label and its layer: solid and free drug on the matrix nodes,
+#: then bound, free and internalized drug on the tissue nodes.
+FIELD_TABLE = {
+    "c0s": ("C0_star", MATRIX),
+    "c0": ("C0", MATRIX),
+    "c1s": ("C1_star", TISSUE),
+    "c1": ("C1", TISSUE),
+    "ci": ("Ci", TISSUE),
+}
+FIELDS = tuple(FIELD_TABLE)
+#: (field, label) of each field on a layer's nodes, in packed order.
+LAYER_FIELDS = {layer: [(name, label) for name, (label, lay) in FIELD_TABLE.items()
+                        if lay == layer] for layer in (MATRIX, TISSUE)}
 
 
 def _require_int(name: str, value) -> None:
@@ -78,15 +91,23 @@ class CompositeGrid:
     def nt(self) -> int:
         return self.nx1 + 1
 
+    def layer_nodes(self, layer: str) -> int:
+        """Node count of ``layer``, and so of each field on it."""
+        return self.nm if layer == MATRIX else self.nt
+
+    def layer_x(self, layer: str) -> np.ndarray:
+        """Node positions of ``layer``, and so of each field on it."""
+        return self.x_matrix if layer == MATRIX else self.x_tissue
+
     @property
     def n(self) -> int:
         """Unknowns of the packed state vector."""
-        return 2 * self.nm + 3 * self.nt
+        return sum(self.layer_nodes(layer) for _, layer in FIELD_TABLE.values())
 
     def field_slice(self, name: str) -> slice:
         """Where field ``name`` sits in a packed state vector."""
         k = FIELDS.index(name)
-        sizes = (self.nm,) * 2 + (self.nt,) * 3
+        sizes = [self.layer_nodes(layer) for _, layer in FIELD_TABLE.values()]
         start = sum(sizes[:k])
         return slice(start, start + sizes[k])
 
@@ -106,16 +127,11 @@ class CompositeGrid:
     def x_tissue(self) -> np.ndarray:
         return np.linspace(self.l0, self.l1, self.nt)
 
-    def matrix_weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights on the matrix nodes."""
-        w = np.full(self.nm, self.h0)
-        w[0] = w[-1] = 0.5 * self.h0
-        return w
-
-    def tissue_weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights on the tissue nodes."""
-        w = np.full(self.nt, self.h1)
-        w[0] = w[-1] = 0.5 * self.h1
+    def layer_weights(self, layer: str) -> np.ndarray:
+        """Trapezoid quadrature weights on the nodes of ``layer``."""
+        h = self.h0 if layer == MATRIX else self.h1
+        w = np.full(self.layer_nodes(layer), h)
+        w[0] = w[-1] = 0.5 * h
         return w
 
 
@@ -165,6 +181,12 @@ def sample_indices(n_steps: int, sample_every: int) -> np.ndarray:
     and last."""
     idx = np.arange(0, n_steps + 1, sample_every)
     return idx if idx[-1] == n_steps else np.append(idx, n_steps)
+
+
+def sample_times(config: SolverConfig, t0: float = 0.0) -> np.ndarray:
+    """Clock of the sampled steps, t0 + j*dt for each sampled step j: not an
+    accumulated clock, so sample times are free of summation drift."""
+    return t0 + sample_indices(config.n_steps, config.sample_every).astype(float) * config.dt
 
 
 def make_grid(p: DimensionlessParams, nx0: int, nx1: int) -> CompositeGrid:
@@ -342,6 +364,11 @@ class TimeSeries:
     params: DimensionlessParams
     config: SolverConfig
 
+    def __post_init__(self):
+        if np.ndim(self.times) != 1 or np.shape(self.u) != (len(self.times), self.grid.n):
+            raise ValueError(f"need 1-D times and u of shape (len(times), {self.grid.n}); got "
+                             f"shapes {np.shape(self.times)} and {np.shape(self.u)}")
+
     def _view(self, name: str) -> np.ndarray:
         view = self.u[:, self.grid.field_slice(name)]
         view.flags.writeable = False
@@ -386,7 +413,4 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
             for j in range(idx[k - 1] + 1, idx[k] + 1):
                 u = advance(u, t0 + j * dt)
             samples[k] = u
-    # record j*dt, not an accumulated clock, so sample times are free of
-    # summation drift
-    return TimeSeries(t0 + idx.astype(float) * config.dt, samples,
-                      grid=grid, params=p, config=config)
+    return TimeSeries(sample_times(config, t0), samples, grid=grid, params=p, config=config)

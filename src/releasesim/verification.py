@@ -19,19 +19,19 @@ Four independent instruments:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .analytic import (AnalyticParams, _mode_rates, eval_matrix, eval_tissue,
-                       interface_fluxes, matrix_free, matrix_solid, residuals,
-                       tissue_bound, tissue_free, tissue_internalized)
+from .analytic import (AnalyticParams, _mode_rates, interface_fluxes, matrix_free,
+                       matrix_solid, residuals, tissue_bound, tissue_free,
+                       tissue_internalized)
 from .errors import NumericalError
 from .params import DimensionlessParams
 from .scenario import RunSpec, run_spec
-from .solver import (FIELDS, SINK, ZERO_FLUX, CompositeGrid, SolverConfig,
-                     TimeSeries, make_grid, simulate)
+from .solver import (FIELD_TABLE, FIELDS, MATRIX, SINK, TISSUE, ZERO_FLUX,
+                     CompositeGrid, SolverConfig, TimeSeries, make_grid, simulate)
 
 # Largest uniform grid oracle_time_grid will build.  Pathologically stiff
 # parameter draws (fast rate thousands of times the slow one) would need more
@@ -182,7 +182,8 @@ def sample_mode(rng: np.random.Generator) -> AnalyticParams:
 @dataclass(frozen=True)
 class MassLedger:
     """Drug bookkeeping per sample: layer masses, cumulative sink, cumulative
-    boundary outflow, and the closure defect against the initial total."""
+    boundary outflow, and the closure defect against the initial total,
+    which is derived from the rest on construction."""
 
     times: np.ndarray
     matrix_mass: np.ndarray
@@ -190,31 +191,17 @@ class MassLedger:
     sink_cum: np.ndarray
     outflow_cum: np.ndarray
     initial_total: float
+    rel_defect: np.ndarray = field(init=False)
+    max_rel_defect: float = field(init=False)
+
+    def __post_init__(self):
+        defect = np.abs(self.total + self.sink_cum + self.outflow_cum - self.initial_total)
+        object.__setattr__(self, "rel_defect", defect / self.initial_total)
+        object.__setattr__(self, "max_rel_defect", float(self.rel_defect.max()))
 
     @property
     def total(self) -> np.ndarray:
         return self.matrix_mass + self.tissue_mass
-
-    @property
-    def rel_defect(self) -> np.ndarray:
-        defect = np.abs(self.total + self.sink_cum + self.outflow_cum - self.initial_total)
-        return defect / self.initial_total
-
-    @property
-    def max_rel_defect(self) -> float:
-        return float(self.rel_defect.max())
-
-    def to_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "matrix_mass": self.matrix_mass.tolist(),
-            "tissue_mass": self.tissue_mass.tolist(),
-            "sink_cum": self.sink_cum.tolist(),
-            "outflow_cum": self.outflow_cum.tolist(),
-            "initial_total": self.initial_total,
-            "rel_defect": self.rel_defect.tolist(),
-            "max_rel_defect": self.max_rel_defect,
-        }
 
 
 def mass_audit(ts: TimeSeries) -> MassLedger:
@@ -227,8 +214,8 @@ def mass_audit(ts: TimeSeries) -> MassLedger:
     spacing.
     """
     p, grid = ts.params, ts.grid
-    wm = grid.matrix_weights()
-    wt = grid.tissue_weights()
+    wm = grid.layer_weights(MATRIX)
+    wt = grid.layer_weights(TISSUE)
     matrix_mass = (ts.c0s + ts.c0) @ wm
     tissue_mass = (ts.c1s + ts.c1 + ts.ci) @ wt
     sink_rate = p.kid * (ts.ci @ wt)
@@ -285,14 +272,6 @@ class ConvergenceReport:
         if not finals:
             return float("nan")
         return float(min(finals))
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": [list(lv) if isinstance(lv, tuple) else lv for lv in self.levels],
-            "errors": list(self.errors),
-            "orders": {k: list(v) for k, v in self.orders.items()},
-            "observed_order": self.observed_order,
-        }
 
     def warn_if_preasymptotic(self, label: str) -> None:
         for name, seq in self.orders.items():
@@ -381,11 +360,11 @@ def analytic_state(p: DimensionlessParams, ap: AnalyticParams, grid: CompositeGr
                    t: float) -> np.ndarray:
     """Closed-form fields sampled on the grid nodes at time t, as a packed
     state vector."""
-    c0, c0s = eval_matrix(grid.x_matrix, t, p, ap)
-    c1, c1s, ci = eval_tissue(grid.x_tissue, t, p, ap)
+    closed_forms = {"c0s": matrix_solid, "c0": matrix_free, "c1s": tissue_bound,
+                    "c1": tissue_free, "ci": tissue_internalized}
     u = np.empty(grid.n)
-    for name, values in {"c0s": c0s, "c0": c0, "c1s": c1s, "c1": c1, "ci": ci}.items():
-        u[grid.field_slice(name)] = values
+    for name, (_, layer) in FIELD_TABLE.items():
+        u[grid.field_slice(name)] = closed_forms[name](grid.layer_x(layer), t, p, ap)
     return u
 
 

@@ -80,17 +80,23 @@ class TestDataFiles:
         )
 
     def test_analytic_csv_layout(self, tmp_path, ref_params, ref_mode):
-        grid = rs.make_grid(ref_params, 4, 4)
+        grid = rs.make_grid(ref_params, 4, 8)
+        nm, nt = 5, 9
         path = tmp_path / "analytic.csv"
-        write_analytic_csv(path, [0.0, 1.0], grid.x_matrix, grid.x_tissue,
-                           ref_params, ref_mode)
+        write_analytic_csv(path, [0.0, 1.0], grid, ref_params, ref_mode)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,species,value"
-        # per time: one row per station per species
-        assert len(lines) - 1 == 2 * (2 * 5 + 3 * 5)
+        # per time: one row per node of each field, in packed order
+        block = nm * 2 + nt * 3
+        assert len(lines) - 1 == 2 * block
         assert lines[1] == "0,0,C0_star,1"
-        species_order = [ln.split(",")[2] for ln in lines[1:6]]
-        assert species_order == ["C0_star"] * 5
+        first = [ln.split(",") for ln in lines[1:1 + block]]
+        assert {row[0] for row in first} == {"0"}
+        assert [row[2] for row in first] == (["C0_star"] * nm + ["C0"] * nm + ["C1_star"] * nt
+                                             + ["C1"] * nt + ["Ci"] * nt)
+        x = np.concatenate([grid.x_matrix] * 2 + [grid.x_tissue] * 3)
+        assert [row[1] for row in first] == [format(v, ".17g") for v in x.tolist()]
+        assert [ln.split(",")[1:3] for ln in lines[1 + block:]] == [row[1:3] for row in first]
 
     def test_flux_mismatch_csv_golden(self, tmp_path):
         path = tmp_path / "flux.csv"

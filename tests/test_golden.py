@@ -1,8 +1,9 @@
-"""Golden fingerprints: the sha256 of every answer file of four small runs.
+"""Golden fingerprints: the sha256 of every answer file of six small runs.
 
-``releasesim`` runs four commands through ``cli.main`` on 16+16 cells to
+``releasesim`` runs six commands through ``cli.main`` on 16+16 cells to
 t = 4: ``simulate`` with the zero-flux wall, ``simulate --outer-bc sink``,
-``simulate`` with a finite membrane (pm = 3, sigma = 1.4), and ``analytic``.
+``simulate`` with a finite membrane (pm = 3, sigma = 1.4), ``analytic``,
+``sweep --param ka --range 0.2 1.8 3`` and ``verify all``.
 Every file each command writes is hashed, except ``run.json``, which holds
 timestamps.  A refactor that keeps the numbers keeps these hashes, so
 byte-identity of the answer files is checked by the suite itself.
@@ -69,6 +70,18 @@ GOLDEN = {
         "residuals.json":
             "fddf37e66144d8eb5c86873f46060e5eb3362a22e3f4725aaecfd81e8696522d",
     },
+    "sweep": {
+        "config.resolved.json":
+            "20eafb0a3f47eb2f0199a4ad537f09e646904ea434e9bd58db728b8630b60d8e",
+        "sweep.csv":
+            "710501ef14f9122ee735db142a2a605a32667543e214bacef993cdd68456c5a4",
+    },
+    "verify": {
+        "config.resolved.json":
+            "20eafb0a3f47eb2f0199a4ad537f09e646904ea434e9bd58db728b8630b60d8e",
+        "verify.json":
+            "549987dc94f03869f907bca4a140e1416f1342e85b12cc79e77731c9f5d7b73e",
+    },
 }
 
 
@@ -81,6 +94,10 @@ def _argv(case: str, tmp_path) -> list[str]:
         config = tmp_path / "finite.json"
         config.write_text(json.dumps({"interface": {"pm": 3, "sigma": 1.4}}))
         return ["simulate", *SMALL, "--config", str(config)]
+    if case == "sweep":
+        return ["sweep", *SMALL, "--param", "ka", "--range", "0.2", "1.8", "3"]
+    if case == "verify":
+        return ["verify", "all", *SMALL]
     return ["analytic", *SMALL]
 
 

@@ -1,5 +1,6 @@
+import json
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestProbeMetrics:
     def test_serialization_keys(self):
         pr = rs.probe_metrics(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]),
                               "C1", 1.5)
-        d = pr.to_dict()
+        d = asdict(pr)
         assert set(d) == {"species", "x", "peak", "t_peak", "t_extinct", "peak_at_end"}
 
 
@@ -174,19 +175,21 @@ class TestReleaseMetrics:
                  + m.outflow_fraction)
         assert total == pytest.approx(1.0, abs=1e-3)
 
-    def test_serialization_round_trip_keys(self, short_run):
-        d = rs.release_metrics(short_run).to_dict()
-        for key in ("t_end", "times", "matrix_fraction_series",
-                    "degraded_fraction_series", "matrix_fraction",
-                    "tissue_fraction", "degraded_fraction", "outflow_fraction",
-                    "ci_exposure", "mass_defect", "probes"):
-            assert key in d
+    def test_serialization_round_trip_keys(self, short_run, tmp_path):
+        rs.write_json(tmp_path / "metrics.json", rs.release_metrics(short_run))
+        d = json.loads((tmp_path / "metrics.json").read_text())
+        assert set(d) == {"t_end", "times", "matrix_fraction_series",
+                          "degraded_fraction_series", "matrix_fraction",
+                          "tissue_fraction", "degraded_fraction", "outflow_fraction",
+                          "ci_exposure", "mass_defect", "probes"}
         assert len(d["probes"]) == 20
+        assert set(d["probes"][0]) == {"species", "x", "peak", "t_peak", "t_extinct",
+                                       "peak_at_end"}
         assert isinstance(d["times"], list)
 
 
 class TestSweep:
-    def test_single_point_sweep_equals_direct_run(self):
+    def test_single_point_sweep_equals_direct_run(self, tmp_path):
         spec = small_spec()
         base_ka = rs.get_param(spec, "ka")
         with warnings.catch_warnings():
@@ -196,7 +199,9 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0].status == "ok"
         assert rows[0].error is None
-        assert rows[0].metrics.to_dict() == direct.to_dict()
+        rs.write_json(tmp_path / "swept.json", rows[0].metrics)
+        rs.write_json(tmp_path / "direct.json", direct)
+        assert (tmp_path / "swept.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
 
     def test_bad_value_is_isolated_on_its_own_row(self):
         spec = small_spec()

@@ -23,8 +23,8 @@ def uniform_state(grid: rs.CompositeGrid, value: float = 1.0) -> np.ndarray:
 
 def total_drug(ts: rs.TimeSeries) -> np.ndarray:
     """Trapezoid-integrated drug in both layers at each sample."""
-    wm = ts.grid.matrix_weights()
-    wt = ts.grid.tissue_weights()
+    wm = ts.grid.layer_weights("matrix")
+    wt = ts.grid.layer_weights("tissue")
     return (ts.c0s + ts.c0) @ wm + (ts.c1s + ts.c1 + ts.ci) @ wt
 
 
@@ -64,8 +64,8 @@ class TestGridAndConfigValidation:
         assert g.h1 == pytest.approx(0.1)
         assert g.x_matrix[0] == 0.0 and g.x_matrix[-1] == 1.0
         assert g.x_tissue[0] == 1.0 and g.x_tissue[-1] == 3.0
-        assert g.matrix_weights().sum() == pytest.approx(1.0, rel=1e-14)
-        assert g.tissue_weights().sum() == pytest.approx(2.0, rel=1e-14)
+        assert g.layer_weights("matrix").sum() == pytest.approx(1.0, rel=1e-14)
+        assert g.layer_weights("tissue").sum() == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0),
@@ -201,6 +201,14 @@ class TestPackedState:
                                    else grid.nt)
             with pytest.raises(ValueError, match="read-only"):
                 field[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n_times, u_shape", [(3, (3, 40)), (2, (3, 45))])
+    def test_time_series_rejects_a_misshapen_state(self, n_times, u_shape):
+        grid = rs.CompositeGrid(8, 8)
+        assert grid.n == 45
+        with pytest.raises(ValueError, match="shape"):
+            rs.TimeSeries(times=np.zeros(n_times), u=np.zeros(u_shape), grid=grid,
+                          params=rs.reference_params(), config=rs.SolverConfig())
 
 
 def stepped_reference(p, grid, cfg, u0, t0):

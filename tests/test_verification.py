@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -339,14 +340,19 @@ class TestMassAudit:
         assert np.all(np.diff(led.outflow_cum) >= 0.0)
         assert led.max_rel_defect <= 1e-3
 
-    def test_ledger_serialization(self, ref_params):
+    def test_ledger_serialization(self, ref_params, tmp_path):
         grid = rs.make_grid(ref_params, 16, 16)
         ts = rs.simulate(ref_params, grid, rs.SolverConfig(dt=0.05, t_end=1.0))
-        d = rs.mass_audit(ts).to_dict()
-        for key in ("times", "matrix_mass", "tissue_mass", "sink_cum",
-                    "outflow_cum", "initial_total", "max_rel_defect"):
-            assert key in d
+        led = rs.mass_audit(ts)
+        rs.write_json(tmp_path / "ledger.json", led)
+        d = json.loads((tmp_path / "ledger.json").read_text())
+        assert set(d) == {"times", "matrix_mass", "tissue_mass", "sink_cum",
+                          "outflow_cum", "initial_total", "rel_defect", "max_rel_defect"}
         assert len(d["times"]) == len(d["matrix_mass"])
+        assert d["max_rel_defect"] == led.max_rel_defect == max(d["rel_defect"])
+        with pytest.raises(TypeError):   # the defect is derived, never passed in
+            rs.MassLedger(led.times, led.matrix_mass, led.tissue_mass, led.sink_cum,
+                          led.outflow_cum, led.initial_total, rel_defect=led.rel_defect)
 
 
 class TestConvergence:
