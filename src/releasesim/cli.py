@@ -8,8 +8,11 @@ verify       run built-in cross-checks (residuals, oracle, mass, convergence)
 sweep        rerun a scenario across one parameter's values
 
 Exit codes: 0 success, 1 invalid config/parameters, 2 numerical failure or
-failed verification, 3 I/O failure.  Fatal errors also emit one JSON line on
-stderr with the error class and message.
+failed verification, 3 I/O failure, 4 a worker process died.  Fatal errors
+also emit one JSON line on stderr with the error class and message.
+
+``sweep`` points and ``verify`` checks are independent runs; they go to
+forked worker processes through :func:`releasesim.scenario.parallel_map`.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ import numpy as np
 
 from . import __version__
 from .analytic import AnalyticParams, default_mode, interface_fluxes, residuals
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, WorkerError
 from .metrics import release_metrics, sweep as run_sweep
 from .params import DimensionlessParams
 from .runio import (hash_file, load_config, spec_to_config, write_analytic_csv,
                     write_flux_mismatch_csv, write_json, write_matrix_csv,
                     write_sweep_csv, write_tissue_csv)
-from .scenario import RunSpec, default_spec, run_spec
+from .scenario import RunSpec, default_spec, parallel_map, run_spec
 from .solver import SINK, ZERO_FLUX, make_grid, sample_times
 from .verification import (check_convergence, check_mass, check_oracle,
                            check_residuals, convergence_study, mass_audit,
@@ -58,9 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def files(sp):
         sp.add_argument("--config", help="JSON config file (defaults apply when omitted)")
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")
+
+    def run_overrides(sp):
         sp.add_argument("--t-end", type=float, dest="t_end", help="override solver.t_end")
         sp.add_argument("--dt", type=float, help="override solver.dt")
         sp.add_argument("--nx0", type=int, help="override matrix-layer cell count")
@@ -69,17 +74,21 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--outer-bc", dest="outer_bc", choices=[ZERO_FLUX, SINK],
                         help="override the outer tissue boundary condition")
 
-    common(sub.add_parser("simulate", help="integrate the scenario"))
-    common(sub.add_parser("analytic", help="evaluate the closed-form mode"))
+    for sp in (sub.add_parser("simulate", help="integrate the scenario"),
+               sub.add_parser("analytic", help="evaluate the closed-form mode")):
+        files(sp)
+        run_overrides(sp)
 
+    # the checks pin their own grids, steps and horizons: no run overrides
     sp_verify = sub.add_parser("verify", help="run built-in cross-checks")
-    common(sp_verify)
+    files(sp_verify)
     sp_verify.add_argument("check", nargs="?", default="all",
                            choices=["residuals", "oracle", "mass", "convergence", "all"],
                            help="which check to run (default: all)")
 
     sp_sweep = sub.add_parser("sweep", help="rerun across one parameter's values")
-    common(sp_sweep)
+    files(sp_sweep)
+    run_overrides(sp_sweep)
     sp_sweep.add_argument("--param", required=True, help="flat parameter name, e.g. ka")
     values = sp_sweep.add_mutually_exclusive_group(required=True)
     values.add_argument("--values", help="comma-separated values, e.g. 0.1,0.2,0.5")
@@ -95,21 +104,14 @@ def _load_spec(args) -> tuple[RunSpec, dict]:
         spec, analytic_overrides = load_config(args.config)
     else:
         spec, analytic_overrides = default_spec(), {}
-    solver_updates = {}
-    if args.t_end is not None:
-        solver_updates["t_end"] = args.t_end
-    if args.dt is not None:
-        solver_updates["dt"] = args.dt
-    if args.theta is not None:
-        solver_updates["theta"] = args.theta
-    if args.outer_bc is not None:
-        solver_updates["outer_bc"] = args.outer_bc
+    flags = vars(args)  # verify has no run overrides
+    solver_updates = {k: flags[k] for k in ("t_end", "dt", "theta", "outer_bc")
+                      if flags.get(k) is not None}
+    grid_updates = {k: flags[k] for k in ("nx0", "nx1") if flags.get(k) is not None}
     if solver_updates:
         spec = replace(spec, solver=replace(spec.solver, **solver_updates))
-    if args.nx0 is not None:
-        spec = replace(spec, nx0=args.nx0)
-    if args.nx1 is not None:
-        spec = replace(spec, nx1=args.nx1)
+    if grid_updates:
+        spec = replace(spec, **grid_updates)
     return spec, analytic_overrides
 
 
@@ -211,10 +213,8 @@ def _cmd_verify(args) -> int:
         "convergence": lambda: check_convergence(p, convergence_study),
     }
     names = list(runners) if args.check == "all" else [args.check]
-    checks = []
-    for name in names:
-        check = runners[name]()
-        checks.append(check)
+    checks = parallel_map(lambda name: runners[name](), names)
+    for name, check in zip(names, checks):
         detail = {k: v for k, v in check.items() if k not in ("name", "passed")}
         print(f"{'PASS' if check['passed'] else 'FAIL'} {name}: "
               f"{json.dumps(detail, sort_keys=True, default=str)}")
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error(exc, 3)
         return 3
+    except WorkerError as exc:
+        _emit_error(exc, 4)
+        return 4
 
 
 def _emit_error(exc: Exception, code: int) -> None:

@@ -18,3 +18,8 @@ class ConfigError(ValidationError):
 class NumericalError(RuntimeError):
     """A numerical routine failed: non-finite values, a singular system, or a
     tolerance that could not be met."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process running independent scenarios died before it returned
+    its result (killed, out of memory, or exited)."""

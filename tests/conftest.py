@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,3 +33,17 @@ def short_run(ref_params) -> rs.TimeSeries:
 
 def make_rng(salt: int = 0) -> np.random.Generator:
     return np.random.default_rng(SUITE_SEED + salt)
+
+
+@pytest.fixture
+def run_fresh():
+    """Runs Python code in a fresh interpreter, with a timeout, importing the
+    package under test, installed or not."""
+    src = str(Path(rs.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(code: str, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, timeout=120, env=env)
+    return run

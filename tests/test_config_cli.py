@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import releasesim as rs
+from releasesim import scenario
 from releasesim.cli import _build_parser, main
 from releasesim.errors import ConfigError, ValidationError
 from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
@@ -339,6 +340,28 @@ class TestCliVerify:
         assert main(["verify", "mass", "--out", str(out)]) == 0
         assert "PASS mass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--nx0", "16"], ["--t-end", "4"], ["--theta", "1"]])
+    def test_run_overrides_are_rejected(self, tmp_path, flag):
+        # the checks pin their own grids, steps and horizons
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", *flag, "--out", str(tmp_path / "v")])
+        assert exc.value.code == 2
+
+    def test_verify_json_is_the_same_with_one_and_two_workers(self, tmp_path, capsys,
+                                                              monkeypatch):
+        reports, stdouts = [], []
+        for n in (1, 2):
+            monkeypatch.setattr(scenario, "_usable_cpus", lambda: n)
+            out = tmp_path / f"v{n}"
+            assert main(["verify", "all", "--out", str(out)]) == 0
+            reports.append((out / "verify.json").read_bytes())
+            stdouts.append([line for line in capsys.readouterr().out.splitlines()
+                            if not line.startswith("wrote ")])
+        assert reports[0] == reports[1]
+        assert stdouts[0] == stdouts[1]
+        assert [line.split(":")[0] for line in stdouts[1]] == [
+            "PASS residuals", "PASS oracle", "PASS mass", "PASS convergence"]
+
 
 class TestCliSweep:
     def test_partial_failure_keeps_exit_zero(self, tmp_path, capsys):
@@ -455,6 +478,23 @@ class TestCliErrors:
         err = json.loads(lines[0])
         assert err["exit_code"] == 1
         assert "finite" in err["message"]
+
+    def test_dead_worker_exits_four(self, tmp_path, run_fresh):
+        # in a fresh interpreter, so a pool that waited forever would meet a timeout
+        proc = run_fresh("""
+import os, sys
+import releasesim.cli as cli
+from releasesim import metrics, scenario
+scenario._usable_cpus = lambda: 2
+metrics.run_spec = lambda spec: os._exit(1)
+sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys.argv[1]]))
+""", str(tmp_path / "o"))
+        lines = proc.stderr.strip().splitlines()
+        assert proc.returncode == 4
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "WorkerError"
+        assert err["exit_code"] == 4
 
     def test_horizon_off_the_step_grid_exits_one(self, tmp_path, capsys):
         # 3 steps of 0.3 would stop at t = 0.9, short of the horizon asked for

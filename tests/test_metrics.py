@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import threading
 import warnings
 from dataclasses import asdict, replace
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import releasesim as rs
+from releasesim import scenario
 from releasesim.errors import NumericalError
 
 
@@ -15,6 +19,14 @@ def small_spec(**solver_kwargs) -> rs.RunSpec:
     cfg = dict(dt=0.05, t_end=10.0, sample_every=10)
     cfg.update(solver_kwargs)
     return replace(rs.default_spec(), nx0=12, nx1=12, solver=rs.SolverConfig(**cfg))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the number of usable CPUs that parallel_map sees."""
+    def force(n: int) -> None:
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: n)
+    return force
 
 
 class TestParabolicPeak:
@@ -313,3 +325,125 @@ class TestLocalSensitivity:
             assert np.isfinite(v), name
         assert values["t_peak_c1_mid"] > 0.0
         assert values["peak_c1_mid"] > 0.0
+
+
+def _still_rising(x: float) -> float:
+    # a probe series that peaks at its last sample warns "still rising"
+    rs.probe_metrics(np.array([0.0, 1.0]), np.array([0.0, 1.0]), "Ci", x)
+    return x
+
+
+# Runs in a fresh interpreter: a pool that waited for a dead worker would
+# hang there, where the timeout of subprocess.run ends it, not here.
+DEAD_WORKER = """
+import os
+from releasesim import scenario
+from releasesim.errors import WorkerError
+scenario._usable_cpus = lambda: 2
+def fn(x):
+    if x == 1:
+        os._exit(1)
+    return x
+try:
+    scenario.parallel_map(fn, [0, 1, 2, 3])
+except WorkerError as exc:
+    print("WorkerError:", exc)
+"""
+
+
+class TestParallelMap:
+    def test_calls_go_to_one_worker_per_cpu_up_to_one_per_item(self, cpus):
+        here = os.getpid()
+        cpus(2)
+        pids = scenario.parallel_map(lambda _: os.getpid(), range(4))
+        assert here not in pids
+        assert 1 <= len(set(pids)) <= 2
+        assert scenario.parallel_map(lambda _: os.getpid(), [0]) == [here]
+        cpus(1)
+        assert scenario.parallel_map(lambda _: os.getpid(), range(4)) == [here] * 4
+
+    def test_calls_stay_in_process_while_another_thread_runs(self, cpus):
+        cpus(2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            pids = scenario.parallel_map(lambda _: os.getpid(), range(4))
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert pids == [os.getpid()] * 4
+
+    def test_results_keep_item_order_and_closures_need_not_pickle(self, cpus):
+        cpus(2)
+        offset = 0.5
+        items = (x for x in range(7))   # any iterable
+        assert scenario.parallel_map(lambda x: x * x + offset, items) == [
+            x * x + offset for x in range(7)]
+
+    def test_nested_call_runs_in_the_worker(self, cpus):
+        cpus(2)
+        outer = scenario.parallel_map(
+            lambda _: (os.getpid(), scenario.parallel_map(lambda _: os.getpid(), range(3))),
+            range(2))
+        for worker, inner in outer:
+            assert worker != os.getpid()
+            assert inner == [worker] * 3
+
+    def test_exception_comes_back_as_itself_in_item_order(self, cpus):
+        cpus(2)
+
+        def fn(x):
+            if x >= 2:
+                raise NumericalError(f"item {x}")
+            return x
+
+        with pytest.raises(NumericalError, match="item 2"):
+            scenario.parallel_map(fn, range(4))
+
+    def test_worker_warnings_are_reissued_in_item_order(self, cpus):
+        stations = [0.5, 1.5, 2.5, 3.5]
+        messages = []
+        for n in (1, 2):
+            cpus(n)
+            with pytest.warns(UserWarning, match="still rising") as record:
+                assert scenario.parallel_map(_still_rising, stations) == stations
+            messages.append([(w.category, str(w.message)) for w in record])
+        assert messages[0] == messages[1]
+        assert [re.search(r"x=(\S+)", m).group(1) for _, m in messages[1]] == [
+            "0.5", "1.5", "2.5", "3.5"]
+
+    def test_a_dead_worker_raises_instead_of_hanging(self, run_fresh):
+        proc = run_fresh(DEAD_WORKER)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("WorkerError: a worker process died")
+
+
+class TestParallelRuns:
+    def test_sweep_csv_is_the_same_with_one_and_two_workers(self, tmp_path, cpus):
+        spec = small_spec()
+        files = []
+        for n in (1, 2):
+            cpus(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rows = rs.sweep(spec, "ka", [0.3, -1.0, 0.9])
+            assert [r.status for r in rows] == ["ok", "error", "ok"]
+            assert rows[1].error == "ValidationError: tissue.ka: must be >= 0, got -1.0"
+            path = tmp_path / f"sweep{n}.csv"
+            rs.write_sweep_csv(path, rows)
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("metric", ["degraded_fraction_final", "custom"])
+    def test_sensitivity_record_is_the_same_with_one_and_two_workers(self, cpus, metric):
+        if metric == "custom":
+            metric = lambda ts: 5.0 * rs.release_metrics(ts).degraded_fraction  # noqa: E731
+        records = []
+        for n in (1, 2):
+            cpus(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                records.append(rs.local_sensitivity(small_spec(), "alpha0", metric=metric))
+        assert records[0] == records[1]

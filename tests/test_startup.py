@@ -36,3 +36,20 @@ def test_verify_all_runs_without_heavy_scipy_subpackages(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
     assert result["loaded"] == []
+
+
+# Process-pool modules that importing releasesim.cli must not load:
+# parallel_map imports its pool only when it starts workers.
+POOL = ("multiprocessing.pool", "multiprocessing.context", "concurrent.futures.process")
+
+IMPORT_ONLY = """
+import json, sys
+import releasesim.cli
+print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))
+"""
+
+
+def test_importing_the_cli_loads_no_process_pool(run_fresh):
+    proc = run_fresh(IMPORT_ONLY, *POOL)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
