@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 invalid config/parameters, 2 numerical failure or
 failed verification, 3 I/O failure, 4 a worker process died.  Fatal errors
 also emit one JSON line on stderr with the error class and message.
 
-``sweep`` points and ``verify`` checks are independent runs; they go to
-forked worker processes through :func:`releasesim.scenario.parallel_map`.
+``sweep`` points, ``verify`` checks and ``simulate``'s two trajectory files
+(``matrix.csv``, ``tissue.csv``) are independent jobs; they go to forked
+worker processes through :func:`releasesim.scenario.parallel_map`.
 """
 
 from __future__ import annotations
@@ -151,8 +152,9 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ts = run_spec(spec)
     p = spec.dimensionless()
-    write_matrix_csv(out / "matrix.csv", ts)
-    write_tissue_csv(out / "tissue.csv", ts)
+    # each worker writes one whole file from the trajectory it inherited
+    parallel_map(lambda job: job[0](out / job[1], ts),
+                 [(write_matrix_csv, "matrix.csv"), (write_tissue_csv, "tissue.csv")])
     metrics = release_metrics(ts)
     write_json(out / "metrics.json", metrics)
     write_json(out / "ledger.json", mass_audit(ts))

@@ -81,9 +81,15 @@ def write_json(path, obj) -> None:
         fh.write(text + "\n")
 
 
+_HASH_CHUNK = 1 << 20
+
+
 def hash_file(path) -> str:
+    """SHA-256 hex digest of a file, read in 1 MiB chunks (constant memory)."""
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            h.update(chunk)
     return h.hexdigest()
 
 

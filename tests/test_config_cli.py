@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import releasesim as rs
-from releasesim import scenario
+from releasesim import runio, scenario
 from releasesim.cli import _build_parser, main
 from releasesim.errors import ConfigError, ValidationError
 from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
@@ -51,6 +51,11 @@ class TestFormatting:
         path = tmp_path / "x.bin"
         path.write_bytes(b"release")
         assert hash_file(path) == hashlib.sha256(b"release").hexdigest()
+
+    def test_hash_file_spans_chunks(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(2 * runio._HASH_CHUNK + 7))
+        assert hash_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestDataFiles:
@@ -301,6 +306,25 @@ class TestCliSimulate:
         assert resolved["solver"]["theta"] == 1.0
         assert resolved["solver"]["outer_bc"] == "sink"
 
+    def test_answer_files_are_the_same_with_one_and_two_workers(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # 1.05 / 0.05 = 21 steps, sampled every 4th: the last sample is off-stride
+        cfg = small_config(tmp_path, solver={"dt": 0.05, "t_end": 1.05,
+                                             "sample_every": 4})
+        names = ("matrix.csv", "tissue.csv", "metrics.json", "ledger.json",
+                 "config.resolved.json")
+        files, outputs, stdouts = [], [], []
+        for n in (1, 2):
+            monkeypatch.setattr(scenario, "_usable_cpus", lambda: n)
+            out = tmp_path / f"s{n}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            files.append([(out / name).read_bytes() for name in names])
+            outputs.append(json.loads((out / "run.json").read_text())["outputs"])
+            stdouts.append(capsys.readouterr().out.replace(str(out), "OUT"))
+        assert files[0] == files[1]
+        assert outputs[0] == outputs[1]
+        assert stdouts[0] == stdouts[1]
+
 
 class TestCliAnalytic:
     def test_artifacts_and_mismatch_report(self, tmp_path, capsys):
@@ -495,6 +519,21 @@ sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys
         err = json.loads(lines[0])
         assert err["error"] == "WorkerError"
         assert err["exit_code"] == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_writer_failure_exits_three(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
+        cfg = small_config(tmp_path)
+        out = tmp_path / "o"
+        (out / "tissue.csv").mkdir(parents=True)
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "IsADirectoryError"
+        assert err["exit_code"] == 3
+        assert str(out / "tissue.csv") in err["message"]
 
     def test_horizon_off_the_step_grid_exits_one(self, tmp_path, capsys):
         # 3 steps of 0.3 would stop at t = 0.9, short of the horizon asked for
