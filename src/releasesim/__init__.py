@@ -17,8 +17,7 @@ from .params import (INFINITE, DimensionlessParams, InterfaceParams,
                      redimensionalize, reference_params, validate_params)
 from .runio import (load_config, save_config, spec_to_config, write_json,
                     write_matrix_csv, write_sweep_csv, write_tissue_csv)
-from .scenario import (RunSpec, default_spec, get_param, param_names,
-                       replace_param, run_spec)
+from .scenario import RunSpec, get_param, param_names, replace_param, run_spec
 from .solver import (FIELDS, SINK, ZERO_FLUX, CompositeGrid, SolverConfig,
                      ThetaStepper, TimeSeries, initialize, make_grid, simulate)
 from .verification import (ComparisonReport, ConvergenceReport, MassLedger,
@@ -43,8 +42,7 @@ __all__ = [
     "reference_params", "validate_params",
     "load_config", "save_config", "spec_to_config", "write_json",
     "write_matrix_csv", "write_sweep_csv", "write_tissue_csv",
-    "RunSpec", "default_spec", "get_param", "param_names", "replace_param",
-    "run_spec",
+    "RunSpec", "get_param", "param_names", "replace_param", "run_spec",
     "FIELDS", "SINK", "ZERO_FLUX", "CompositeGrid", "SolverConfig",
     "ThetaStepper", "TimeSeries", "initialize", "make_grid", "simulate",
     "ComparisonReport", "ConvergenceReport", "MassLedger", "analytic_state",

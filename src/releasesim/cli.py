@@ -11,15 +11,20 @@ Exit codes: 0 success, 1 invalid config/parameters, 2 numerical failure or
 failed verification, 3 I/O failure, 4 a worker process died.  Fatal errors
 also emit one JSON line on stderr with the error class and message.
 
-``sweep`` points, ``verify`` checks and ``simulate``'s two trajectory files
-(``matrix.csv``, ``tissue.csv``) are independent jobs; they go to forked
-worker processes through :func:`releasesim.scenario.parallel_map`.
+``sweep`` points and ``verify`` checks are independent jobs; they go to
+forked worker processes through :func:`releasesim.scenario.parallel_map`.
+``simulate`` writes its two trajectory files (``matrix.csv``, ``tissue.csv``)
+in two forked workers started before its time loop, at lowered priority,
+through :func:`releasesim.scenario.stream_map`: the loop stores its samples
+in a shared mapping, and each worker formats those already stored while the
+loop keeps stepping.  A run that fails leaves both files as they were.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import mmap
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -36,8 +41,8 @@ from .params import DimensionlessParams
 from .runio import (hash_file, load_config, spec_to_config, write_analytic_csv,
                     write_flux_mismatch_csv, write_json, write_matrix_csv,
                     write_sweep_csv, write_tissue_csv)
-from .scenario import RunSpec, default_spec, parallel_map, run_spec
-from .solver import SINK, ZERO_FLUX, make_grid, sample_times
+from .scenario import RunSpec, parallel_map, run_spec, stream_map
+from .solver import SINK, ZERO_FLUX, TimeSeries, make_grid, sample_times
 from .verification import (check_convergence, check_mass, check_oracle,
                            check_residuals, convergence_study, mass_audit,
                            ode_oracle)
@@ -100,11 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(args) -> tuple[RunSpec, dict]:
-    if args.config:
-        spec, analytic_overrides = load_config(args.config)
-    else:
-        spec, analytic_overrides = default_spec(), {}
+def _begin(args) -> tuple[str, RunSpec, AnalyticParams, Path, DimensionlessParams]:
+    """A command's start time, spec, closed-form mode (the default one with
+    the config's analytic overrides), created output directory and
+    dimensionless parameters."""
+    started = _now()
+    spec, analytic_overrides = load_config(args.config) if args.config else (RunSpec(), {})
     flags = vars(args)  # verify has no run overrides
     solver_updates = {k: flags[k] for k in ("t_end", "dt", "theta", "outer_bc")
                       if flags.get(k) is not None}
@@ -113,14 +119,10 @@ def _load_spec(args) -> tuple[RunSpec, dict]:
         spec = replace(spec, solver=replace(spec.solver, **solver_updates))
     if grid_updates:
         spec = replace(spec, **grid_updates)
-    return spec, analytic_overrides
-
-
-def _resolve_mode(p: DimensionlessParams, overrides: dict) -> AnalyticParams:
-    mode = default_mode(p)
-    if overrides:
-        mode = replace(mode, **overrides)
-    return mode
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    p = spec.dimensionless()
+    return started, spec, replace(default_mode(p), **analytic_overrides), out, p
 
 
 def _finish(out: Path, args, spec: RunSpec, p, started: str,
@@ -146,15 +148,15 @@ def _finish(out: Path, args, spec: RunSpec, p, started: str,
 
 
 def _cmd_simulate(args) -> int:
-    started = _now()
-    spec, _ = _load_spec(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ts = run_spec(spec)
-    p = spec.dimensionless()
-    # each worker writes one whole file from the trajectory it inherited
-    parallel_map(lambda job: job[0](out / job[1], ts),
-                 [(write_matrix_csv, "matrix.csv"), (write_tissue_csv, "tissue.csv")])
+    started, spec, _, out, p = _begin(args)
+    grid, times = make_grid(p, spec.nx0, spec.nx1), sample_times(spec.solver)
+    # the samples live in a shared mapping, which the writer workers read
+    u = np.frombuffer(mmap.mmap(-1, 8 * len(times) * grid.n)).reshape(len(times), grid.n)
+    ts = TimeSeries(times, u, grid, p, spec.solver)
+    # each worker writes one file, sample by sample as the run stores them
+    stream_map(lambda job, ready: job[0](out / job[1], ts, ready),
+               [(write_matrix_csv, "matrix.csv"), (write_tissue_csv, "tissue.csv")],
+               lambda publish: run_spec(spec, ts.u, publish))
     metrics = release_metrics(ts)
     write_json(out / "metrics.json", metrics)
     write_json(out / "ledger.json", mass_audit(ts))
@@ -166,12 +168,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    started = _now()
-    spec, overrides = _load_spec(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    p = spec.dimensionless()
-    mode = _resolve_mode(p, overrides)
+    started, spec, mode, out, p = _begin(args)
     times = sample_times(spec.solver)
     write_analytic_csv(out / "analytic.csv", times, make_grid(p, spec.nx0, spec.nx1), p, mode)
     fm, ft = interface_fluxes(p, mode, times)
@@ -201,12 +198,7 @@ def _check_mass(spec: RunSpec) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    started = _now()
-    spec, overrides = _load_spec(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    p = spec.dimensionless()
-    mode = _resolve_mode(p, overrides)
+    started, spec, mode, out, p = _begin(args)
     # the instruments go in through this module's names, where perfbench wraps them
     runners = {
         "residuals": lambda: check_residuals(p, mode, residuals),
@@ -254,11 +246,7 @@ def _sweep_values(args) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    started = _now()
-    spec, _ = _load_spec(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    p = spec.dimensionless()
+    started, spec, _, out, p = _begin(args)
     values = _sweep_values(args)
     rows = run_sweep(spec, args.param, values)
     write_sweep_csv(out / "sweep.csv", rows)
@@ -286,23 +274,15 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify, "sweep": _cmd_sweep}
     try:
         return handlers[args.command](args)
-    except (ValidationError, ValueError) as exc:
-        _emit_error(exc, 1)
-        return 1
-    except NumericalError as exc:
-        _emit_error(exc, 2)
-        return 2
-    except OSError as exc:
-        _emit_error(exc, 3)
-        return 3
-    except WorkerError as exc:
-        _emit_error(exc, 4)
-        return 4
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
+                          "exit_code": code}), file=sys.stderr)
+        return code
 
 
-def _emit_error(exc: Exception, code: int) -> None:
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                      "exit_code": code}), file=sys.stderr)
+# Exit code of each fatal error class (see the module docstring).
+_EXIT_CODES = {ValueError: 1, NumericalError: 2, OSError: 3, WorkerError: 4}
 
 
 if __name__ == "__main__":

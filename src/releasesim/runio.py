@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, fields, is_dataclass
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -101,32 +103,43 @@ def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
     """Long-format answer file, one block per time: line i is t, ``cells[i]``,
     then the next ``per_line`` values of the time's row from ``rows``.  Each
     t is formatted once; values go through "%.17g", the same bytes as ``_fmt``.
+    It is written beside ``path`` and renamed onto it when complete, so a
+    write that fails leaves ``path`` as it was.
     """
     # "\0" stands in for the time's t on every line of the block
     block = "".join(f"\0,{cell}{',%.17g' * per_line}\n" for cell in cells)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, values in zip(np.asarray(times, float).tolist(), rows):
-            fh.write(block.replace("\0", "%.17g" % t) % tuple(values))
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for t, values in zip(np.asarray(times, float).tolist(), rows, strict=True):
+                fh.write(block.replace("\0", "%.17g" % t) % tuple(values))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def _write_layer(path, ts: TimeSeries, layer: str) -> None:
-    """Long-format trajectory of one layer: t, x, then its fields' labels."""
+def _write_layer(path, ts: TimeSeries, layer: str, ready=None) -> None:
+    """Long-format trajectory of one layer: t, x, then its fields' labels.
+    Samples are written up to each count ``ready`` yields, then all of them."""
     names = LAYER_FIELDS[layer]
-    values = np.stack([getattr(ts, name) for name, _ in names], axis=-1)
+    # a file row's columns of the packed state: the fields interleaved by node
+    cols = (np.arange(ts.grid.layer_nodes(layer))[:, None]
+            + [ts.grid.field_slice(name).start for name, _ in names]).ravel()
+    counts = pairwise(chain([0], ready or (), [ts.n_samples]))
     _write_blocks(path, ["t", "x", *(label for _, label in names)],
                   ["%.17g" % x for x in ts.grid.layer_x(layer).tolist()], len(names),
-                  ts.times, (row.ravel().tolist() for row in values))
+                  ts.times, (row for a, b in counts for row in ts.u[a:b, cols].tolist()))
 
 
-def write_matrix_csv(path, ts: TimeSeries) -> None:
+def write_matrix_csv(path, ts: TimeSeries, ready=None) -> None:
     """Long-format matrix-layer trajectory: t, x, C0_star, C0."""
-    _write_layer(path, ts, MATRIX)
+    _write_layer(path, ts, MATRIX, ready)
 
 
-def write_tissue_csv(path, ts: TimeSeries) -> None:
+def write_tissue_csv(path, ts: TimeSeries, ready=None) -> None:
     """Long-format tissue-layer trajectory: t, x, C1_star, C1, Ci."""
-    _write_layer(path, ts, TISSUE)
+    _write_layer(path, ts, TISSUE, ready)
 
 
 def write_analytic_csv(path, times, grid: CompositeGrid, p, ap: AnalyticParams) -> None:
@@ -213,12 +226,12 @@ def config_to_spec(cfg: dict) -> tuple[RunSpec, dict]:
             f"unknown config section(s): {', '.join(unknown)}; "
             f"valid sections are {', '.join(CONFIG_SECTIONS)}"
         )
-    matrix = _params_from_section(MatrixParams, "matrix",
-                                  _require_mapping(cfg.get("matrix", {}), "section 'matrix'"))
-    tissue = _params_from_section(TissueParams, "tissue",
-                                  _require_mapping(cfg.get("tissue", {}), "section 'tissue'"))
+    raw = {name: _require_mapping(cfg.get(name, {}), f"section '{name}'")
+           for name in CONFIG_SECTIONS}
+    matrix = _params_from_section(MatrixParams, "matrix", raw["matrix"])
+    tissue = _params_from_section(TissueParams, "tissue", raw["tissue"])
 
-    raw_if = _require_mapping(cfg.get("interface", {}), "section 'interface'")
+    raw_if = raw["interface"]
     _check_keys("interface", raw_if, ("pm", "sigma"))
     pm_raw = raw_if.get("pm", "infinite")
     if pm_raw == "infinite":
@@ -230,12 +243,12 @@ def config_to_spec(cfg: dict) -> tuple[RunSpec, dict]:
     interface = InterfaceParams(pm=pm, sigma=_get_number("interface", raw_if, "sigma",
                                                          InterfaceParams().sigma))
 
-    raw_grid = _require_mapping(cfg.get("grid", {}), "section 'grid'")
+    raw_grid = raw["grid"]
     _check_keys("grid", raw_grid, _GRID_KEYS)
     nx0 = _get_int("grid", raw_grid, "nx0", RunSpec().nx0)
     nx1 = _get_int("grid", raw_grid, "nx1", RunSpec().nx1)
 
-    raw_solver = _require_mapping(cfg.get("solver", {}), "section 'solver'")
+    raw_solver = raw["solver"]
     _check_keys("solver", raw_solver, _SOLVER_KEYS)
     defaults = SolverConfig()
     try:
@@ -249,7 +262,7 @@ def config_to_spec(cfg: dict) -> tuple[RunSpec, dict]:
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
-    raw_analytic = _require_mapping(cfg.get("analytic", {}), "section 'analytic'")
+    raw_analytic = raw["analytic"]
     _check_keys("analytic", raw_analytic, _ANALYTIC_KEYS)
     analytic = {k: _get_number("analytic", raw_analytic, k, None)
                 for k in _ANALYTIC_KEYS if k in raw_analytic}

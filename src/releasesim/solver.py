@@ -203,9 +203,9 @@ def initialize(grid: CompositeGrid) -> np.ndarray:
 def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
     """Semi-discrete system du/dt = L u + g plus algebraic constraint rows.
 
-    Returns (L, g, constraints) where constraints maps a row index to its
-    list of (column, coefficient) pairs; constrained rows replace the ODE
-    there and are imposed exactly at the new time level.
+    Returns (L, g, C): each nonzero row of C is an algebraic constraint
+    C u = 0 with unit diagonal, which replaces the ODE of its row and is
+    imposed exactly at the new time level.
     """
     nm, nt, n = grid.nm, grid.nt, grid.n
     h0, h1 = grid.h0, grid.h1
@@ -219,7 +219,7 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
     cols: list[int] = []
     vals: list[float] = []
     g = np.zeros(n)
-    constraints: dict[int, list[tuple[int, float]]] = {}
+    C = sp.lil_matrix((n, n))
 
     def add(i, j, v):
         rows.append(i)
@@ -268,7 +268,7 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
     if math.isinf(p.pm):
         # Perfect contact: algebraic tie c0 = sigma*c1, plus the two
         # half-cell balances summed so the membrane flux cancels exactly.
-        constraints[m_if] = [(m_if, 1.0), (t_if, -p.sigma)]
+        C[m_if, m_if], C[m_if, t_if] = 1.0, -p.sigma
         w = 0.5 * (p.sigma * h0 + h1)
         add(t_if, o_c0 + nm - 2, 1.0 / (h0 * w))
         add(t_if, m_if, -1.0 / (h0 * w))
@@ -304,33 +304,52 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
         add(row, o_c1s + nt - 1, p.kd)
         add(row, row, -p.ka)
     else:  # SINK: pinned concentration
-        constraints[row] = [(row, 1.0)]
+        C[row, row] = 1.0
 
     L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return L, g, constraints
+    return L, g, C.tocsr()
+
+
+# Round-off allowance of the stability test (spectral radius, disc reach).
+_STABLE_TOL = 1e-9
+
+
+def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> None:
+    """Refuse a theta < 1/2 step whose step matrix has spectral radius above 1.
+
+    With each constrained unknown solved from its row of C, the scheme steps
+    the ``free`` unknowns by a matrix L_r.  An eigenvalue z of dt*L_r gives
+    (1 + (1-theta)*z) / (1 - theta*z), at most 1 in modulus exactly on the
+    disc of centre -c and radius c, c = 1/(1 - 2*theta).  Gershgorin column
+    discs of dt*L_r, weighted by each unknown's drug mass, that all lie in
+    that disc prove stability; else the eigenvalues of L_r decide.
+    """
+    solve = sp.identity(L.shape[0], format="csr") - C
+    w = (solve.T @ np.concatenate([grid.layer_weights(layer)
+                                   for _, layer in FIELD_TABLE.values()]))[free]
+    z = (dt * (L @ solve))[free][:, free]
+    centre, c = z.diagonal(), 1.0 / (1.0 - 2.0 * theta)
+    if np.all(np.abs(centre + c) + (abs(z).T @ w) / w - np.abs(centre) <= c + _STABLE_TOL):
+        return
+    z = np.linalg.eigvals(z.toarray())
+    rho = float(np.max(np.abs((1.0 + (1.0 - theta) * z) / (1.0 - theta * z))))
+    if rho > 1.0 + _STABLE_TOL:
+        raise NumericalError(f"theta={theta} with dt={dt} is unstable: the step matrix has "
+                             f"spectral radius {rho:.6g} > 1; reduce dt or use theta >= 0.5")
 
 
 class ThetaStepper:
     """One-step propagator; factorizes the step matrix once and reuses it."""
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
-        L, g, constraints = _assemble(grid, p, config.outer_bc)
-        n = L.shape[0]
-        keep = np.ones(n)
-        for row in constraints:
-            keep[row] = 0.0
+        L, g, C = _assemble(grid, p, config.outer_bc)
+        keep = (C.getnnz(axis=1) == 0).astype(float)
         keep_diag = sp.diags(keep)
-        eye = sp.identity(n, format="csr")
+        eye = sp.identity(L.shape[0], format="csr")
         dt, theta = config.dt, config.theta
-        lhs = keep_diag @ (eye - theta * dt * L)
-        if constraints:
-            c_rows, c_cols, c_vals = [], [], []
-            for row, entries in constraints.items():
-                for col, coef in entries:
-                    c_rows.append(row)
-                    c_cols.append(col)
-                    c_vals.append(coef)
-            lhs = lhs + sp.coo_matrix((c_vals, (c_rows, c_cols)), shape=(n, n)).tocsr()
+        if theta < 0.5:
+            _check_stable(grid, L, C, np.flatnonzero(keep), dt, theta)
+        lhs = keep_diag @ (eye - theta * dt * L) + C
         self._rhs_mat = (keep_diag @ (eye + (1.0 - theta) * dt * L)).tocsr()
         self._rhs_src = dt * g * keep
         try:
@@ -390,22 +409,26 @@ class TimeSeries:
 
 
 def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
-             u0: np.ndarray | None = None, t0: float = 0.0) -> TimeSeries:
+             u0: np.ndarray | None = None, t0: float = 0.0,
+             samples: np.ndarray | None = None, on_sample=lambda k: None) -> TimeSeries:
     """Run the theta scheme from the clock ``t0`` over the horizon ``config.t_end``.
 
     The number of steps is t_end / dt, a whole number; the first and last
     states are always sampled.  ``u0`` is a packed initial state (default
     :func:`initialize`); it is copied, never modified.  Starting from
     arbitrary fields and clock is what the cross-verification against the
-    closed forms relies on.  The samples are preallocated: samples x
-    unknowns x 8 bytes.
+    closed forms relies on.  The samples are preallocated, samples x
+    unknowns x 8 bytes, or are the caller's ``samples`` array of that shape.
+    ``on_sample(k)`` is called each time the first ``k`` samples are stored.
     """
     u = initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
     if u.shape != (grid.n,):
         raise ValueError(f"u0 must have shape ({grid.n},), got {u.shape}")
     idx = sample_indices(config.n_steps, config.sample_every)
-    samples = np.empty((len(idx), grid.n))
+    if samples is None:
+        samples = np.empty((len(idx), grid.n))
     samples[0] = u
+    on_sample(1)
     if len(idx) > 1:
         stepper = ThetaStepper(grid, p, config)
         advance, dt = stepper.advance, config.dt
@@ -413,4 +436,5 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
             for j in range(idx[k - 1] + 1, idx[k] + 1):
                 u = advance(u, t0 + j * dt)
             samples[k] = u
+            on_sample(k + 1)
     return TimeSeries(sample_times(config, t0), samples, grid=grid, params=p, config=config)

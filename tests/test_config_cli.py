@@ -13,7 +13,7 @@ import pytest
 import releasesim as rs
 from releasesim import runio, scenario
 from releasesim.cli import _build_parser, main
-from releasesim.errors import ConfigError, ValidationError
+from releasesim.errors import ConfigError, NumericalError, ValidationError
 from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
                               load_config, save_config, spec_to_config,
                               write_analytic_csv, write_flux_mismatch_csv,
@@ -22,7 +22,7 @@ from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
 
 
 def tiny_spec() -> rs.RunSpec:
-    return replace(rs.default_spec(), nx0=4, nx1=4,
+    return replace(rs.RunSpec(), nx0=4, nx1=4,
                    solver=rs.SolverConfig(dt=0.1, t_end=0.0))
 
 
@@ -113,7 +113,7 @@ class TestDataFiles:
         )
 
     def test_sweep_csv_rows_have_uniform_arity(self, tmp_path):
-        spec = replace(rs.default_spec(), nx0=8, nx1=8,
+        spec = replace(rs.RunSpec(), nx0=8, nx1=8,
                        solver=rs.SolverConfig(dt=0.05, t_end=2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -168,7 +168,7 @@ class TestDataFiles:
 class TestConfig:
     def test_empty_config_is_the_default_spec(self):
         spec, overrides = config_to_spec({})
-        assert spec == rs.default_spec()
+        assert spec == rs.RunSpec()
         assert overrides == {}
 
     def test_unknown_key_is_named(self):
@@ -208,7 +208,7 @@ class TestConfig:
             config_to_spec({"matrix": [1, 2]})
 
     def test_round_trip_through_file(self, tmp_path):
-        spec = replace(rs.default_spec(), nx0=16, nx1=24,
+        spec = replace(rs.RunSpec(), nx0=16, nx1=24,
                        solver=rs.SolverConfig(dt=0.02, t_end=3.0, theta=1.0,
                                               outer_bc=rs.SINK, sample_every=5))
         spec = rs.replace_param(spec, "ka", 0.77)
@@ -220,7 +220,7 @@ class TestConfig:
         assert overrides == {}
 
     def test_round_trip_preserves_analytic_overrides(self, tmp_path):
-        spec = rs.default_spec()
+        spec = rs.RunSpec()
         path = tmp_path / "config.json"
         save_config(path, spec, analytic=rs.AnalyticParams(a=2.0, b=1.5, e1=0.5, e2=0.25))
         loaded, overrides = load_config(path)
@@ -238,7 +238,7 @@ class TestConfig:
             load_config(path)
 
     def test_spec_to_config_spells_infinite_pm(self):
-        cfg = spec_to_config(rs.default_spec())
+        cfg = spec_to_config(rs.RunSpec())
         assert cfg["interface"]["pm"] == "infinite"
         assert set(cfg) == {"matrix", "tissue", "interface", "grid", "solver"}
 
@@ -250,6 +250,15 @@ def small_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+STABLE_EXPLICIT = {
+    "config.resolved.json": "8bde4a4ac8b6a4ba217a2c6f98d96eae4328400d23498679ea733865f0d5d0d4",
+    "ledger.json": "aa249ff8f5237bf5d945d362f1f91c2fe96ae93aa8d6c545d3c72e7ceb1b1796",
+    "matrix.csv": "26d63722bc2ef98f4f7dd36c883aaf43a6bc37f741773f2d1325aa0879589972",
+    "metrics.json": "94fd6dda52a7e459266efb896661419e5024aba3c8850f09ffa18dfee3a7aa4e",
+    "tissue.csv": "40554864b97a663487726c3bbd09e1f617fc8d60920328a5cde91952e33cb4a3",
+}
 
 
 class TestCliSimulate:
@@ -324,6 +333,56 @@ class TestCliSimulate:
         assert files[0] == files[1]
         assert outputs[0] == outputs[1]
         assert stdouts[0] == stdouts[1]
+
+    # 4+4 cells, 149 steps sampled at each: 150 samples, more than one
+    # publishing block and not a whole number of them
+    STREAMED = {"grid": {"nx0": 4, "nx1": 4},
+                "solver": {"dt": 0.01, "t_end": 1.49, "sample_every": 1}}
+
+    def test_streamed_files_equal_the_in_process_ones(self, tmp_path, capsys, monkeypatch):
+        assert 150 > scenario.STREAM_BLOCK and 150 % scenario.STREAM_BLOCK
+        cfg = small_config(tmp_path, **self.STREAMED)
+        names = ("matrix.csv", "tissue.csv", "metrics.json", "ledger.json",
+                 "config.resolved.json")
+        contexts = []
+        fork_context = scenario._fork_context
+        monkeypatch.setattr(scenario, "_fork_context",
+                            lambda workers: contexts.append(fork_context(workers)) or contexts[-1])
+        files, stdouts = [], []
+        for n in (1, 2):
+            monkeypatch.setattr(scenario, "_usable_cpus", lambda: n)
+            out = tmp_path / f"s{n}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            files.append([(out / name).read_bytes() for name in names])
+            stdouts.append(capsys.readouterr().out.replace(str(out), "OUT"))
+            assert sorted(p.name for p in out.iterdir()) == sorted([*names, "run.json"])
+        assert [c is None for c in contexts] == [True, False]  # in-process, then streamed
+        assert files[0] == files[1]
+        assert stdouts[0] == stdouts[1]
+        assert files[0][0].count(b"\n") == 1 + 150 * 5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_mid_run_leaves_trajectory_files_as_they_were(self, tmp_path, capsys,
+                                                                  monkeypatch, workers):
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
+        advance = rs.ThetaStepper.advance
+
+        def failing(self, u, t_new):
+            if t_new > 1.0:   # after 100 samples: the writers have had whole blocks
+                raise NumericalError(f"injected failure at t={t_new:.6g}")
+            return advance(self, u, t_new)
+        monkeypatch.setattr(rs.ThetaStepper, "advance", failing)
+        out = tmp_path / "o"
+        out.mkdir()
+        before = {"matrix.csv": b"old matrix\n", "tissue.csv": b"old tissue\n"}
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+        cfg = small_config(tmp_path, **self.STREAMED)
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "NumericalError"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestCliAnalytic:
@@ -520,6 +579,45 @@ sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys
         assert err["error"] == "WorkerError"
         assert err["exit_code"] == 4
 
+    def test_dead_writer_exits_four(self, tmp_path, run_fresh):
+        # in a fresh interpreter, so a pool that waited forever would meet a timeout
+        proc = run_fresh("""
+import os, sys
+import releasesim.cli as cli
+from releasesim import scenario
+scenario._usable_cpus = lambda: 2
+cli.write_tissue_csv = lambda *args: os._exit(1)
+sys.exit(cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "40",
+                   "--out", sys.argv[1]]))
+""", str(tmp_path / "o"))
+        lines = proc.stderr.strip().splitlines()
+        assert proc.returncode == 4
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "WorkerError"
+        assert err["exit_code"] == 4
+
+    def test_unstable_theta_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["simulate", "--theta", "0", "--dt", "0.4", "--t-end", "8",
+                     "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "NumericalError"
+        assert "spectral radius" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_stable_explicit_run_keeps_its_bytes(self, tmp_path):
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # probes still rising
+            assert main(["simulate", "--theta", "0", "--nx0", "4", "--nx1", "4",
+                         "--dt", "1e-4", "--t-end", "0.01", "--out", str(out)]) == 0
+        # sha256 of the answer files from before the stability check existed
+        assert {name: hash_file(out / name) for name in STABLE_EXPLICIT} == STABLE_EXPLICIT
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_writer_failure_exits_three(self, tmp_path, capsys, monkeypatch, workers):
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
@@ -557,11 +655,11 @@ class TestReadme:
         assert len(blocks) == 1
         example = json.loads(blocks[0])
         spec, analytic = config_to_spec(example)
-        assert spec == rs.default_spec()
+        assert spec == rs.RunSpec()
         mode = rs.default_mode(spec.dimensionless())
         assert analytic == {"a": mode.a, "b": mode.b, "e1": mode.e1, "e2": mode.e2}
         sections = {k: v for k, v in example.items() if k != "analytic"}
-        assert spec_to_config(rs.default_spec()) == sections
+        assert spec_to_config(rs.RunSpec()) == sections
 
     def test_shell_examples_parse(self):
         blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

@@ -18,7 +18,7 @@ from releasesim.errors import NumericalError
 def small_spec(**solver_kwargs) -> rs.RunSpec:
     cfg = dict(dt=0.05, t_end=10.0, sample_every=10)
     cfg.update(solver_kwargs)
-    return replace(rs.default_spec(), nx0=12, nx1=12, solver=rs.SolverConfig(**cfg))
+    return replace(rs.RunSpec(), nx0=12, nx1=12, solver=rs.SolverConfig(**cfg))
 
 
 @pytest.fixture

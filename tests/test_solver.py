@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import releasesim as rs
+from releasesim import solver
 from releasesim.errors import NumericalError
 
 
@@ -345,3 +346,61 @@ class TestFailureModes:
         cfg = rs.SolverConfig(dt=0.5, t_end=50.0, theta=0.0)
         with pytest.raises(NumericalError):
             rs.simulate(ref_params, grid, cfg)
+
+
+class TestThetaStability:
+    """A theta < 1/2 step whose step matrix has spectral radius above 1 is
+    refused when the stepper is built; theta >= 1/2 is never checked."""
+
+    def test_unstable_explicit_step_is_refused(self, ref_params):
+        grid = rs.make_grid(ref_params, 64, 64)
+        with pytest.raises(NumericalError, match="spectral radius"):
+            rs.ThetaStepper(grid, ref_params, rs.SolverConfig(dt=0.4, t_end=8.0, theta=0.0))
+
+    @pytest.mark.parametrize("pm, outer_bc, theta, dt", [
+        (np.inf, rs.ZERO_FLUX, 0.0, 0.4), (np.inf, rs.SINK, 0.2, 0.05),
+        (3.0, rs.ZERO_FLUX, 0.45, 2.0), (3.0, rs.SINK, 0.0, 0.02),
+    ])
+    def test_reported_radius_is_the_step_matrix_radius(self, ref_params, monkeypatch,
+                                                        pm, outer_bc, theta, dt):
+        p = replace(ref_params, pm=pm, sigma=1.4)
+        grid = rs.make_grid(p, 8, 8)
+        cfg = rs.SolverConfig(dt=dt, t_end=dt, theta=theta, outer_bc=outer_bc)
+        with pytest.raises(NumericalError) as err:
+            rs.ThetaStepper(grid, p, cfg)
+        reported = float(str(err.value).split("spectral radius ")[1].split()[0])
+        # the same step matrix, formed densely without the check
+        monkeypatch.setattr(solver, "_check_stable", lambda *args: None)
+        stepper = rs.ThetaStepper(grid, p, cfg)
+        step = stepper._lu.solve(stepper._rhs_mat.toarray())
+        assert reported == pytest.approx(np.max(np.abs(np.linalg.eigvals(step))), rel=1e-5)
+
+    @pytest.mark.parametrize("pm, outer_bc", [(np.inf, rs.ZERO_FLUX), (3.0, rs.SINK)])
+    def test_gershgorin_discs_decide_a_stable_step(self, ref_params, monkeypatch, pm, outer_bc):
+        def no_eigenvalues(_):
+            raise AssertionError("the Gershgorin bound should have decided")
+        monkeypatch.setattr(solver.np.linalg, "eigvals", no_eigenvalues)
+        p = replace(ref_params, pm=pm)
+        cfg = rs.SolverConfig(dt=1e-4, t_end=1e-3, theta=0.0, outer_bc=outer_bc)
+        rs.ThetaStepper(rs.make_grid(p, 64, 64), p, cfg)
+
+    def test_stable_step_the_discs_cannot_prove_runs(self, ref_params, monkeypatch):
+        # finite membrane, sink wall: dt 1.2e-4 is stable, but its discs reach
+        # outside the stable disc, so the eigenvalues decide
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(solver.np.linalg, "eigvals",
+                            lambda a: calls.append(a.shape) or eigvals(a))
+        p = replace(ref_params, pm=3.0)
+        cfg = rs.SolverConfig(dt=1.2e-4, t_end=0.012, theta=0.0, outer_bc=rs.SINK)
+        ts = rs.simulate(p, rs.make_grid(p, 64, 64), cfg)
+        assert calls
+        assert np.all(np.abs(ts.u) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+    def test_theta_half_and_above_are_not_checked(self, ref_params, monkeypatch, theta):
+        def unexpected(*args):
+            raise AssertionError("theta >= 1/2 needs no stability check")
+        monkeypatch.setattr(solver, "_check_stable", unexpected)
+        cfg = rs.SolverConfig(dt=10.0, t_end=10.0, theta=theta)
+        rs.ThetaStepper(rs.make_grid(ref_params, 16, 16), ref_params, cfg)

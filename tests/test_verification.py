@@ -209,7 +209,7 @@ def _all_fields_oracle(which, p, ap, x, t_grid):
 def _stiff_draws():
     """Four tissue-rate draws spread over the ranges of the stiff benchmark
     workload: ka in [3, 5], kd in [0.5, 1.5], kid in [0.015, 0.03]."""
-    spec = rs.default_spec()
+    spec = rs.RunSpec()
     draws = []
     for ka, kd, kid in ((3.1, 1.4, 0.016), (3.6, 0.6, 0.029), (4.2, 1.1, 0.02), (4.9, 0.8, 0.024)):
         p = replace(spec, tissue=replace(spec.tissue, ka=ka, kd=kd, kid=kid)).dimensionless()
