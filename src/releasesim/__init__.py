@@ -20,8 +20,7 @@ from .runio import (load_config, save_config, spec_to_config, write_json,
 from .scenario import RunSpec, get_param, param_names, replace_param, run_spec
 from .solver import (FIELDS, SINK, ZERO_FLUX, CompositeGrid, SolverConfig,
                      ThetaStepper, TimeSeries, initialize, make_grid, simulate)
-from .verification import (ComparisonReport, ConvergenceReport, MassLedger,
-                           analytic_state, compare_analytic_numeric,
+from .verification import (ConvergenceReport, MassLedger, analytic_state,
                            convergence_study, mass_audit, ode_oracle,
                            oracle_time_grid, sample_mode, sample_params,
                            spatial_convergence, temporal_convergence)
@@ -45,9 +44,8 @@ __all__ = [
     "RunSpec", "get_param", "param_names", "replace_param", "run_spec",
     "FIELDS", "SINK", "ZERO_FLUX", "CompositeGrid", "SolverConfig",
     "ThetaStepper", "TimeSeries", "initialize", "make_grid", "simulate",
-    "ComparisonReport", "ConvergenceReport", "MassLedger", "analytic_state",
-    "compare_analytic_numeric", "convergence_study", "mass_audit",
-    "ode_oracle", "oracle_time_grid", "sample_mode", "sample_params",
+    "ConvergenceReport", "MassLedger", "analytic_state", "convergence_study",
+    "mass_audit", "ode_oracle", "oracle_time_grid", "sample_mode", "sample_params",
     "spatial_convergence", "temporal_convergence",
     "__version__",
 ]

@@ -287,6 +287,10 @@ def _default_times(p: DimensionlessParams, ap: AnalyticParams) -> np.ndarray:
     return np.linspace(0.0, min(horizon, 1e3), 41)
 
 
+#: The kinetic balances, which the closed forms integrate exactly.
+KINETIC_BALANCES = ("matrix_solid", "tissue_bound", "internalized")
+
+
 def residuals(p: DimensionlessParams, ap: AnalyticParams,
               x_matrix=None, x_tissue=None, t=None) -> dict[str, float]:
     """Max-abs defect of each governing balance under the closed forms.

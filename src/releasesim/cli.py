@@ -34,14 +34,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import AnalyticParams, default_mode, interface_fluxes, residuals
+from .analytic import (KINETIC_BALANCES, AnalyticParams, default_mode, interface_fluxes,
+                       residuals)
 from .errors import NumericalError, ValidationError, WorkerError
 from .metrics import release_metrics, sweep as run_sweep
 from .params import DimensionlessParams
-from .runio import (hash_file, load_config, spec_to_config, write_analytic_csv,
-                    write_flux_mismatch_csv, write_json, write_matrix_csv,
-                    write_sweep_csv, write_tissue_csv)
-from .scenario import RunSpec, parallel_map, run_spec, stream_map
+from .runio import (hash_file, load_config, spec_to_config, temp_path,
+                    write_analytic_csv, write_flux_mismatch_csv, write_json,
+                    write_matrix_csv, write_sweep_csv, write_tissue_csv)
+from .scenario import CONFIG_FIELDS, RunSpec, parallel_map, run_spec, stream_map
 from .solver import SINK, ZERO_FLUX, TimeSeries, make_grid, sample_times
 from .verification import (check_convergence, check_mass, check_oracle,
                            check_residuals, convergence_study, mass_audit,
@@ -112,13 +113,9 @@ def _begin(args) -> tuple[str, RunSpec, AnalyticParams, Path, DimensionlessParam
     started = _now()
     spec, analytic_overrides = load_config(args.config) if args.config else (RunSpec(), {})
     flags = vars(args)  # verify has no run overrides
-    solver_updates = {k: flags[k] for k in ("t_end", "dt", "theta", "outer_bc")
-                      if flags.get(k) is not None}
-    grid_updates = {k: flags[k] for k in ("nx0", "nx1") if flags.get(k) is not None}
-    if solver_updates:
-        spec = replace(spec, solver=replace(spec.solver, **solver_updates))
-    if grid_updates:
-        spec = replace(spec, **grid_updates)
+    grid, solver = ({f.name: flags[f.name] for f in CONFIG_FIELDS[section]
+                     if flags.get(f.name) is not None} for section in ("grid", "solver"))
+    spec = replace(spec, **grid, solver=replace(spec.solver, **solver))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     p = spec.dimensionless()
@@ -154,9 +151,14 @@ def _cmd_simulate(args) -> int:
     u = np.frombuffer(mmap.mmap(-1, 8 * len(times) * grid.n)).reshape(len(times), grid.n)
     ts = TimeSeries(times, u, grid, p, spec.solver)
     # each worker writes one file, sample by sample as the run stores them
-    stream_map(lambda job, ready: job[0](out / job[1], ts, ready),
-               [(write_matrix_csv, "matrix.csv"), (write_tissue_csv, "tissue.csv")],
-               lambda publish: run_spec(spec, ts.u, publish))
+    jobs = [(write_matrix_csv, "matrix.csv"), (write_tissue_csv, "tissue.csv")]
+    try:
+        stream_map(lambda job, ready: job[0](out / job[1], ts, ready), jobs,
+                   lambda publish: run_spec(spec, ts.u, publish))
+    except WorkerError:  # a killed writer, and the partner the pool stopped, leave temp files
+        for _, name in jobs:
+            temp_path(out / name).unlink(missing_ok=True)
+        raise
     metrics = release_metrics(ts)
     write_json(out / "metrics.json", metrics)
     write_json(out / "ledger.json", mass_audit(ts))
@@ -174,12 +176,8 @@ def _cmd_analytic(args) -> int:
     fm, ft = interface_fluxes(p, mode, times)
     write_flux_mismatch_csv(out / "flux_mismatch.csv", times, np.atleast_1d(fm),
                             np.atleast_1d(ft))
-    res = residuals(p, mode)
-    res_report = {
-        name: {"max_abs": float(np.max(np.abs(vals))),
-               "expected_zero": name in ("matrix_solid", "tissue_bound", "internalized")}
-        for name, vals in res.items()
-    }
+    res_report = {name: {"max_abs": value, "expected_zero": name in KINETIC_BALANCES}
+                  for name, value in residuals(p, mode).items()}
     res_report["note"] = (
         "free-drug residuals and the interface flux gap are properties of the "
         "closed-form mode, not solver defects; see README"

@@ -2,7 +2,9 @@
 
 All text outputs are UTF-8 with LF newlines; floats are written with 17
 significant digits so round-tripping through the files is lossless and
-byte-identical reruns are byte-identical answers.  Unknown config keys are
+byte-identical reruns are byte-identical answers.  A config file's sections
+and keys come from the RunSpec dataclasses, through
+:data:`~releasesim.scenario.CONFIG_FIELDS`.  Unknown sections and keys are
 hard errors: a typo like "apha0" silently running the defaults is the worst
 failure mode a config file can have.
 """
@@ -13,7 +15,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import MISSING, Field, fields, is_dataclass, replace
 from itertools import chain, pairwise
 from pathlib import Path
 
@@ -21,17 +23,10 @@ import numpy as np
 
 from .analytic import AnalyticParams
 from .errors import ConfigError, ValidationError
-from .params import (InterfaceParams, MatrixParams, TissueParams,
-                     validate_params)
-from .scenario import RunSpec
-from .solver import (FIELD_TABLE, LAYER_FIELDS, MATRIX, TISSUE, CompositeGrid,
-                     SolverConfig, TimeSeries)
+from .params import validate_params
+from .scenario import CONFIG_FIELDS, RunSpec
+from .solver import FIELD_TABLE, LAYER_FIELDS, MATRIX, TISSUE, CompositeGrid, TimeSeries
 from .verification import analytic_state
-
-CONFIG_SECTIONS = ("matrix", "tissue", "interface", "grid", "solver", "analytic")
-_GRID_KEYS = ("nx0", "nx1")
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
-_ANALYTIC_KEYS = ("a", "b", "e1", "e2")
 
 
 def _fmt(v) -> str:
@@ -98,6 +93,11 @@ def hash_file(path) -> str:
 # ---------------------------------------------------------------------------
 # answer files
 
+def temp_path(path) -> Path:
+    """Where an answer file is written before it is renamed onto ``path``."""
+    return Path(f"{path}.tmp")
+
+
 def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
                   times, rows) -> None:
     """Long-format answer file, one block per time: line i is t, ``cells[i]``,
@@ -108,7 +108,7 @@ def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
     """
     # "\0" stands in for the time's t on every line of the block
     block = "".join(f"\0,{cell}{',%.17g' * per_line}\n" for cell in cells)
-    tmp = Path(f"{path}.tmp")
+    tmp = temp_path(path)
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -182,35 +182,28 @@ def _require_mapping(obj, label: str) -> dict:
         raise ConfigError(f"{label} must be a JSON object, got {type(obj).__name__}")
     return obj
 
-def _get_number(section: str, raw: dict, key: str, default):
-    v = raw.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {v!r}")
-    return float(v)
-
-
-def _get_int(section: str, raw: dict, key: str, default):
-    v = raw.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {v!r}")
-    return int(v)
-
 
 def _check_keys(section: str, raw: dict, valid) -> None:
     unknown = sorted(set(raw) - set(valid))
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) in section '{section}': {', '.join(unknown)}; "
-            f"valid keys are {', '.join(valid)}"
-        )
+        raise ConfigError(f"unknown key(s) in section '{section}': {', '.join(unknown)}; "
+                          f"valid keys are {', '.join(valid)}")
 
 
-def _params_from_section(cls, section: str, raw: dict):
-    names = [f.name for f in fields(cls)]
-    _check_keys(section, raw, names)
-    kwargs = {name: _get_number(section, raw, name, getattr(cls(), name))
-              for name in names}
-    return cls(**kwargs)
+def _read(section: str, f: Field, v):
+    """Config value ``v`` of field ``f``, typed as its default (a float where
+    there is none): an int takes an integer, a float any number, interface.pm
+    also "infinite", and no bool is a number; text goes to the dataclass as is."""
+    kind = float if f.default is MISSING else type(f.default)
+    infinite_ok = (section, f.name) == ("interface", "pm")
+    if kind is str:
+        return v
+    if infinite_ok and v == "infinite":
+        return math.inf
+    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number" + ' or "infinite"' * infinite_ok
+        raise ConfigError(f"{section}.{f.name} must be {what}, got {v!r}")
+    return kind(v)
 
 
 def config_to_spec(cfg: dict) -> tuple[RunSpec, dict]:
@@ -220,61 +213,31 @@ def config_to_spec(cfg: dict) -> tuple[RunSpec, dict]:
     section is absent).  Any unknown section or key raises ConfigError.
     """
     cfg = _require_mapping(cfg, "config")
-    unknown = sorted(set(cfg) - set(CONFIG_SECTIONS))
+    unknown = sorted(set(cfg) - set(CONFIG_FIELDS))
     if unknown:
-        raise ConfigError(
-            f"unknown config section(s): {', '.join(unknown)}; "
-            f"valid sections are {', '.join(CONFIG_SECTIONS)}"
-        )
-    raw = {name: _require_mapping(cfg.get(name, {}), f"section '{name}'")
-           for name in CONFIG_SECTIONS}
-    matrix = _params_from_section(MatrixParams, "matrix", raw["matrix"])
-    tissue = _params_from_section(TissueParams, "tissue", raw["tissue"])
-
-    raw_if = raw["interface"]
-    _check_keys("interface", raw_if, ("pm", "sigma"))
-    pm_raw = raw_if.get("pm", "infinite")
-    if pm_raw == "infinite":
-        pm = math.inf
-    elif isinstance(pm_raw, bool) or not isinstance(pm_raw, (int, float)):
-        raise ConfigError(f'interface.pm must be a number or "infinite", got {pm_raw!r}')
-    else:
-        pm = float(pm_raw)
-    interface = InterfaceParams(pm=pm, sigma=_get_number("interface", raw_if, "sigma",
-                                                         InterfaceParams().sigma))
-
-    raw_grid = raw["grid"]
-    _check_keys("grid", raw_grid, _GRID_KEYS)
-    nx0 = _get_int("grid", raw_grid, "nx0", RunSpec().nx0)
-    nx1 = _get_int("grid", raw_grid, "nx1", RunSpec().nx1)
-
-    raw_solver = raw["solver"]
-    _check_keys("solver", raw_solver, _SOLVER_KEYS)
-    defaults = SolverConfig()
-    try:
-        solver = SolverConfig(
-            dt=_get_number("solver", raw_solver, "dt", defaults.dt),
-            t_end=_get_number("solver", raw_solver, "t_end", defaults.t_end),
-            theta=_get_number("solver", raw_solver, "theta", defaults.theta),
-            outer_bc=raw_solver.get("outer_bc", defaults.outer_bc),
-            sample_every=_get_int("solver", raw_solver, "sample_every", defaults.sample_every),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-    raw_analytic = raw["analytic"]
-    _check_keys("analytic", raw_analytic, _ANALYTIC_KEYS)
-    analytic = {k: _get_number("analytic", raw_analytic, k, None)
-                for k in _ANALYTIC_KEYS if k in raw_analytic}
-
-    violations = validate_params(matrix, tissue, interface)
+        raise ConfigError(f"unknown config section(s): {', '.join(unknown)}; "
+                          f"valid sections are {', '.join(CONFIG_FIELDS)}")
+    spec, analytic = RunSpec(), {}
+    for section, section_fields in CONFIG_FIELDS.items():
+        raw = _require_mapping(cfg.get(section, {}), f"section '{section}'")
+        _check_keys(section, raw, [f.name for f in section_fields])
+        given = {f.name: _read(section, f, raw[f.name]) for f in section_fields
+                 if f.name in raw}
+        if section == "analytic":
+            analytic = given
+        elif section == "grid":
+            spec = replace(spec, **given)
+        else:
+            try:
+                spec = replace(spec, **{section: replace(getattr(spec, section), **given)})
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
+    violations = validate_params(spec.matrix, spec.tissue, spec.interface)
     if violations:
         raise ValidationError(violations)
-    if nx0 < 4 or nx1 < 4:
+    if spec.nx0 < 4 or spec.nx1 < 4:
         raise ConfigError("grid.nx0 and grid.nx1 must each be at least 4")
-
-    return RunSpec(matrix=matrix, tissue=tissue, interface=interface,
-                   nx0=nx0, nx1=nx1, solver=solver), analytic
+    return spec, analytic
 
 
 def load_config(path) -> tuple[RunSpec, dict]:
@@ -293,17 +256,14 @@ def load_config(path) -> tuple[RunSpec, dict]:
 
 def spec_to_config(spec: RunSpec, analytic: AnalyticParams | None = None) -> dict:
     """Full resolved config mapping, defaults filled in, pm spelled out."""
-    pm = spec.interface.pm
-    cfg = {
-        "matrix": {f.name: getattr(spec.matrix, f.name) for f in fields(MatrixParams)},
-        "tissue": {f.name: getattr(spec.tissue, f.name) for f in fields(TissueParams)},
-        "interface": {"pm": "infinite" if math.isinf(pm) else pm,
-                      "sigma": spec.interface.sigma},
-        "grid": {"nx0": spec.nx0, "nx1": spec.nx1},
-        "solver": {f.name: getattr(spec.solver, f.name) for f in fields(SolverConfig)},
-    }
-    if analytic is not None:
-        cfg["analytic"] = asdict(analytic)
+    cfg = {}
+    for section, section_fields in CONFIG_FIELDS.items():
+        owner = (spec if section == "grid" else analytic if section == "analytic"
+                 else getattr(spec, section))
+        if owner is not None:
+            cfg[section] = {f.name: getattr(owner, f.name) for f in section_fields}
+    if math.isinf(spec.interface.pm):
+        cfg["interface"]["pm"] = "infinite"
     return cfg
 
 

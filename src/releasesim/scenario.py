@@ -14,9 +14,10 @@ import contextlib
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, TypeVar
 
+from .analytic import AnalyticParams
 from .errors import WorkerError
 from .params import (DimensionlessParams, InterfaceParams, MatrixParams,
                      TissueParams, nondimensionalize)
@@ -38,15 +39,23 @@ class RunSpec:
         return nondimensionalize(self.matrix, self.tissue, self.interface)
 
 
+# Each config section's fields: its dataclass's, for "grid" RunSpec's own cell
+# counts, and for "analytic" the closed-form mode's, which no RunSpec carries.
+CONFIG_FIELDS: dict[str, tuple[Field, ...]] = {
+    "matrix": fields(MatrixParams),
+    "tissue": fields(TissueParams),
+    "interface": fields(InterfaceParams),
+    "grid": tuple(f for f in fields(RunSpec) if f.name in ("nx0", "nx1")),
+    "solver": fields(SolverConfig),
+    "analytic": fields(AnalyticParams),
+}
+
 # Flat name -> owning section; every physical field name is unique across the
 # three parameter groups, which lets sweeps address them without a prefix.
-_PARAM_SECTIONS: dict[str, str] = {}
-for _section, _cls in (("matrix", MatrixParams), ("tissue", TissueParams),
-                       ("interface", InterfaceParams)):
-    for _f in fields(_cls):
-        if _f.name in _PARAM_SECTIONS:
-            raise RuntimeError(f"duplicate parameter field name {_f.name!r}")
-        _PARAM_SECTIONS[_f.name] = _section
+_GROUPS = ("matrix", "tissue", "interface")
+_PARAM_SECTIONS = {f.name: section for section in _GROUPS for f in CONFIG_FIELDS[section]}
+if len(_PARAM_SECTIONS) < sum(len(CONFIG_FIELDS[section]) for section in _GROUPS):
+    raise RuntimeError("a parameter field name is used in two parameter groups")
 
 
 def param_names() -> tuple[str, ...]:

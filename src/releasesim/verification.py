@@ -12,8 +12,10 @@ Four independent instruments:
   boundary outflow with trapezoid quadrature in space and time.
 * :func:`spatial_convergence` / :func:`temporal_convergence` measure observed
   orders against a finest-level reference.
-* :func:`compare_analytic_numeric` starts the solver from the closed-form
-  fields and reports per-species drift plus the mode's interface-flux gap.
+
+The ``check_*`` functions make them and :func:`~releasesim.analytic.residuals`
+the checks of ``releasesim verify``.  :func:`analytic_state` is the closed
+forms on the grid nodes as a packed state, as written to ``analytic.csv``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .analytic import (AnalyticParams, _mode_rates, interface_fluxes, matrix_free,
+from .analytic import (KINETIC_BALANCES, AnalyticParams, _mode_rates, matrix_free,
                        matrix_solid, residuals, tissue_bound, tissue_free,
                        tissue_internalized)
 from .errors import NumericalError
@@ -84,7 +86,7 @@ def _oracle_problem(which: str, p: DimensionlessParams, ap: AnalyticParams, x: f
     if which == "internalized":
         return (lambda t: p.ki * tissue_bound(x, t, p, ap), p.kid,
                 lambda t: tissue_internalized(x, t, p, ap), 0.0, "tissue")
-    raise ValueError(f"unknown balance {which!r}; expected matrix_solid, tissue_bound, or internalized")
+    raise ValueError(f"unknown balance {which!r}; expected one of {', '.join(KINETIC_BALANCES)}")
 
 
 def ode_oracle(which: str | tuple[str, ...], p: DimensionlessParams, ap: AnalyticParams,
@@ -336,26 +338,6 @@ def convergence_study(p: DimensionlessParams) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Numerical drift from the closed forms plus the mode's interface defect."""
-
-    t_start: float
-    t_final: float
-    deviations: dict            # species -> scaled max-abs deviation at t_final
-    times: np.ndarray
-    flux_matrix: np.ndarray     # dC0/dx at the interface (mode)
-    flux_tissue: np.ndarray     # d1 * dC1/dx at the interface (mode)
-
-    @property
-    def flux_mismatch(self) -> np.ndarray:
-        return np.abs(self.flux_matrix - self.flux_tissue)
-
-    @property
-    def max_flux_mismatch(self) -> float:
-        return float(self.flux_mismatch.max())
-
-
 def analytic_state(p: DimensionlessParams, ap: AnalyticParams, grid: CompositeGrid,
                    t: float) -> np.ndarray:
     """Closed-form fields sampled on the grid nodes at time t, as a packed
@@ -366,30 +348,6 @@ def analytic_state(p: DimensionlessParams, ap: AnalyticParams, grid: CompositeGr
     for name, (_, layer) in FIELD_TABLE.items():
         u[grid.field_slice(name)] = closed_forms[name](grid.layer_x(layer), t, p, ap)
     return u
-
-
-def compare_analytic_numeric(p: DimensionlessParams, ap: AnalyticParams,
-                             grid: CompositeGrid, config: SolverConfig,
-                             t_start: float = 0.5,
-                             horizon: float | None = None) -> ComparisonReport:
-    """Advance the solver from the closed-form fields and report the drift.
-
-    The closed forms satisfy the kinetic balances exactly but not the
-    discrete diffusion problem (interface flux gap, solubilisation source),
-    so a nonzero per-species deviation growing with the horizon is the
-    honest outcome, not a failure.  Negative closed-form values (the solid
-    pool's tail) are fed to the solver as they are.
-    """
-    if horizon is None:
-        horizon = 10.0 * config.dt
-    ts = simulate(p, grid, replace(config, t_end=horizon),
-                  u0=analytic_state(p, ap, grid, t_start), t0=t_start)
-    t_final = float(ts.times[-1])
-    deviations = _field_deviations(ts.u[-1], grid, analytic_state(p, ap, grid, t_final), grid)
-    fm, ft = interface_fluxes(p, ap, ts.times)
-    return ComparisonReport(t_start=t_start, t_final=t_final, deviations=deviations,
-                            times=ts.times.copy(), flux_matrix=np.asarray(fm, float),
-                            flux_tissue=np.asarray(ft, float))
 
 
 # Pass gates of ``releasesim verify``.  tests/test_acceptance.py states its
@@ -408,9 +366,8 @@ REQUIRED_ORDERS = {"spatial": 1.9, "temporal_trapezoid": 1.9, "temporal_implicit
 def check_residuals(p: DimensionlessParams, mode: AnalyticParams,
                     evaluate=residuals) -> dict:
     res = evaluate(p, mode)
-    kinetic = {k: float(np.max(np.abs(res[k])))
-               for k in ("matrix_solid", "tissue_bound", "internalized")}
-    free = {k: float(np.max(np.abs(res[k]))) for k in ("matrix_free", "tissue_free")}
+    kinetic = {k: v for k, v in res.items() if k in KINETIC_BALANCES}
+    free = {k: v for k, v in res.items() if k not in KINETIC_BALANCES}
     passed = all(v <= RESIDUAL_TOL for v in kinetic.values())
     return {"name": "residuals", "passed": passed,
             "kinetic_max_abs": kinetic, "free_max_abs": free,

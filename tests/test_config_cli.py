@@ -4,7 +4,7 @@ import json
 import re
 import shlex
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,15 @@ class TestDataFiles:
             ["t", "x", "C1_star", "C1", "Ci"], grid.x_tissue, (ts.c1s, ts.c1, ts.ci))
 
 
+# A run small enough to simulate once per config field.
+SMALL = replace(rs.RunSpec(), nx0=4, nx1=4, solver=rs.SolverConfig(dt=0.05, t_end=0.5))
+# Values for the fields where 1.25 times the default is no valid value other than SMALL's.
+OTHER_VALUES = {"pm": 2.5, "nx0": 6, "nx1": 5, "dt": 0.025, "t_end": 1.0,
+                "outer_bc": rs.SINK, "a": 2.0, "b": 1.5}
+CONFIG_FIELD_CASES = [(section, f) for section, section_fields in scenario.CONFIG_FIELDS.items()
+                      for f in section_fields]
+
+
 class TestConfig:
     def test_empty_config_is_the_default_spec(self):
         spec, overrides = config_to_spec({})
@@ -236,6 +245,33 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("section, f", CONFIG_FIELD_CASES,
+                             ids=[f"{section}.{f.name}" for section, f in CONFIG_FIELD_CASES])
+    def test_every_field_survives_both_round_trips(self, tmp_path, monkeypatch, section, f):
+        # a valid value that is neither the field's default nor SMALL's
+        value = OTHER_VALUES.get(f.name) or type(f.default)(1.25 * f.default)
+        spec, mode = SMALL, rs.default_mode(SMALL.dimensionless())
+        if section == "analytic":
+            mode = replace(mode, **{f.name: value})
+        elif section == "grid":
+            spec = replace(spec, **{f.name: value})
+        else:
+            spec = replace(spec, **{section: replace(getattr(spec, section), **{f.name: value})})
+        assert value != f.default
+        assert (spec, mode) != (SMALL, rs.default_mode(SMALL.dimensionless()))
+        path = tmp_path / "config.json"
+        save_config(path, spec, mode)
+        assert load_config(path) == (spec, asdict(mode))
+        # and through a command, which writes back what it ran
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: 1)
+        command = "analytic" if section == "analytic" else "simulate"
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        resolved = json.loads((tmp_path / "o" / "config.resolved.json").read_text())
+        expected = json.loads(path.read_text())
+        if command == "simulate":
+            del expected["analytic"]
+        assert resolved == expected
 
     def test_spec_to_config_spells_infinite_pm(self):
         cfg = spec_to_config(rs.RunSpec())
@@ -580,13 +616,20 @@ sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys
         assert err["exit_code"] == 4
 
     def test_dead_writer_exits_four(self, tmp_path, run_fresh):
-        # in a fresh interpreter, so a pool that waited forever would meet a timeout
+        # in a fresh interpreter, so a pool that waited forever would meet a timeout;
+        # the tissue writer dies once the matrix writer has begun its temp file
         proc = run_fresh("""
-import os, sys
+import os, sys, time
 import releasesim.cli as cli
 from releasesim import scenario
 scenario._usable_cpus = lambda: 2
-cli.write_tissue_csv = lambda *args: os._exit(1)
+
+def die(path, *args):
+    while not path.with_name("matrix.csv.tmp").exists():
+        time.sleep(0.001)
+    os._exit(1)
+
+cli.write_tissue_csv = die
 sys.exit(cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "40",
                    "--out", sys.argv[1]]))
 """, str(tmp_path / "o"))
@@ -596,6 +639,7 @@ sys.exit(cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "40",
         err = json.loads(lines[0])
         assert err["error"] == "WorkerError"
         assert err["exit_code"] == 4
+        assert list((tmp_path / "o").glob("*.tmp")) == []
 
     def test_unstable_theta_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -409,7 +409,7 @@ class TestConvergence:
 class TestAnalyticNumericComparison:
     def test_static_configuration_is_reproduced_exactly(self):
         # no kinetics, no mode: the closed form is a constant solid field,
-        # which the solver must hold; every deviation is round-off
+        # which the solver must hold from any start; every deviation is round-off
         p = rs.DimensionlessParams(
             alpha0=0.0, k=1.0, eps0=0.5, km=0.0, c_lim=0.0, beta0=0.0,
             delta0=0.3, ka=0.5, kd=0.1, ki=0.2, kid=0.1,
@@ -417,25 +417,14 @@ class TestAnalyticNumericComparison:
         )
         ap = rs.AnalyticParams(a=1.0, b=1.0, e1=0.0, e2=0.0)
         grid = rs.make_grid(p, 16, 16)
-        report = rs.compare_analytic_numeric(p, ap, grid,
-                                             rs.SolverConfig(dt=0.02, t_end=1.0))
-        assert max(report.deviations.values()) <= 1e-12
-        assert report.max_flux_mismatch == 0.0
-
-    def test_generic_mode_reports_honest_drift(self, ref_params, ref_mode):
-        grid = rs.make_grid(ref_params, 32, 32)
-        cfg = rs.SolverConfig(dt=0.01, t_end=1.0)
-        report = rs.compare_analytic_numeric(ref_params, ref_mode, grid, cfg)
-        assert report.t_final == pytest.approx(report.t_start + 10 * cfg.dt)
-        assert set(report.deviations) == {"c0s", "c0", "c1s", "c1", "ci"}
-        # the mode does not satisfy the discrete problem: drift must be
-        # visible, and the interface flux gap is the dominant driver
-        assert report.deviations["c0"] > 1e-3
-        assert report.max_flux_mismatch > 0.1
-        fm, ft = rs.interface_fluxes(ref_params, ref_mode, report.times)
-        np.testing.assert_allclose(report.flux_mismatch,
-                                   np.abs(np.asarray(fm) - np.asarray(ft)),
-                                   rtol=1e-12)
+        ts = rs.simulate(p, grid, rs.SolverConfig(dt=0.02, t_end=0.2),
+                         u0=rs.analytic_state(p, ap, grid, 0.5), t0=0.5)
+        assert ts.times[-1] == pytest.approx(0.7)
+        final = rs.analytic_state(p, ap, grid, float(ts.times[-1]))
+        for name in rs.FIELDS:
+            ref = final[grid.field_slice(name)]
+            scale = max(float(np.max(np.abs(ref))), 1e-30)
+            assert np.max(np.abs(ts.u[-1, grid.field_slice(name)] - ref)) <= 1e-12 * scale
 
     def test_analytic_state_matches_closed_forms_on_nodes(self, ref_params, ref_mode):
         grid = rs.make_grid(ref_params, 8, 8)
