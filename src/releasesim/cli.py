@@ -17,7 +17,9 @@ forked worker processes through :func:`releasesim.scenario.parallel_map`.
 in two forked workers started before its time loop, at lowered priority,
 through :func:`releasesim.scenario.stream_map`: the loop stores its samples
 in a shared mapping, and each worker formats those already stored while the
-loop keeps stepping.  A run that fails leaves both files as they were.
+loop keeps stepping.  Each worker writes a temp file; both are renamed onto
+their names only once both workers have returned, so a run that fails (in
+the loop, in a writer, or by a worker's death) leaves both files as they were.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .analytic import (KINETIC_BALANCES, AnalyticParams, default_mode, interface
 from .errors import NumericalError, ValidationError, WorkerError
 from .metrics import release_metrics, sweep as run_sweep
 from .params import DimensionlessParams
-from .runio import (hash_file, load_config, spec_to_config, temp_path,
+from .runio import (hash_file, load_config, replacing, spec_to_config,
                     write_analytic_csv, write_flux_mismatch_csv, write_json,
                     write_matrix_csv, write_sweep_csv, write_tissue_csv)
 from .scenario import CONFIG_FIELDS, RunSpec, parallel_map, run_spec, stream_map
@@ -150,18 +152,15 @@ def _cmd_simulate(args) -> int:
     # the samples live in a shared mapping, which the writer workers read
     u = np.frombuffer(mmap.mmap(-1, 8 * len(times) * grid.n)).reshape(len(times), grid.n)
     ts = TimeSeries(times, u, grid, p, spec.solver)
-    # each worker writes one file, sample by sample as the run stores them
-    jobs = [(write_matrix_csv, "matrix.csv"), (write_tissue_csv, "tissue.csv")]
-    try:
-        stream_map(lambda job, ready: job[0](out / job[1], ts, ready), jobs,
+    with replacing(out / "matrix.csv", out / "tissue.csv") as temps:
+        # each worker writes one file, sample by sample as the run stores them
+        jobs = list(zip([write_matrix_csv, write_tissue_csv], temps))
+        stream_map(lambda job, ready: job[0](job[1], ts, ready), jobs,
                    lambda publish: run_spec(spec, ts.u, publish))
-    except WorkerError:  # a killed writer, and the partner the pool stopped, leave temp files
-        for _, name in jobs:
-            temp_path(out / name).unlink(missing_ok=True)
-        raise
-    metrics = release_metrics(ts)
+    ledger = mass_audit(ts)
+    metrics = release_metrics(ts, ledger=ledger)
     write_json(out / "metrics.json", metrics)
-    write_json(out / "ledger.json", mass_audit(ts))
+    write_json(out / "ledger.json", ledger)
     _finish(out, args, spec, p, started,
             ["matrix.csv", "tissue.csv", "metrics.json", "ledger.json"])
     print(f"matrix fraction {metrics.matrix_fraction:.4f}, "
@@ -172,7 +171,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_analytic(args) -> int:
     started, spec, mode, out, p = _begin(args)
     times = sample_times(spec.solver)
-    write_analytic_csv(out / "analytic.csv", times, make_grid(p, spec.nx0, spec.nx1), p, mode)
+    with replacing(out / "analytic.csv") as (tmp,):
+        write_analytic_csv(tmp, times, make_grid(p, spec.nx0, spec.nx1), p, mode)
     fm, ft = interface_fluxes(p, mode, times)
     write_flux_mismatch_csv(out / "flux_mismatch.csv", times, np.atleast_1d(fm),
                             np.atleast_1d(ft))

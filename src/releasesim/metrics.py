@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError
 from .scenario import RunSpec, get_param, parallel_map, replace_param, run_spec
 from .solver import FIELD_TABLE, LAYER_FIELDS, MATRIX, TISSUE, TimeSeries
-from .verification import _cumulative_trapezoid, mass_audit
+from .verification import MassLedger, _cumulative_trapezoid, mass_audit
 
 # Fraction of the peak that counts as extinguished.
 EXTINCTION_FRACTION = 0.01
@@ -145,16 +145,20 @@ class ReleaseMetrics:
         raise KeyError(f"no probe for {species} at x={x:g}")
 
 
-def release_metrics(ts: TimeSeries, matrix_probes=None, tissue_probes=None) -> ReleaseMetrics:
+def release_metrics(ts: TimeSeries, matrix_probes=None, tissue_probes=None,
+                    ledger: MassLedger | None = None) -> ReleaseMetrics:
     """Summarize a trajectory.
 
     Fractions are of the initial drug load; exposure is the time integral of
     the internalized pool's spatial total.  Default probes are four evenly
     spaced stations per layer, endpoints included.  Probes come per layer,
-    per station, one per field of the layer in packed order.
+    per station, one per field of the layer in packed order.  ``ledger`` is
+    the trajectory's :func:`~releasesim.verification.mass_audit`, taken here
+    when not given.
     """
     grid = ts.grid
-    ledger = mass_audit(ts)
+    if ledger is None:
+        ledger = mass_audit(ts)
     total0 = ledger.initial_total
     ci_total = ts.ci @ grid.layer_weights(TISSUE)
     exposure = float(_cumulative_trapezoid(ci_total, ts.times)[-1])

@@ -11,6 +11,7 @@ failure mode a config file can have.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -59,7 +60,12 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        # NumPy's own conversion where it gives the same Python values; at
+        # most 8-byte floats, as a wider one stays a NumPy scalar in tolist()
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and obj.dtype.itemsize <= 8
+                                       and np.isfinite(obj).all()):
+            return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -93,9 +99,21 @@ def hash_file(path) -> str:
 # ---------------------------------------------------------------------------
 # answer files
 
-def temp_path(path) -> Path:
-    """Where an answer file is written before it is renamed onto ``path``."""
-    return Path(f"{path}.tmp")
+@contextlib.contextmanager
+def replacing(*paths):
+    """Temp files to write ``paths`` to, named ``<path>.tmp``: when the block
+    completes they are renamed onto ``paths`` in order, and in any case none
+    is left behind.  A block that fails leaves every one of ``paths`` as it
+    was; a rename that fails leaves the earlier ones done.
+    """
+    temps = [Path(f"{path}.tmp") for path in paths]
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
@@ -103,20 +121,13 @@ def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
     """Long-format answer file, one block per time: line i is t, ``cells[i]``,
     then the next ``per_line`` values of the time's row from ``rows``.  Each
     t is formatted once; values go through "%.17g", the same bytes as ``_fmt``.
-    It is written beside ``path`` and renamed onto it when complete, so a
-    write that fails leaves ``path`` as it was.
     """
     # "\0" stands in for the time's t on every line of the block
     block = "".join(f"\0,{cell}{',%.17g' * per_line}\n" for cell in cells)
-    tmp = temp_path(path)
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, values in zip(np.asarray(times, float).tolist(), rows, strict=True):
-                fh.write(block.replace("\0", "%.17g" % t) % tuple(values))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, values in zip(np.asarray(times, float).tolist(), rows, strict=True):
+            fh.write(block.replace("\0", "%.17g" % t) % tuple(values))
 
 
 def _write_layer(path, ts: TimeSeries, layer: str, ready=None) -> None:

@@ -17,6 +17,14 @@ All five fields advance in a single linear solve per step,
 with algebraic rows (interface tie, sink boundary) imposed exactly at the
 new time level.  The step matrix is factorized once per
 (params, grid, config) and reused by every step.
+
+A step is one call of SciPy's CSR matrix-vector kernel for the right-hand
+side and one SuperLU solve.  The kernel is called directly, not through
+``R @ u``: the operator's dispatch (type, shape and upcast checks) cost
+more than the product itself on the grids the CLI runs.  It is the call
+``R @ u`` makes, on the same operands in the same order, so every answer is
+bit for bit the operator's; ``tests/test_solver.py::TestKernelStep`` pins
+that against ``R @ u`` and would catch a SciPy release that changed it.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
@@ -339,7 +348,12 @@ def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> N
 
 
 class ThetaStepper:
-    """One-step propagator; factorizes the step matrix once and reuses it."""
+    """One-step propagator; factorizes the step matrix once and reuses it.
+
+    :meth:`advance` forms ``R @ u`` by SciPy's private CSR kernel on R's
+    arrays, bound here once, skipping the operator's dispatch (see the
+    module docstring; ``tests/test_solver.py::TestKernelStep`` pins it).
+    """
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
         L, g, C = _assemble(grid, p, config.outer_bc)
@@ -352,6 +366,9 @@ class ThetaStepper:
         lhs = keep_diag @ (eye - theta * dt * L) + C
         self._rhs_mat = (keep_diag @ (eye + (1.0 - theta) * dt * L)).tocsr()
         self._rhs_src = dt * g * keep
+        n = L.shape[0]
+        self._matvec_args = (n, n, self._rhs_mat.indptr, self._rhs_mat.indices,
+                             self._rhs_mat.data)
         try:
             self._lu = splu(lhs.tocsc())
         except RuntimeError as exc:
@@ -360,9 +377,17 @@ class ThetaStepper:
             ) from exc
 
     def advance(self, u: np.ndarray, t_new: float) -> np.ndarray:
-        """One step of the packed state vector ``u`` (left untouched) to the
-        clock ``t_new``, which only labels a failure; returns a new vector."""
-        u_new = self._lu.solve(self._rhs_mat @ u + self._rhs_src)
+        """One step of the packed state vector ``u``, an array of shape (n,)
+        (left untouched), to the clock ``t_new``, which only labels a failure;
+        returns a new vector."""
+        if getattr(u, "shape", None) != self._rhs_src.shape:  # the kernel reads n entries
+            raise ValueError(f"u must be an array of shape {self._rhs_src.shape}, "
+                             f"got {np.shape(u)}")
+        # R @ u as SciPy forms it: a zeroed vector, then the kernel adds R u into it
+        rhs = np.zeros(len(self._rhs_src))
+        csr_matvec(*self._matvec_args, u, rhs)
+        rhs += self._rhs_src
+        u_new = self._lu.solve(rhs)
         if not np.isfinite(u_new).all():
             raise NumericalError(f"non-finite solution while advancing to t={t_new:.6g}; reduce dt")
         return u_new

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shlex
+import time
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import releasesim as rs
-from releasesim import runio, scenario
+from releasesim import cli, metrics, runio, scenario
 from releasesim.cli import _build_parser, main
 from releasesim.errors import ConfigError, NumericalError, ValidationError
 from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
@@ -41,6 +42,21 @@ class TestFormatting:
                "c": np.int64(3), "d": np.bool_(True), "e": float("inf")}
         out = _jsonable(obj)
         assert out == {"a": None, "b": [1.0, 2.0], "c": 3, "d": True, "e": None}
+
+    @pytest.mark.parametrize("array", [
+        np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1]),
+        np.array([-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0]),
+        np.array([[1.5, np.nan], [-0.0, 2.0]]), np.array([[1.5, 3.0], [-0.0, 2.0]]),
+        np.array([1.0, 2.5], dtype=np.float32), np.array([np.nan, 2.5], dtype=np.float32),
+        np.array([3, -7, 2 ** 62]), np.array([1, 2], dtype=np.uint8),
+        np.array([True, False]), np.array([[1, 2], [3, 4]]),
+        np.array([]), np.zeros((0, 3)), np.array(2.5), np.array(np.nan), np.array(7),
+    ], ids=lambda a: f"{a.dtype}-{a.shape}")
+    def test_arrays_write_the_bytes_of_their_elements(self, tmp_path, array):
+        # the per-element path: the nested list, each number coerced by itself
+        write_json(tmp_path / "fast.json", {"a": array})
+        write_json(tmp_path / "slow.json", {"a": _jsonable(array.tolist())})
+        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "slow.json").read_bytes()
 
     def test_write_json_is_deterministic(self, tmp_path):
         path = tmp_path / "x.json"
@@ -370,6 +386,21 @@ class TestCliSimulate:
         assert outputs[0] == outputs[1]
         assert stdouts[0] == stdouts[1]
 
+    def test_the_mass_ledger_is_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        audit = rs.mass_audit
+
+        def counted(ts):
+            calls.append(ts)
+            return audit(ts)
+        monkeypatch.setattr(cli, "mass_audit", counted)
+        monkeypatch.setattr(metrics, "mass_audit", counted)
+        out = tmp_path / "o"
+        assert main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "2",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert json.loads((out / "ledger.json").read_text()) == _jsonable(audit(calls[0]))
+
     # 4+4 cells, 149 steps sampled at each: 150 samples, more than one
     # publishing block and not a whole number of them
     STREAMED = {"grid": {"nx0": 4, "nx1": 4},
@@ -418,6 +449,43 @@ class TestCliSimulate:
         lines = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "NumericalError"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_writer_failure_leaves_both_trajectory_files_as_they_were(
+            self, tmp_path, capsys, monkeypatch, workers):
+        # the tissue writer fails only once the matrix writer has returned
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
+        done = tmp_path / "matrix-writer-returned"
+        write_matrix = cli.write_matrix_csv
+
+        def matrix_then_mark(path, *args):
+            write_matrix(path, *args)
+            done.touch()
+
+        def fail_after_matrix(path, *args):
+            deadline = time.monotonic() + 60.0
+            while not done.exists():
+                if time.monotonic() > deadline:
+                    raise AssertionError("the matrix writer never returned")
+                time.sleep(0.001)
+            raise OSError(f"injected failure writing {path}")
+        monkeypatch.setattr(cli, "write_matrix_csv", matrix_then_mark)
+        monkeypatch.setattr(cli, "write_tissue_csv", fail_after_matrix)
+        out = tmp_path / "o"
+        out.mkdir()
+        before = {"matrix.csv": b"OLD\n", "tissue.csv": b"OLD\n"}
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+        code = main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "2",
+                     "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert done.exists()
+        assert code == 3
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "OSError" and err["exit_code"] == 3
+        assert "injected failure" in err["message"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -616,30 +684,54 @@ sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys
         assert err["exit_code"] == 4
 
     def test_dead_writer_exits_four(self, tmp_path, run_fresh):
-        # in a fresh interpreter, so a pool that waited forever would meet a timeout;
         # the tissue writer dies once the matrix writer has begun its temp file
+        self.check_dead_tissue_writer(tmp_path, run_fresh, "begun")
+
+    def test_dead_writer_after_its_partner_returned_exits_four(self, tmp_path, run_fresh):
+        self.check_dead_tissue_writer(tmp_path, run_fresh, "returned")
+        assert (tmp_path / "returned").exists()
+
+    @staticmethod
+    def check_dead_tissue_writer(tmp_path, run_fresh, partner):
+        """Kill the tissue writer once its partner has ``partner`` ("begun" or
+        "returned"): exit 4, one JSON line, both files as they were.  In a
+        fresh interpreter, so a pool that waited forever would meet a timeout."""
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("matrix.csv", "tissue.csv"):
+            (out / name).write_bytes(b"OLD\n")
         proc = run_fresh("""
 import os, sys, time
+from pathlib import Path
 import releasesim.cli as cli
 from releasesim import scenario
 scenario._usable_cpus = lambda: 2
+out, partner = Path(sys.argv[1]), sys.argv[2]
+marker = out / "matrix.csv.tmp" if partner == "begun" else out.parent / "returned"
+write_matrix = cli.write_matrix_csv
+
+def write_then_mark(path, *args):
+    write_matrix(path, *args)
+    (out.parent / "returned").touch()
 
 def die(path, *args):
-    while not path.with_name("matrix.csv.tmp").exists():
+    deadline = time.monotonic() + 60.0
+    while not marker.exists() and time.monotonic() < deadline:
         time.sleep(0.001)
     os._exit(1)
 
-cli.write_tissue_csv = die
+cli.write_matrix_csv, cli.write_tissue_csv = write_then_mark, die
 sys.exit(cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "40",
-                   "--out", sys.argv[1]]))
-""", str(tmp_path / "o"))
+                   "--out", str(out)]))
+""", str(out), partner)
         lines = proc.stderr.strip().splitlines()
         assert proc.returncode == 4
         assert len(lines) == 1, proc.stderr
         err = json.loads(lines[0])
         assert err["error"] == "WorkerError"
         assert err["exit_code"] == 4
-        assert list((tmp_path / "o").glob("*.tmp")) == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            "matrix.csv": b"OLD\n", "tissue.csv": b"OLD\n"}
 
     def test_unstable_theta_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"

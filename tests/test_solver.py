@@ -252,6 +252,68 @@ class TestPackedLoopMatchesStepper:
             assert np.shares_memory(getattr(ts, name), ts.u)
 
 
+def operator_reference(p, grid, cfg):
+    """The sampled trajectory as a loop of the step through SciPy's public
+    sparse operator, ``R @ u``, with R and the source from the stepper."""
+    stepper = rs.ThetaStepper(grid, p, cfg)
+    idx = solver.sample_indices(cfg.n_steps, cfg.sample_every)
+    u = rs.initialize(grid)
+    samples = [u]
+    for j in range(1, cfg.n_steps + 1):
+        u = stepper._lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
+        if j in idx:
+            samples.append(u)
+    return np.stack(samples)
+
+
+class TestKernelStep:
+    """The step calls SciPy's CSR kernel directly; its answers must be those
+    of the public operator ``R @ u`` to the last bit."""
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("params_update, outer_bc", [
+        ({}, rs.ZERO_FLUX), ({}, rs.SINK), (dict(pm=0.8, sigma=1.3), rs.ZERO_FLUX),
+    ], ids=["zero-flux", "sink", "finite-pm"])
+    def test_long_run_equals_the_operator_loop(self, ref_params, params_update, outer_bc,
+                                               theta):
+        p = replace(ref_params, **params_update)
+        grid = rs.make_grid(p, 16, 16)
+        cfg = rs.SolverConfig(dt=0.01, t_end=12.0, theta=theta, outer_bc=outer_bc,
+                              sample_every=40)
+        assert cfg.n_steps >= 1000
+        ts = rs.simulate(p, grid, cfg)
+        np.testing.assert_array_equal(ts.u, operator_reference(p, grid, cfg))
+
+    @pytest.mark.parametrize("kind", ["strided", "integer"])
+    def test_any_layout_of_u0_steps_as_its_float_copy(self, ref_params, kind):
+        grid = rs.make_grid(ref_params, 8, 12)
+        cfg = rs.SolverConfig(dt=0.05, t_end=2.0, sample_every=4)
+        ints = np.arange(grid.n) % 3
+        if kind == "strided":
+            wide = np.zeros((grid.n, 2))
+            wide[:, 0] = ints
+            u0 = wide[:, 0]
+            assert not u0.flags.c_contiguous
+        else:
+            u0 = ints
+        ts = rs.simulate(ref_params, grid, cfg, u0=u0)
+        expected = rs.simulate(ref_params, grid, cfg, u0=ints.astype(float))
+        np.testing.assert_array_equal(ts.u, expected.u)
+        stepper = rs.ThetaStepper(grid, ref_params, cfg)
+        np.testing.assert_array_equal(stepper.advance(u0, 0.05),
+                                      stepper.advance(ints.astype(float), 0.05))
+
+    @pytest.mark.parametrize("shape", [(44,), (46,), (45, 1), ()])
+    def test_a_misshapen_state_is_refused(self, ref_params, shape):
+        grid = rs.make_grid(ref_params, 8, 8)
+        stepper = rs.ThetaStepper(grid, ref_params, rs.SolverConfig(dt=0.1, t_end=1.0))
+        assert grid.n == 45
+        with pytest.raises(ValueError, match=r"shape \(45,\)"):
+            stepper.advance(np.ones(shape), 0.1)
+        with pytest.raises(ValueError, match=r"shape \(45,\)"):
+            stepper.advance([1.0] * 45, 0.1)
+
+
 class TestPhysicalInvariants:
     @pytest.mark.parametrize("pm,sigma", [(0.0, 1.3), (float("inf"), 1.0)])
     def test_uniform_field_is_stationary_without_kinetics(self, pm, sigma):
@@ -337,7 +399,8 @@ class TestFailureModes:
         grid = rs.make_grid(ref_params, 8, 8)
         bad = uniform_state(grid)
         bad[grid.field_slice("c0")][3] = np.nan
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"^non-finite solution while advancing "
+                           r"to t=0\.1; reduce dt$"):
             rs.simulate(ref_params, grid, rs.SolverConfig(dt=0.1, t_end=1.0),
                         u0=bad)
 
