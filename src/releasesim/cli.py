@@ -18,8 +18,9 @@ in two forked workers started before its time loop, at lowered priority,
 through :func:`releasesim.scenario.stream_map`: the loop stores its samples
 in a shared mapping, and each worker formats those already stored while the
 loop keeps stepping.  Each worker writes a temp file; both are renamed onto
-their names only once both workers have returned, so a run that fails (in
-the loop, in a writer, or by a worker's death) leaves both files as they were.
+their names only once both workers have returned, both or neither, so a run
+that fails (in the loop, in a writer, by a worker's death or in a rename)
+leaves both files as they were.
 """
 
 from __future__ import annotations

@@ -102,17 +102,35 @@ def hash_file(path) -> str:
 @contextlib.contextmanager
 def replacing(*paths):
     """Temp files to write ``paths`` to, named ``<path>.tmp``: when the block
-    completes they are renamed onto ``paths`` in order, and in any case none
-    is left behind.  A block that fails leaves every one of ``paths`` as it
-    was; a rename that fails leaves the earlier ones done.
+    completes they are renamed onto ``paths`` in order, all or none.  Until
+    every rename has succeeded, each old file is kept hard-linked as
+    ``<path>.bak``; a rename that fails puts these back onto the paths
+    already renamed (and removes the new file from a path that had none).
+    So a block or a rename that fails leaves every one of ``paths`` as it
+    was, and in any case no temp or backup file is left behind.
     """
     temps = [Path(f"{path}.tmp") for path in paths]
+    backups = [Path(f"{path}.bak") for path in paths]
     try:
         yield temps
-        for tmp, path in zip(temps, paths):
-            os.replace(tmp, path)
+        for path, bak in zip(paths, backups):
+            bak.unlink(missing_ok=True)
+            if os.path.isfile(path):
+                os.link(path, bak)
+        renamed = 0
+        try:
+            for tmp, path in zip(temps, paths):
+                os.replace(tmp, path)
+                renamed += 1
+        except BaseException:
+            for path, bak in zip(paths[:renamed], backups):
+                if bak.exists():
+                    os.replace(bak, path)
+                else:
+                    os.unlink(path)
+            raise
     finally:
-        for tmp in temps:
+        for tmp in temps + backups:
             tmp.unlink(missing_ok=True)
 
 

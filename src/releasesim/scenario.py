@@ -21,7 +21,7 @@ from .analytic import AnalyticParams
 from .errors import WorkerError
 from .params import (DimensionlessParams, InterfaceParams, MatrixParams,
                      TissueParams, nondimensionalize)
-from .solver import SolverConfig, TimeSeries, make_grid, simulate
+from .solver import SolverConfig, TimeSeries, load_scipy, make_grid, simulate
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,16 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     nested call), where the platform cannot fork, and while this process
     runs other threads (a fork copies their locks in whatever state they
     are in).  An exception ``fn`` raises comes back as itself; a worker that
-    dies raises :class:`~releasesim.errors.WorkerError`.
+    dies raises :class:`~releasesim.errors.WorkerError`.  Every job the
+    package maps steps the solver, so SciPy is loaded before the fork and the
+    workers inherit it.
     """
     items = list(items)
     workers = min(len(items), _usable_cpus())
     context = _fork_context(workers)
     if context is None:
         return [fn(x) for x in items]
+    load_scipy()
     return _in_workers(context, workers, fn, items)
 
 

@@ -25,6 +25,12 @@ more than the product itself on the grids the CLI runs.  It is the call
 ``R @ u`` makes, on the same operands in the same order, so every answer is
 bit for bit the operator's; ``tests/test_solver.py::TestKernelStep`` pins
 that against ``R @ u`` and would catch a SciPy release that changed it.
+
+SciPy is not imported with this module: importing it is more than half of
+a command's start-up, which ``--help`` or a config error never need.
+:func:`load_scipy` imports it at the first solve and binds the kernel,
+SuperLU and the sparse constructors as globals of this module, so
+:meth:`ThetaStepper.advance` calls the kernel by a plain global name.
 """
 
 from __future__ import annotations
@@ -34,12 +40,26 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
 from .params import DimensionlessParams
+
+# scipy.sparse, SuperLU, the CSR matvec kernel and LAPACK's tridiagonal
+# solver (for the RK4 oracle); None until load_scipy() binds them.
+sp = splu = csr_matvec = dgtsv = None
+
+
+def load_scipy() -> None:
+    """Import the SciPy routines the solver and the RK4 oracle call, once,
+    as globals of this module.  Everything that solves calls this first;
+    :func:`~releasesim.scenario.parallel_map` calls it before it forks, so
+    its workers inherit SciPy rather than each importing it."""
+    global sp, splu, csr_matvec, dgtsv
+    if dgtsv is None:  # bound last, so a failed import is retried
+        import scipy.sparse as sp
+        from scipy.sparse._sparsetools import csr_matvec
+        from scipy.sparse.linalg import splu
+        from scipy.linalg.lapack import dgtsv
 
 ZERO_FLUX = "zero-flux"
 SINK = "sink"
@@ -216,6 +236,7 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
     C u = 0 with unit diagonal, which replaces the ODE of its row and is
     imposed exactly at the new time level.
     """
+    load_scipy()
     nm, nt, n = grid.nm, grid.nt, grid.n
     h0, h1 = grid.h0, grid.h1
     o_c0s, o_c0, o_c1s, o_c1, o_ci = (grid.field_slice(name).start for name in FIELDS)
@@ -333,6 +354,7 @@ def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> N
     discs of dt*L_r, weighted by each unknown's drug mass, that all lie in
     that disc prove stability; else the eigenvalues of L_r decide.
     """
+    load_scipy()
     solve = sp.identity(L.shape[0], format="csr") - C
     w = (solve.T @ np.concatenate([grid.layer_weights(layer)
                                    for _, layer in FIELD_TABLE.values()]))[free]
@@ -353,9 +375,11 @@ class ThetaStepper:
     :meth:`advance` forms ``R @ u`` by SciPy's private CSR kernel on R's
     arrays, bound here once, skipping the operator's dispatch (see the
     module docstring; ``tests/test_solver.py::TestKernelStep`` pins it).
+    The kernel itself is the module global :func:`load_scipy` bound.
     """
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
+        load_scipy()
         L, g, C = _assemble(grid, p, config.outer_bc)
         keep = (C.getnnz(axis=1) == 0).astype(float)
         keep_diag = sp.diags(keep)

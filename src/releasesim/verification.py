@@ -24,8 +24,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from . import solver
 from .analytic import (KINETIC_BALANCES, AnalyticParams, _mode_rates, matrix_free,
                        matrix_solid, residuals, tissue_bound, tissue_free,
                        tissue_internalized)
@@ -62,9 +62,10 @@ def _rk4_linear(decay: float, forcing_half: np.ndarray, dt: float, y0: float) ->
     # rho > 0 for every real z, so the system is never singular.
     b = np.concatenate([[y0], s])
     m = len(b)
-    return dgtsv(np.full(m - 1, -rho), np.ones(m), np.zeros(m - 1), b,
-                 overwrite_dl=True, overwrite_d=True, overwrite_du=True,
-                 overwrite_b=True)[3]
+    solver.load_scipy()
+    return solver.dgtsv(np.full(m - 1, -rho), np.ones(m), np.zeros(m - 1), b,
+                        overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+                        overwrite_b=True)[3]
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:

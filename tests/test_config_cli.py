@@ -16,7 +16,7 @@ from releasesim import cli, metrics, runio, scenario
 from releasesim.cli import _build_parser, main
 from releasesim.errors import ConfigError, NumericalError, ValidationError
 from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
-                              load_config, save_config, spec_to_config,
+                              load_config, replacing, save_config, spec_to_config,
                               write_analytic_csv, write_flux_mismatch_csv,
                               write_json, write_matrix_csv, write_sweep_csv,
                               write_tissue_csv)
@@ -179,6 +179,40 @@ class TestDataFiles:
             ["t", "x", "C0_star", "C0"], grid.x_matrix, (ts.c0s, ts.c0))
         assert (tmp_path / "t.csv").read_bytes() == per_cell(
             ["t", "x", "C1_star", "C1", "Ci"], grid.x_tissue, (ts.c1s, ts.c1, ts.ci))
+
+
+class TestReplacing:
+    """``runio.replacing`` renames its temp files onto their paths, all or none."""
+
+    @staticmethod
+    def write_all(paths, temps, what: str) -> None:
+        for path, tmp in zip(paths, temps):
+            tmp.write_bytes(f"{what} {path.name}".encode())
+
+    def test_completed_block_replaces_every_path(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        paths[0].write_bytes(b"old a.csv")   # b.csv had no file
+        with replacing(*paths) as temps:
+            self.write_all(paths, temps, "new")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+            "a.csv": b"new a.csv", "b.csv": b"new b.csv"}
+
+    def test_failed_rename_puts_back_the_paths_renamed_before_it(self, tmp_path, monkeypatch):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
+        before = {"a.csv": b"old a.csv", "c.csv": b"old c.csv"}   # b.csv had no file
+        for name, data in before.items():
+            (tmp_path / name).write_bytes(data)
+        rename = runio.os.replace
+
+        def fail_onto_c(src, dst):
+            if Path(src).name == "c.csv.tmp":
+                raise OSError(f"injected failure renaming onto {dst}")
+            rename(src, dst)
+        monkeypatch.setattr(runio.os, "replace", fail_onto_c)
+        with pytest.raises(OSError, match="injected failure"):
+            with replacing(*paths) as temps:
+                self.write_all(paths, temps, "new")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # A run small enough to simulate once per config field.
@@ -768,6 +802,20 @@ sys.exit(cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "40",
         assert err["error"] == "IsADirectoryError"
         assert err["exit_code"] == 3
         assert str(out / "tissue.csv") in err["message"]
+
+    def test_failed_rename_leaves_both_trajectory_files_as_they_were(self, tmp_path, capsys):
+        # matrix.csv is renamed first, then tissue.csv cannot be: matrix.csv
+        # gets its old file back
+        out = tmp_path / "o"
+        (out / "tissue.csv").mkdir(parents=True)
+        (out / "matrix.csv").write_bytes(b"OLD\n")
+        code = main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "2",
+                     "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "IsADirectoryError"
+        assert (out / "matrix.csv").read_bytes() == b"OLD\n"
+        assert sorted(p.name for p in out.iterdir()) == ["matrix.csv", "tissue.csv"]
 
     def test_horizon_off_the_step_grid_exits_one(self, tmp_path, capsys):
         # 3 steps of 0.3 would stop at t = 0.9, short of the horizon asked for

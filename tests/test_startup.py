@@ -1,4 +1,4 @@
-"""Importing the package, and running it, loads no heavy SciPy subpackage."""
+"""Importing the package loads no SciPy, and running it no heavy SciPy subpackage."""
 
 import json
 import os
@@ -9,8 +9,9 @@ from pathlib import Path
 import releasesim
 
 # SciPy subpackages that each cost hundreds of milliseconds to import and
-# that the package does not need: importing releasesim.cli must stay at
-# NumPy, scipy.sparse and scipy.linalg.
+# that the package does not need: a command that solves loads scipy.sparse
+# and scipy.linalg (the solver's SuperLU and CSR kernel, the oracle's
+# dgtsv), and none of these.
 HEAVY = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.optimize",
          "scipy.special", "scipy.interpolate")
 
@@ -74,3 +75,62 @@ def test_simulate_on_one_cpu_loads_no_process_pool(run_fresh, tmp_path):
     proc = run_fresh(SIMULATE_ONE_CPU, str(tmp_path / "out"), *POOL)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"code": 0, "loaded": []}
+
+
+NO_SCIPY = """
+import contextlib, io, json, sys
+import releasesim.cli as cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+
+loaded = {"import": scipy_modules()}
+codes = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        codes["--help"] = exc.code
+loaded["--help"] = scipy_modules()
+for name, config in (("missing config", sys.argv[1]), ("invalid config", sys.argv[2])):
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes[name] = cli.main(["simulate", "--config", config, "--out", sys.argv[3]])
+    loaded[name] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_no_scipy_before_the_first_solve(run_fresh, tmp_path):
+    # SciPy is more than half of the CLI's import time; it loads at the first
+    # solve, so importing the CLI, --help and a config error never pay for it
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({"matrix": {"eps0": 1.5}}))
+    proc = run_fresh(NO_SCIPY, str(tmp_path / "missing.json"), str(invalid),
+                     str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == {"--help": 0, "missing config": 3, "invalid config": 1}
+    assert result["loaded"] == {"import": [], "--help": [], "missing config": [],
+                                "invalid config": []}
+
+
+PRE_FORK = """
+import json, os, sys
+from releasesim import scenario
+scenario._usable_cpus = lambda: 2
+before = "scipy.sparse.linalg" in sys.modules
+workers = scenario.parallel_map(
+    lambda _: (os.getpid(), "scipy.sparse.linalg" in sys.modules), [0, 1])
+print(json.dumps({"parent": os.getpid(), "before": before, "workers": workers}))
+"""
+
+
+def test_parallel_map_loads_scipy_before_it_forks(run_fresh):
+    # every job parallel_map runs in the package steps the solver: workers
+    # that each imported SciPy would pay its import time once per worker
+    proc = run_fresh(PRE_FORK)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["before"] is False
+    assert [loaded for _, loaded in result["workers"]] == [True, True]
+    assert all(pid != result["parent"] for pid, _ in result["workers"])
