@@ -7,9 +7,10 @@ analytic     evaluate the closed-form mode fields and their honesty report
 verify       run built-in cross-checks (residuals, oracle, mass, convergence)
 sweep        rerun a scenario across one parameter's values
 
-Exit codes: 0 success, 1 invalid config/parameters, 2 numerical failure or
-failed verification, 3 I/O failure, 4 a worker process died.  Fatal errors
-also emit one JSON line on stderr with the error class and message.
+Exit codes: 0 success, 1 invalid config/parameters or a run too large to
+allocate (``MemoryError``), 2 numerical failure or failed verification, 3 I/O
+failure, 4 a worker process died.  Fatal errors also emit one JSON line on
+stderr with the error class and message.
 
 ``sweep`` points and ``verify`` checks are independent jobs; they go to
 forked worker processes through :func:`releasesim.scenario.parallel_map`.
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
 
 
 # Exit code of each fatal error class (see the module docstring).
-_EXIT_CODES = {ValueError: 1, NumericalError: 2, OSError: 3, WorkerError: 4}
+_EXIT_CODES = {ValueError: 1, MemoryError: 1, NumericalError: 2, OSError: 3, WorkerError: 4}
 
 
 if __name__ == "__main__":

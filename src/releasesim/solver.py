@@ -235,109 +235,83 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
     Returns (L, g, C): each nonzero row of C is an algebraic constraint
     C u = 0 with unit diagonal, which replaces the ODE of its row and is
     imposed exactly at the new time level.
+
+    Each part of the operator is stated once, in this order.  1. The rows
+    that keep their own balance: every node of every field but, with
+    pm = INFINITE, the two free-drug interface nodes (one merged row and the
+    tie c0 = sigma*c1) and, with a sink wall, the pinned wall.  2. Free-drug
+    diffusion on those rows, by one three-point rule for both layers: a row
+    at either end of its layer is a half cell, whose one neighbour counts
+    twice (a mirror ghost node).  3. The interface: the membrane flux terms,
+    or the merged row.  4. The first-order kinetics, one block of rates
+    between the fields at a node, on those rows.  The entries go to CSR in
+    one conversion, which adds the entries at one place in the order given:
+    a finite-membrane interface diagonal is transport, then membrane, then
+    kinetics.
     """
     load_scipy()
-    nm, nt, n = grid.nm, grid.nt, grid.n
-    h0, h1 = grid.h0, grid.h1
-    o_c0s, o_c0, o_c1s, o_c1, o_ci = (grid.field_slice(name).start for name in FIELDS)
+    nm, nt, n, h0, h1 = grid.nm, grid.nt, grid.n, grid.h0, grid.h1
+    off = {name: grid.field_slice(name).start for name in FIELDS}
     r, q, s = p.solid_rate, p.free_rate, p.bound_rate
     src = p.km * p.c_lim
-    dm = 1.0 / h0 ** 2
-    dt_ = p.d1 / h1 ** 2
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    m_if = off["c0"] + nm - 1   # matrix free drug at the interface
+    t_if = off["c1"]            # tissue free drug at the interface
+    entries = []                # (rows, columns, values) of L, in adding order
+    ties = {}                   # (row, column) -> value of C
     g = np.zeros(n)
-    C = sp.lil_matrix((n, n))
 
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
+    def add(rows, cols, vals):
+        entries.append((np.full(len(cols), rows), cols, np.full(len(cols), vals, dtype=float)))
 
-    # Solid pool: local kinetics at every matrix node.
-    for i in range(nm):
-        add(o_c0s + i, o_c0s + i, -r)
-        add(o_c0s + i, o_c0 + i, q)
-        g[o_c0s + i] = -src
-
-    # Free matrix drug: diffusion with mirror ghost at x = 0.
-    for i in range(nm - 1):
-        row = o_c0 + i
-        if i == 0:
-            add(row, o_c0 + 1, 2.0 * dm)
-            add(row, o_c0, -2.0 * dm)
-        else:
-            add(row, o_c0 + i - 1, dm)
-            add(row, o_c0 + i, -2.0 * dm)
-            add(row, o_c0 + i + 1, dm)
-        add(row, o_c0s + i, r)
-        add(row, o_c0 + i, -q)
-        g[row] = src
-
-    # Bound and internalized pools: local kinetics at every tissue node.
-    for i in range(nt):
-        add(o_c1s + i, o_c1 + i, p.ka)
-        add(o_c1s + i, o_c1s + i, -s)
-        add(o_ci + i, o_c1s + i, p.ki)
-        add(o_ci + i, o_ci + i, -p.kid)
-
-    # Free tissue drug, interior nodes.
-    for i in range(1, nt - 1):
-        row = o_c1 + i
-        add(row, o_c1 + i - 1, dt_)
-        add(row, o_c1 + i, -2.0 * dt_)
-        add(row, o_c1 + i + 1, dt_)
-        add(row, o_c1s + i, p.kd)
-        add(row, o_c1 + i, -p.ka)
-
-    # Interface coupling at the shared node.
-    m_if = o_c0 + nm - 1   # matrix free drug at the interface
-    t_if = o_c1            # tissue free drug at the interface
+    # 1. Rows that keep their own balance, as node numbers of each field.
+    nodes = {name: np.arange(grid.layer_nodes(layer))
+             for name, (_, layer) in FIELD_TABLE.items()}
     if math.isinf(p.pm):
-        # Perfect contact: algebraic tie c0 = sigma*c1, plus the two
-        # half-cell balances summed so the membrane flux cancels exactly.
-        C[m_if, m_if], C[m_if, t_if] = 1.0, -p.sigma
+        nodes["c0"], nodes["c1"] = nodes["c0"][:-1], nodes["c1"][1:]
+        ties[m_if, m_if], ties[m_if, t_if] = 1.0, -p.sigma
+    if outer_bc == SINK:
+        nodes["c1"] = nodes["c1"][:-1]
+        ties[off["c1"] + nt - 1, off["c1"] + nt - 1] = 1.0
+
+    # 2. Diffusion: (d/h^2) * (u[i-1] - 2 u[i] + u[i+1]), where a neighbour
+    # beyond the end of the layer is the mirror of the one inside it.
+    for name, d, last in (("c0", 1.0 / h0 ** 2, nm - 1), ("c1", p.d1 / h1 ** 2, nt - 1)):
+        i, row = nodes[name], off[name] + nodes[name]
+        add(row, row, -2.0 * d)
+        neighbours = last - np.abs(last - np.abs(np.concatenate([i - 1, i + 1])))
+        add(np.tile(row, 2), off[name] + neighbours, d)
+
+    # 3. Interface coupling at the shared node.
+    if math.isinf(p.pm):
+        # Perfect contact: the two half-cell balances summed so the membrane
+        # flux cancels exactly; the tie c0 = sigma*c1 is a row of C.
         w = 0.5 * (p.sigma * h0 + h1)
-        add(t_if, o_c0 + nm - 2, 1.0 / (h0 * w))
-        add(t_if, m_if, -1.0 / (h0 * w))
-        add(t_if, o_c1 + 1, p.d1 / (h1 * w))
-        add(t_if, t_if, -p.d1 / (h1 * w))
-        add(t_if, o_c0s + nm - 1, 0.5 * h0 * r / w)
-        add(t_if, m_if, -0.5 * h0 * q / w)
-        add(t_if, o_c1s, 0.5 * h1 * p.kd / w)
-        add(t_if, t_if, -0.5 * h1 * p.ka / w)
+        add(t_if, [m_if - 1, m_if, t_if + 1, t_if, off["c0s"] + nm - 1, m_if, off["c1s"], t_if],
+            [1.0 / (h0 * w), -1.0 / (h0 * w), p.d1 / (h1 * w), -p.d1 / (h1 * w),
+             0.5 * h0 * r / w, -0.5 * h0 * q / w, 0.5 * h1 * p.kd / w, -0.5 * h1 * p.ka / w])
         g[t_if] = 0.5 * h0 * src / w
     else:
         # Finite permeability: flux J = pm*(c0 - sigma*c1) leaves the matrix
         # half cell and enters the tissue half cell.
-        add(m_if, o_c0 + nm - 2, 2.0 * dm)
-        add(m_if, m_if, -2.0 * dm)
-        add(m_if, m_if, -2.0 * p.pm / h0)
-        add(m_if, t_if, 2.0 * p.pm * p.sigma / h0)
-        add(m_if, o_c0s + nm - 1, r)
-        add(m_if, m_if, -q)
-        g[m_if] = src
-        add(t_if, o_c1 + 1, 2.0 * dt_)
-        add(t_if, t_if, -2.0 * dt_)
-        add(t_if, m_if, 2.0 * p.pm / h1)
-        add(t_if, t_if, -2.0 * p.pm * p.sigma / h1)
-        add(t_if, o_c1s, p.kd)
-        add(t_if, t_if, -p.ka)
+        add([m_if, m_if, t_if, t_if], [m_if, t_if, m_if, t_if],
+            [-2.0 * p.pm / h0, 2.0 * p.pm * p.sigma / h0,
+             2.0 * p.pm / h1, -2.0 * p.pm * p.sigma / h1])
 
-    # Outer boundary.
-    row = o_c1 + nt - 1
-    if outer_bc == ZERO_FLUX:
-        add(row, o_c1 + nt - 2, 2.0 * dt_)
-        add(row, row, -2.0 * dt_)
-        add(row, o_c1s + nt - 1, p.kd)
-        add(row, row, -p.ka)
-    else:  # SINK: pinned concentration
-        C[row, row] = 1.0
+    # 4. Kinetics: (row field, column field) -> rate, on the row field's
+    # own-balance nodes, and the solubilisation source.
+    kinetics = {("c0s", "c0s"): -r, ("c0s", "c0"): q, ("c0", "c0s"): r, ("c0", "c0"): -q,
+                ("c1s", "c1"): p.ka, ("c1s", "c1s"): -s, ("c1", "c1s"): p.kd,
+                ("c1", "c1"): -p.ka, ("ci", "c1s"): p.ki, ("ci", "ci"): -p.kid}
+    for (name, col), rate in kinetics.items():
+        add(off[name] + nodes[name], off[col] + nodes[name], rate)
+    for name, rate in (("c0s", -src), ("c0", src)):
+        g[off[name] + nodes[name]] = rate
 
+    rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
     L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return L, g, C.tocsr()
+    C = sp.csr_matrix((list(ties.values()), tuple(np.reshape(list(ties), (-1, 2)).T)),
+                      shape=(n, n))
+    return L, g, C
 
 
 # Round-off allowance of the stability test (spectral radius, disc reach).

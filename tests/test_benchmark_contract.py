@@ -1,0 +1,62 @@
+"""What the benchmark in ``perfbench/`` relies on of the program.
+
+The benchmark times modules by wrapping the callables its ``spans.py``
+names, and runs every command in one long-lived worker interpreter.  A wrap
+point that no longer resolves would drop its layer's times without an
+error; a command that left a child process or a thread behind would skew
+every command timed after it in that worker.
+"""
+
+import ast
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
+
+
+def wrap_points() -> tuple:
+    """``WRAP_POINTS`` of ``spans.py``, read as a literal: the module is not
+    run, so nothing of the benchmark is imported here."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WRAP_POINTS"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no WRAP_POINTS in {SPANS}")
+
+
+@pytest.mark.parametrize("module, attribute, span", wrap_points())
+def test_every_wrap_point_is_a_callable(module, attribute, span):
+    assert callable(getattr(importlib.import_module(module), attribute, None)), span
+
+
+COMMANDS_LEAVE_NOTHING_RUNNING = """
+import contextlib, io, json, os, sys, threading
+import releasesim.cli as cli
+from releasesim import scenario
+scenario._usable_cpus = lambda: 2
+small = ["--nx0", "4", "--nx1", "4", "--t-end", "2"]
+after = {}
+for name, argv in (("simulate", ["simulate", *small]),
+                   ("sweep", ["sweep", *small, "--param", "ka", "--values", "0.3,0.9"]),
+                   ("verify", ["verify", "all"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--out", os.path.join(sys.argv[1], name)])
+    try:
+        children = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        children = None
+    after[name] = [code, children, threading.active_count()]
+print(json.dumps(after))
+"""
+
+
+def test_commands_on_two_cpus_leave_no_child_or_thread(run_fresh, tmp_path):
+    # two usable CPUs: simulate forks its writers, sweep and verify their jobs;
+    # each command has reaped its workers and joined its threads when it returns
+    proc = run_fresh(COMMANDS_LEAVE_NOTHING_RUNNING, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    after = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert after == {name: [0, None, 1] for name in ("simulate", "sweep", "verify")}

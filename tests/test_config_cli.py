@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import releasesim as rs
-from releasesim import cli, metrics, runio, scenario
+from releasesim import cli, metrics, runio, scenario, solver
 from releasesim.cli import _build_parser, main
 from releasesim.errors import ConfigError, NumericalError, ValidationError
 from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
@@ -686,6 +686,21 @@ class TestCliErrors:
         assert code == 2
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "NumericalError"
+
+    def test_unallocatable_run_exits_one(self, tmp_path, capsys, monkeypatch):
+        # t_end 1e10 on 4+4 cells asks for ~745 GiB of samples; stand in for
+        # that allocation rather than attempt it
+        def unallocatable(n_steps, sample_every):
+            raise MemoryError("Unable to allocate 745. GiB")
+        monkeypatch.setattr(solver, "sample_indices", unallocatable)
+        code = main(["simulate", "--t-end", "1e10", "--nx0", "4", "--nx1", "4",
+                     "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "MemoryError"
+        assert err["exit_code"] == 1
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-end", "inf"), ("--dt", "inf"), ("--t-end", "nan"), ("--dt", "nan"),

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -467,3 +468,48 @@ class TestThetaStability:
         monkeypatch.setattr(solver, "_check_stable", unexpected)
         cfg = rs.SolverConfig(dt=10.0, t_end=10.0, theta=theta)
         rs.ThetaStepper(rs.make_grid(ref_params, 16, 16), ref_params, cfg)
+
+
+#: A fixed non-default set of rates, every one different from the reference.
+DRAWN_RATES = dict(alpha0=1.7, k=0.35, eps0=0.4, km=0.13, c_lim=0.45, beta0=0.27,
+                   delta0=0.09, ka=1.9, kd=0.45, ki=0.8, kid=0.33, d1=0.37, l1=2.6)
+
+
+def operator_digest(ref_params, pm, outer_bc) -> str:
+    """One sha256 over the CSR arrays of L and C, and g, of every grid, sigma
+    and rate set of one (pm, outer_bc) pair."""
+    digest = hashlib.sha256()
+    for nx0, nx1 in [(4, 4), (5, 7), (16, 9)]:
+        for sigma in (1.0, 1.4):
+            for rates in ({}, DRAWN_RATES):
+                p = replace(ref_params, pm=pm, sigma=sigma, **rates)
+                L, g, C = solver._assemble(rs.make_grid(p, nx0, nx1), p, outer_bc)
+                for a in (L.indptr, L.indices, L.data, C.indptr, C.indices, C.data, g):
+                    digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+class TestOperator:
+    """The semi-discrete operator (L, g, C) of small grids, pinned bit for bit.
+
+    The digests were taken with Python 3.11, NumPy 2.4 and SciPy 1.17.
+    Another NumPy/SciPy build may store the CSR arrays with another index
+    type or round differently and fail here without any fault in the
+    program.  A change meant to alter the operator regenerates them (print
+    ``operator_digest`` of each case) and says so in CHANGES.md.
+    """
+
+    DIGESTS = {
+        "pm=inf zero-flux": "b7e28b9c690f30210f8ff808b79932bb7b5d7f42ffba5b1ebff870ae90200554",
+        "pm=inf sink": "485757c8f41ad694373b80f66bd92fb6724f76b1a07c81473be17ce913d26b15",
+        "pm=3 zero-flux": "8ecdd24981d455d57a40a6a532746b7770b9b5cdfcea660fd8081498acc1de17",
+        "pm=3 sink": "ea052d4ee182bcbe1ea542a9660538f33eccb875997cbc6774d30c778e099245",
+        "pm=0 zero-flux": "4d42733ea4b17978e570c463569793cfdc71717f6ec01b078c24e3ca82b91199",
+        "pm=0 sink": "f8220285a1f2bfeab0ff189cab22891cc7d5566a0803b5aec2cd6ccdec958b11",
+    }
+
+    @pytest.mark.parametrize("pm", [np.inf, 3.0, 0.0], ids=["pm=inf", "pm=3", "pm=0"])
+    @pytest.mark.parametrize("outer_bc", [rs.ZERO_FLUX, rs.SINK])
+    def test_operator_is_pinned(self, ref_params, pm, outer_bc):
+        key = f"pm={pm:g} {outer_bc}"
+        assert operator_digest(ref_params, pm, outer_bc) == self.DIGESTS[key]
