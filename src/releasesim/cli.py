@@ -32,7 +32,7 @@ import mmap
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from math import isfinite, isinf
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,7 @@ from .analytic import (KINETIC_BALANCES, AnalyticParams, default_mode, interface
 from .errors import NumericalError, ValidationError, WorkerError
 from .metrics import release_metrics, sweep as run_sweep
 from .params import DimensionlessParams
-from .runio import (hash_file, load_config, replacing, spec_to_config,
+from .runio import (hash_file, load_config, replacing, spec_to_config, spell_infinite_pm,
                     write_analytic_csv, write_flux_mismatch_csv, write_json,
                     write_matrix_csv, write_sweep_csv, write_tissue_csv)
 from .scenario import CONFIG_FIELDS, RunSpec, parallel_map, run_spec, stream_map
@@ -55,13 +55,6 @@ from .verification import (check_convergence, check_mass, check_oracle,
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _dimless_dict(p: DimensionlessParams) -> dict:
-    d = asdict(p)
-    if isinf(d["pm"]):
-        d["pm"] = "infinite"
-    return d
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_verify = sub.add_parser("verify", help="run built-in cross-checks")
     files(sp_verify)
     sp_verify.add_argument("check", nargs="?", default="all",
-                           choices=["residuals", "oracle", "mass", "convergence", "all"],
+                           choices=[*_CHECKS, "all"],
                            help="which check to run (default: all)")
 
     sp_sweep = sub.add_parser("sweep", help="rerun across one parameter's values")
@@ -137,7 +130,7 @@ def _finish(out: Path, args, spec: RunSpec, p, started: str,
         "version": __version__,
         "command": args.command,
         "params": {"dimensional": spec_to_config(spec),
-                   "dimensionless": _dimless_dict(p)},
+                   "dimensionless": spell_infinite_pm(asdict(p))},
         "started": started,
         "finished": _now(),
         "outputs": {name: hash_file(out / name) for name in names},
@@ -197,17 +190,21 @@ def _check_mass(spec: RunSpec) -> dict:
     return check_mass(spec, mass_audit)
 
 
+# verify's checks, by name in run order, each called as (p, mode, spec).  The
+# instruments are looked up as this module's names at call time, where
+# perfbench wraps them.
+_CHECKS = {
+    "residuals": lambda p, mode, spec: check_residuals(p, mode, residuals),
+    "oracle": lambda p, mode, spec: check_oracle(p, mode, ode_oracle),
+    "mass": lambda p, mode, spec: _check_mass(spec),
+    "convergence": lambda p, mode, spec: check_convergence(p, convergence_study),
+}
+
+
 def _cmd_verify(args) -> int:
     started, spec, mode, out, p = _begin(args)
-    # the instruments go in through this module's names, where perfbench wraps them
-    runners = {
-        "residuals": lambda: check_residuals(p, mode, residuals),
-        "oracle": lambda: check_oracle(p, mode, ode_oracle),
-        "mass": lambda: _check_mass(spec),
-        "convergence": lambda: check_convergence(p, convergence_study),
-    }
-    names = list(runners) if args.check == "all" else [args.check]
-    checks = parallel_map(lambda name: runners[name](), names)
+    names = list(_CHECKS) if args.check == "all" else [args.check]
+    checks = parallel_map(lambda name: _CHECKS[name](p, mode, spec), names)
     for name, check in zip(names, checks):
         detail = {k: v for k, v in check.items() if k not in ("name", "passed")}
         print(f"{'PASS' if check['passed'] else 'FAIL'} {name}: "

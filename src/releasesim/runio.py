@@ -219,6 +219,14 @@ def _check_keys(section: str, raw: dict, valid) -> None:
                           f"valid keys are {', '.join(valid)}")
 
 
+_INFINITE = "infinite"  # pm = inf in a config file: JSON has no infinity
+
+
+def spell_infinite_pm(values: dict) -> dict:
+    """``values`` with an infinite ``pm`` spelled as :func:`_read` parses it."""
+    return {**values, "pm": _INFINITE} if math.isinf(values["pm"]) else values
+
+
 def _read(section: str, f: Field, v):
     """Config value ``v`` of field ``f``, typed as its default (a float where
     there is none): an int takes an integer, a float any number, interface.pm
@@ -227,10 +235,10 @@ def _read(section: str, f: Field, v):
     infinite_ok = (section, f.name) == ("interface", "pm")
     if kind is str:
         return v
-    if infinite_ok and v == "infinite":
+    if infinite_ok and v == _INFINITE:
         return math.inf
     if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
-        what = "an integer" if kind is int else "a number" + ' or "infinite"' * infinite_ok
+        what = "an integer" if kind is int else "a number" + f' or "{_INFINITE}"' * infinite_ok
         raise ConfigError(f"{section}.{f.name} must be {what}, got {v!r}")
     return kind(v)
 
@@ -291,8 +299,7 @@ def spec_to_config(spec: RunSpec, analytic: AnalyticParams | None = None) -> dic
                  else getattr(spec, section))
         if owner is not None:
             cfg[section] = {f.name: getattr(owner, f.name) for f in section_fields}
-    if math.isinf(spec.interface.pm):
-        cfg["interface"]["pm"] = "infinite"
+    cfg["interface"] = spell_infinite_pm(cfg["interface"])
     return cfg
 
 

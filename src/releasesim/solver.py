@@ -438,9 +438,9 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
 
     The number of steps is t_end / dt, a whole number; the first and last
     states are always sampled.  ``u0`` is a packed initial state (default
-    :func:`initialize`); it is copied, never modified.  Starting from
-    arbitrary fields and clock is what the cross-verification against the
-    closed forms relies on.  The samples are preallocated, samples x
+    :func:`initialize`); it is copied, never modified.  With ``t0`` it lets
+    a run continue another from its last sample, or start from the closed
+    forms' state at some time.  The samples are preallocated, samples x
     unknowns x 8 bytes, or are the caller's ``samples`` array of that shape.
     ``on_sample(k)`` is called each time the first ``k`` samples are stored.
     """

@@ -1,6 +1,6 @@
 """Cross-checks tying the solver, the closed forms, and conservation together.
 
-Four independent instruments:
+Three independent instruments:
 
 * :func:`ode_oracle` re-integrates a kinetic balance with classical RK4
   driven by the closed-form driver fields and reports the deviation from the
@@ -11,7 +11,7 @@ Four independent instruments:
 * :func:`mass_audit` books total drug against the lysosomal sink and the
   boundary outflow with trapezoid quadrature in space and time.
 * :func:`spatial_convergence` / :func:`temporal_convergence` measure observed
-  orders against a finest-level reference.
+  orders against a finest-level reference, both through :func:`_refinement`.
 
 The ``check_*`` functions make them and :func:`~releasesim.analytic.residuals`
 the checks of ``releasesim verify``.  :func:`analytic_state` is the closed
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .analytic import (KINETIC_BALANCES, AnalyticParams, _mode_rates, matrix_fre
 from .errors import NumericalError
 from .params import DimensionlessParams
 from .scenario import RunSpec, run_spec
-from .solver import (FIELD_TABLE, FIELDS, MATRIX, SINK, TISSUE, ZERO_FLUX,
+from .solver import (FIELD_TABLE, MATRIX, SINK, TISSUE, ZERO_FLUX,
                      CompositeGrid, SolverConfig, TimeSeries, make_grid, simulate)
 
 # Largest uniform grid oracle_time_grid will build.  Pathologically stiff
@@ -238,54 +239,60 @@ def mass_audit(ts: TimeSeries) -> MassLedger:
     )
 
 
-def _field_deviations(u: np.ndarray, grid: CompositeGrid, ref: np.ndarray,
-                      ref_grid: CompositeGrid, stride: int = 1) -> dict[str, float]:
-    """Per field, max |u - ref| / max(max |ref|, 1e-30) between two packed
-    states; ``ref_grid`` is ``stride`` times finer than ``grid`` and the
-    fields are compared at their shared nodes."""
+def _field_deviations(ts: TimeSeries, ref: TimeSeries) -> dict[str, float]:
+    """Per field, max |u - ref| / max(max |ref|, 1e-30) between the last
+    states of two runs, at the nodes they share: each layer of ``ref``'s grid
+    has a whole multiple of the cells of ``ts``'s."""
     out = {}
-    for name in FIELDS:
-        b = ref[ref_grid.field_slice(name)]
+    for name, (_, layer) in FIELD_TABLE.items():
+        stride = (ref.grid.layer_nodes(layer) - 1) // (ts.grid.layer_nodes(layer) - 1)
+        b = ref.u[-1, ref.grid.field_slice(name)]
         scale = max(float(np.max(np.abs(b))), 1e-30)
-        out[name] = float(np.max(np.abs(u[grid.field_slice(name)] - b[::stride]))) / scale
+        out[name] = float(np.max(np.abs(ts.u[-1, ts.grid.field_slice(name)]
+                                        - b[::stride]))) / scale
     return out
-
-
-def _observed_orders(errors: list[dict[str, float]]) -> dict[str, list[float]]:
-    orders: dict[str, list[float]] = {name: [] for name in FIELDS}
-    for lo, hi in zip(errors, errors[1:]):
-        for name in FIELDS:
-            if hi[name] <= 0 or lo[name] <= 0:
-                orders[name].append(float("nan"))
-            else:
-                orders[name].append(float(np.log2(lo[name] / hi[name])))
-    return orders
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Errors of a refinement study, one {field: error} dict per level, and per
+    field the observed order log2(e_coarse / e_fine) of each refinement,
+    derived from the errors on construction (nan where one is not positive)."""
+
     levels: tuple
-    errors: tuple          # one {species: error} dict per level
-    orders: dict           # species -> per-refinement observed order
+    errors: tuple
+    orders: dict = field(init=False)
+
+    def __post_init__(self):
+        orders = {name: [float(np.log2(lo[name] / hi[name])) if lo[name] > 0 and hi[name] > 0
+                         else float("nan") for lo, hi in pairwise(self.errors)]
+                  for name in (self.errors[0] if self.errors else ())}
+        object.__setattr__(self, "orders", orders)
 
     @property
     def observed_order(self) -> float:
         """Most pessimistic finest-pair order across species."""
         finals = [seq[-1] for seq in self.orders.values() if seq and np.isfinite(seq[-1])]
-        if not finals:
-            return float("nan")
-        return float(min(finals))
+        return float(min(finals)) if finals else float("nan")
 
     def warn_if_preasymptotic(self, label: str) -> None:
-        for name, seq in self.orders.items():
-            errs = [e[name] for e in self.errors]
-            if any(b >= a for a, b in zip(errs, errs[1:])):
+        for name in self.orders:
+            if any(b >= a for a, b in pairwise(e[name] for e in self.errors)):
                 warnings.warn(
                     f"{label}: error sequence for {name} is not monotone; "
                     "refinement may not have reached the asymptotic regime",
                     stacklevel=2,
                 )
                 return
+
+
+def _refinement(label: str, levels: tuple, runs, ref: TimeSeries) -> ConvergenceReport:
+    """Report of ``runs`` (one per level, iterated once) against the reference
+    run at t_end; warns under ``label`` if an error sequence is not monotone."""
+    report = ConvergenceReport(levels=tuple(levels),
+                               errors=tuple(_field_deviations(ts, ref) for ts in runs))
+    report.warn_if_preasymptotic(label)
+    return report
 
 
 def spatial_convergence(p: DimensionlessParams, config: SolverConfig,
@@ -300,15 +307,8 @@ def spatial_convergence(p: DimensionlessParams, config: SolverConfig,
         if ref_cells % n:
             raise ValueError(f"reference cell count {ref_cells} must be a multiple of {n}")
     ref = simulate(p, make_grid(p, ref_cells, ref_cells), config)
-    errors = []
-    for n in cells:
-        ts = simulate(p, make_grid(p, n, n), config)
-        stride = ref_cells // n
-        errors.append(_field_deviations(ts.u[-1], ts.grid, ref.u[-1], ref.grid, stride))
-    report = ConvergenceReport(levels=tuple(cells), errors=tuple(errors),
-                               orders=_observed_orders(errors))
-    report.warn_if_preasymptotic("spatial refinement")
-    return report
+    return _refinement("spatial refinement", cells,
+                       (simulate(p, make_grid(p, n, n), config) for n in cells), ref)
 
 
 def temporal_convergence(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
@@ -316,14 +316,8 @@ def temporal_convergence(p: DimensionlessParams, grid: CompositeGrid, config: So
     """Observed temporal order at t_end on a fixed grid against a small-dt
     reference run."""
     ref = simulate(p, grid, replace(config, dt=ref_dt))
-    errors = []
-    for dt in dts:
-        ts = simulate(p, grid, replace(config, dt=dt))
-        errors.append(_field_deviations(ts.u[-1], grid, ref.u[-1], grid))
-    report = ConvergenceReport(levels=tuple(dts), errors=tuple(errors),
-                               orders=_observed_orders(errors))
-    report.warn_if_preasymptotic(f"temporal refinement (theta={config.theta})")
-    return report
+    return _refinement(f"temporal refinement (theta={config.theta})", dts,
+                       (simulate(p, grid, replace(config, dt=dt)) for dt in dts), ref)
 
 
 def convergence_study(p: DimensionlessParams) -> dict:

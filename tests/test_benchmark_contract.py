@@ -2,9 +2,9 @@
 
 The benchmark times modules by wrapping the callables its ``spans.py``
 names, and runs every command in one long-lived worker interpreter.  A wrap
-point that no longer resolves would drop its layer's times without an
-error; a command that left a child process or a thread behind would skew
-every command timed after it in that worker.
+point that no longer resolves, or that the commands no longer call, would
+drop its layer's times without an error; a command that left a child process
+or a thread behind would skew every command timed after it in that worker.
 """
 
 import ast
@@ -30,6 +30,34 @@ def wrap_points() -> tuple:
 @pytest.mark.parametrize("module, attribute, span", wrap_points())
 def test_every_wrap_point_is_a_callable(module, attribute, span):
     assert callable(getattr(importlib.import_module(module), attribute, None)), span
+
+
+def test_every_wrap_point_is_reached(monkeypatch, tmp_path):
+    # A refactor that reaches a layer by another name would leave its wrap
+    # point resolvable but never called, and the layer's traced times empty.
+    # With one usable CPU every call runs in this process, where it is counted.
+    from releasesim import cli, scenario
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 1)
+    calls = dict.fromkeys(((module, attribute) for module, attribute, _ in wrap_points()), 0)
+
+    def counting(point, fn):
+        def counted(*args, **kwargs):
+            calls[point] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, attribute in calls:
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, attribute,
+                            counting((module, attribute), getattr(owner, attribute)))
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"grid": {"nx0": 4, "nx1": 4}, "solver": {"t_end": 2.0}}))
+    small = ["--nx0", "4", "--nx1", "4", "--t-end", "2"]
+    for argv in (["simulate", "--config", str(config)],
+                 ["sweep", *small, "--param", "ka", "--values", "0.3,0.9"],
+                 ["verify", "all"]):
+        assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    assert [f"{m}.{a}" for (m, a), n in calls.items() if n == 0] == []
 
 
 COMMANDS_LEAVE_NOTHING_RUNNING = """

@@ -6,8 +6,9 @@ import pytest
 
 import releasesim as rs
 from releasesim.errors import NumericalError
-from releasesim.verification import (_cumulative_trapezoid, _observed_orders,
-                                     _rk4_linear, check_oracle)
+from releasesim.solver import FIELD_TABLE, MATRIX
+from releasesim.verification import (_cumulative_trapezoid, _field_deviations, _rk4_linear,
+                                     check_oracle)
 
 from conftest import make_rng
 
@@ -357,29 +358,45 @@ class TestMassAudit:
 
 class TestConvergence:
     def test_observed_orders_arithmetic(self):
-        errors = [{name: 0.16 for name in ("c0s", "c0", "c1s", "c1", "ci")},
-                  {name: 0.04 for name in ("c0s", "c0", "c1s", "c1", "ci")},
-                  {name: 0.01 for name in ("c0s", "c0", "c1s", "c1", "ci")}]
-        orders = _observed_orders(errors)
-        for seq in orders.values():
+        errors = tuple({name: e for name in rs.FIELDS} for e in (0.16, 0.04, 0.01))
+        report = rs.ConvergenceReport(levels=(8, 16, 32), errors=errors)
+        assert list(report.orders) == list(rs.FIELDS)
+        for seq in report.orders.values():
             np.testing.assert_allclose(seq, [2.0, 2.0], rtol=1e-12)
+
+    def test_orders_are_derived_never_passed_in(self):
+        report = rs.ConvergenceReport(levels=(8, 16, 32),
+                                      errors=({"c0": 0.4}, {"c0": 0.0}, {"c0": 0.0}))
+        assert all(np.isnan(report.orders["c0"]))
+        assert np.isnan(report.observed_order)
+        with pytest.raises(TypeError):
+            rs.ConvergenceReport(levels=(8,), errors=({"c0": 0.1},), orders={"c0": []})
 
     def test_report_takes_most_pessimistic_species(self):
         report = rs.ConvergenceReport(
             levels=(8, 16),
             errors=({"c0": 0.4, "c1": 0.4}, {"c0": 0.1, "c1": 0.2}),
-            orders={"c0": [2.0], "c1": [1.0]},
         )
+        assert report.orders == {"c0": [2.0], "c1": [1.0]}
         assert report.observed_order == 1.0
 
     def test_non_monotone_errors_warn(self):
-        report = rs.ConvergenceReport(
-            levels=(8, 16),
-            errors=({"c0": 0.1}, {"c0": 0.2}),
-            orders={"c0": [-1.0]},
-        )
+        report = rs.ConvergenceReport(levels=(8, 16), errors=({"c0": 0.1}, {"c0": 0.2}))
+        assert report.orders == {"c0": [-1.0]}
         with pytest.warns(UserWarning, match="not monotone"):
             report.warn_if_preasymptotic("synthetic")
+
+    def test_deviations_take_each_layer_stride_from_the_grids(self, ref_params):
+        cfg = rs.SolverConfig(dt=0.05, t_end=0.5, sample_every=10 ** 9)
+        ref = rs.simulate(ref_params, rs.make_grid(ref_params, 32, 32), cfg)
+        ts = rs.simulate(ref_params, rs.make_grid(ref_params, 8, 16), cfg)
+        devs = _field_deviations(ts, ref)
+        for name, (_, layer) in FIELD_TABLE.items():
+            stride = 4 if layer == MATRIX else 2
+            b = ref.u[-1, ref.grid.field_slice(name)][::stride]
+            a = ts.u[-1, ts.grid.field_slice(name)]
+            assert devs[name] == np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-30)
+        assert set(_field_deviations(ref, ref).values()) == {0.0}
 
     def test_reference_mismatch_rejected(self, ref_params):
         cfg = rs.SolverConfig(dt=0.01, t_end=0.1)
