@@ -19,18 +19,21 @@ new time level.  The step matrix is factorized once per
 (params, grid, config) and reused by every step.
 
 A step is one call of SciPy's CSR matrix-vector kernel for the right-hand
-side and one SuperLU solve.  The kernel is called directly, not through
-``R @ u``: the operator's dispatch (type, shape and upcast checks) cost
-more than the product itself on the grids the CLI runs.  It is the call
-``R @ u`` makes, on the same operands in the same order, so every answer is
-bit for bit the operator's; ``tests/test_solver.py::TestKernelStep`` pins
-that against ``R @ u`` and would catch a SciPy release that changed it.
+side, one addition of the source, one SuperLU solve and a finiteness test:
+a dot product with a zero vector, NaN exactly when an entry is NaN or
+infinite (0*inf is NaN).  :func:`simulate` binds them once per run.  The
+kernel is called directly, not through ``R @ u``: the operator's dispatch
+(type, shape and upcast checks) cost more than the product itself on the
+grids the CLI runs.  It is the call ``R @ u`` makes, on the same operands
+in the same order, so every answer is bit for bit the operator's;
+``tests/test_solver.py::TestKernelStep`` pins that against ``R @ u`` and
+would catch a SciPy release that changed it.
 
 SciPy is not imported with this module: importing it is more than half of
 a command's start-up, which ``--help`` or a config error never need.
 :func:`load_scipy` imports it at the first solve and binds the kernel,
 SuperLU and the sparse constructors as globals of this module, so
-:meth:`ThetaStepper.advance` calls the kernel by a plain global name.
+the step calls the kernel by a plain global name.
 """
 
 from __future__ import annotations
@@ -316,6 +319,8 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
 
 # Round-off allowance of the stability test (spectral radius, disc reach).
 _STABLE_TOL = 1e-9
+# The error of a step to the clock t whose result is not finite.
+_NONFINITE = "non-finite solution while advancing to t={:.6g}; reduce dt"
 
 
 def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> None:
@@ -346,10 +351,10 @@ def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> N
 class ThetaStepper:
     """One-step propagator; factorizes the step matrix once and reuses it.
 
-    :meth:`advance` forms ``R @ u`` by SciPy's private CSR kernel on R's
-    arrays, bound here once, skipping the operator's dispatch (see the
-    module docstring; ``tests/test_solver.py::TestKernelStep`` pins it).
-    The kernel itself is the module global :func:`load_scipy` bound.
+    ``_step(u)`` is the bare step, a closure over operands bound here once:
+    ``R @ u`` by SciPy's CSR kernel (see the module docstring), the source,
+    the solve.  Its test ``_nonfinite(u)`` is NaN, so true, exactly when
+    ``u`` is not all finite; it warns unless invalid values are ignored.
     """
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
@@ -364,15 +369,22 @@ class ThetaStepper:
         lhs = keep_diag @ (eye - theta * dt * L) + C
         self._rhs_mat = (keep_diag @ (eye + (1.0 - theta) * dt * L)).tocsr()
         self._rhs_src = dt * g * keep
-        n = L.shape[0]
-        self._matvec_args = (n, n, self._rhs_mat.indptr, self._rhs_mat.indices,
-                             self._rhs_mat.data)
         try:
             self._lu = splu(lhs.tocsc())
         except RuntimeError as exc:
             raise NumericalError(
                 f"step matrix factorization failed (dt={dt}, theta={theta}): {exc}"
             ) from exc
+        n, src, solve = L.shape[0], self._rhs_src, self._lu.solve
+        args = (n, n, self._rhs_mat.indptr, self._rhs_mat.indices, self._rhs_mat.data)
+
+        def step(u):
+            # R @ u as SciPy forms it: a zeroed vector, then the kernel adds R u into it
+            rhs = np.zeros(n)
+            csr_matvec(*args, u, rhs)
+            rhs += src
+            return solve(rhs)
+        self._step, self._nonfinite = step, np.zeros(n).dot
 
     def advance(self, u: np.ndarray, t_new: float) -> np.ndarray:
         """One step of the packed state vector ``u``, an array of shape (n,)
@@ -381,13 +393,10 @@ class ThetaStepper:
         if getattr(u, "shape", None) != self._rhs_src.shape:  # the kernel reads n entries
             raise ValueError(f"u must be an array of shape {self._rhs_src.shape}, "
                              f"got {np.shape(u)}")
-        # R @ u as SciPy forms it: a zeroed vector, then the kernel adds R u into it
-        rhs = np.zeros(len(self._rhs_src))
-        csr_matvec(*self._matvec_args, u, rhs)
-        rhs += self._rhs_src
-        u_new = self._lu.solve(rhs)
-        if not np.isfinite(u_new).all():
-            raise NumericalError(f"non-finite solution while advancing to t={t_new:.6g}; reduce dt")
+        u_new = self._step(u)
+        with np.errstate(invalid="ignore"):
+            if self._nonfinite(u_new):
+                raise NumericalError(_NONFINITE.format(t_new))
         return u_new
 
 
@@ -395,9 +404,9 @@ class ThetaStepper:
 class TimeSeries:
     """Sampled trajectory: the times and the packed state at each of them.
 
-    ``u`` has shape (samples, ``grid.n``), one packed state per row, its
-    columns in ``FIELDS`` order.  The field attributes ``c0s`` ... ``ci`` are
-    read-only (samples, nodes) views of ``u``.
+    ``u`` is a float64 (samples, ``grid.n``) array, one packed state per
+    row, its columns in ``FIELDS`` order.  The field attributes ``c0s`` ...
+    ``ci`` are read-only (samples, nodes) views of ``u``.
     """
 
     times: np.ndarray
@@ -407,9 +416,10 @@ class TimeSeries:
     config: SolverConfig
 
     def __post_init__(self):
-        if np.ndim(self.times) != 1 or np.shape(self.u) != (len(self.times), self.grid.n):
-            raise ValueError(f"need 1-D times and u of shape (len(times), {self.grid.n}); got "
-                             f"shapes {np.shape(self.times)} and {np.shape(self.u)}")
+        dtype, n = getattr(self.u, "dtype", None), self.grid.n
+        if np.ndim(self.times) != 1 or np.shape(self.u) != (len(self.times), n) or dtype != float:
+            raise ValueError(f"need 1-D times and float64 u of shape (len(times), {n}); got "
+                             f"shapes {np.shape(self.times)} and {np.shape(self.u)}, u {dtype}")
 
     def _view(self, name: str) -> np.ndarray:
         view = self.u[:, self.grid.field_slice(name)]
@@ -441,7 +451,7 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     :func:`initialize`); it is copied, never modified.  With ``t0`` it lets
     a run continue another from its last sample, or start from the closed
     forms' state at some time.  The samples are preallocated, samples x
-    unknowns x 8 bytes, or are the caller's ``samples`` array of that shape.
+    unknowns x 8 bytes, or are the caller's float64 ``samples`` of that shape.
     ``on_sample(k)`` is called each time the first ``k`` samples are stored.
     """
     u = initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
@@ -450,14 +460,19 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     idx = sample_indices(config.n_steps, config.sample_every)
     if samples is None:
         samples = np.empty((len(idx), grid.n))
+    series = TimeSeries(sample_times(config, t0), samples, grid=grid, params=p, config=config)
     samples[0] = u
     on_sample(1)
     if len(idx) > 1:
         stepper = ThetaStepper(grid, p, config)
-        advance, dt = stepper.advance, config.dt
-        for k in range(1, len(idx)):
-            for j in range(idx[k - 1] + 1, idx[k] + 1):
-                u = advance(u, t0 + j * dt)
-            samples[k] = u
-            on_sample(k + 1)
-    return TimeSeries(sample_times(config, t0), samples, grid=grid, params=p, config=config)
+        step, nonfinite = stepper._step, stepper._nonfinite
+        # test every step: at theta = 1 a NaN in a constrained unknown is gone a step later
+        with np.errstate(invalid="ignore"):
+            for k in range(1, len(idx)):
+                for j in range(idx[k - 1] + 1, idx[k] + 1):
+                    u = step(u)
+                    if nonfinite(u):
+                        raise NumericalError(_NONFINITE.format(t0 + j * config.dt))
+                samples[k] = u
+                on_sample(k + 1)
+    return series

@@ -9,6 +9,7 @@ or a thread behind would skew every command timed after it in that worker.
 
 import ast
 import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -31,6 +32,33 @@ def wrap_points() -> tuple:
 def test_every_wrap_point_is_a_callable(module, attribute, span):
     assert callable(getattr(importlib.import_module(module), attribute, None)), span
 
+
+# The arguments the traced run's counters (``spans._COUNTERS``) read by name,
+# per wrap point.  A renamed one leaves its counts, and the layer metrics
+# built on them, out of the traced run without an error.
+COUNTED_ARGUMENTS = {
+    ("releasesim.scenario", "simulate"): ("grid", "config"),
+    ("releasesim.verification", "simulate"): ("grid", "config"),
+    ("releasesim.cli", "write_matrix_csv"): ("path",),
+    ("releasesim.cli", "write_tissue_csv"): ("path",),
+    ("releasesim.cli", "write_sweep_csv"): ("path",),
+    ("releasesim.cli", "write_json"): ("path",),
+    ("releasesim.cli", "ode_oracle"): ("t_grid",),
+}
+
+
+def test_counted_arguments_are_the_ones_spans_reads():
+    read = {node.slice.value for node in ast.walk(ast.parse(SPANS.read_text()))
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "args"}
+    assert read == {name for names in COUNTED_ARGUMENTS.values() for name in names}
+    assert set(COUNTED_ARGUMENTS) <= {(module, attribute) for module, attribute, _ in wrap_points()}
+
+
+@pytest.mark.parametrize("module, attribute", COUNTED_ARGUMENTS)
+def test_every_counted_argument_is_a_parameter(module, attribute):
+    parameters = inspect.signature(getattr(importlib.import_module(module), attribute)).parameters
+    assert [name for name in COUNTED_ARGUMENTS[module, attribute]
+            if name not in parameters] == []
 
 def test_every_wrap_point_is_reached(monkeypatch, tmp_path):
     # A refactor that reaches a layer by another name would leave its wrap

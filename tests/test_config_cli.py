@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import re
 import shlex
@@ -14,7 +15,7 @@ import pytest
 import releasesim as rs
 from releasesim import cli, metrics, runio, scenario, solver
 from releasesim.cli import _build_parser, main
-from releasesim.errors import ConfigError, NumericalError, ValidationError
+from releasesim.errors import ConfigError, ValidationError
 from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
                               load_config, replacing, save_config, spec_to_config,
                               write_analytic_csv, write_flux_mismatch_csv,
@@ -466,13 +467,20 @@ class TestCliSimulate:
     def test_failure_mid_run_leaves_trajectory_files_as_they_were(self, tmp_path, capsys,
                                                                   monkeypatch, workers):
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
-        advance = rs.ThetaStepper.advance
+        init = rs.ThetaStepper.__init__
 
-        def failing(self, u, t_new):
-            if t_new > 1.0:   # after 100 samples: the writers have had whole blocks
-                raise NumericalError(f"injected failure at t={t_new:.6g}")
-            return advance(self, u, t_new)
-        monkeypatch.setattr(rs.ThetaStepper, "advance", failing)
+        def init_failing(self, *args):
+            # the loop calls the stepper's bare step; from step 101 it yields a NaN
+            init(self, *args)
+            step, steps = self._step, itertools.count(1)
+
+            def failing(u):
+                u_new = step(u)
+                if next(steps) > 100:   # after 100 samples: the writers have had whole blocks
+                    u_new[0] = np.nan
+                return u_new
+            self._step = failing
+        monkeypatch.setattr(rs.ThetaStepper, "__init__", init_failing)
         out = tmp_path / "o"
         out.mkdir()
         before = {"matrix.csv": b"old matrix\n", "tissue.csv": b"old tissue\n"}

@@ -412,6 +412,123 @@ class TestFailureModes:
             rs.simulate(ref_params, grid, cfg)
 
 
+def first_nonfinite_clock(p, grid, cfg, u0, t0=0.0):
+    """The clock of the first step whose state is not all finite, by a loop
+    of the public operator step tested with ``np.isfinite``; None if none."""
+    stepper = rs.ThetaStepper(grid, p, cfg)
+    u = u0
+    with np.errstate(all="ignore"):
+        for j in range(1, cfg.n_steps + 1):
+            u = stepper._lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
+            if not np.isfinite(u).all():
+                return t0 + j * cfg.dt
+    return None
+
+
+class TestNonFiniteStates:
+    """Every step's state is tested by one dot product with a zero vector; a
+    run that goes non-finite fails at the clock of that step, and warns not."""
+
+    def test_the_dot_with_zero_flags_every_non_finite_entry(self, ref_params):
+        # a BLAS that skipped zero factors would let an inf through here
+        stepper = rs.ThetaStepper(rs.make_grid(ref_params, 64, 64), ref_params,
+                                  rs.SolverConfig())
+        u = np.random.default_rng(3).standard_normal(325) * 1e300
+        u[:4] = [5e-324, -0.0, -1.7e308, 1.7e308]
+        assert not stepper._nonfinite(u)
+        with np.errstate(invalid="ignore"):
+            for bad in (np.nan, np.inf, -np.inf):
+                for i in range(len(u)):
+                    v = u.copy()
+                    v[i] = bad
+                    assert np.isnan(stepper._nonfinite(v)), (bad, i)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("pm, outer_bc, name, node", [
+        *[(0.8, rs.ZERO_FLUX, name, node) for name in FIELDS for node in (0, -1)],
+        (np.inf, rs.ZERO_FLUX, "c0", -1),   # the tie c0 = sigma*c1
+        (np.inf, rs.SINK, "c1", -1),        # the sink pin
+    ])
+    def test_a_non_finite_entry_fails_at_the_first_step_it_reaches(
+            self, ref_params, pm, outer_bc, name, node, bad):
+        p = replace(ref_params, pm=pm, sigma=1.3)
+        grid = rs.make_grid(p, 8, 8)
+        cfg = rs.SolverConfig(dt=0.05, t_end=1.0, outer_bc=outer_bc, sample_every=7)
+        u0 = uniform_state(grid, 0.5)
+        u0[grid.field_slice(name)][node] = bad
+        t = first_nonfinite_clock(p, grid, cfg, u0, t0=2.0)
+        assert t is not None
+        message = f"non-finite solution while advancing to t={t:.6g}; reduce dt"
+        with pytest.raises(NumericalError) as err:
+            rs.simulate(p, grid, cfg, u0=u0, t0=2.0)
+        assert str(err.value) == message
+        if t == 2.0 + cfg.dt:
+            with pytest.raises(NumericalError) as err:
+                rs.ThetaStepper(grid, p, cfg).advance(u0, t)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_a_state_gone_non_finite_between_samples_fails_at_its_step(
+            self, ref_params, monkeypatch, theta):
+        grid = rs.make_grid(ref_params, 8, 8)
+        cfg = rs.SolverConfig(dt=0.05, t_end=2.0, theta=theta, outer_bc=rs.SINK,
+                              sample_every=7)
+        pin = grid.field_slice("c1").stop - 1
+        # with theta = 1 the pin's column of R is empty, so the next step
+        # clears a NaN there: only a test of every step sees it
+        u = rs.initialize(grid)
+        u[pin] = np.nan
+        assert np.isfinite(rs.ThetaStepper(grid, ref_params, cfg)._step(u)).all() == (
+            theta == 1.0)
+        splu, solves = solver.splu, []
+
+        class NaNAtStepTen:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(1)
+                u_new = self.lu.solve(rhs)
+                if len(solves) == 10:   # between samples 7 and 14
+                    u_new[pin] = np.nan
+                return u_new
+        monkeypatch.setattr(solver, "splu", lambda a: NaNAtStepTen(splu(a)))
+        with pytest.raises(NumericalError) as err:
+            rs.simulate(ref_params, grid, cfg, t0=3.0)
+        assert str(err.value) == "non-finite solution while advancing to t=3.5; reduce dt"
+        assert len(solves) == 10
+
+
+class TestCallerSamples:
+    """``simulate(samples=...)`` stores into the caller's array, which must be
+    float64 of the run's shape; anything else is refused before any step."""
+
+    CFG = rs.SolverConfig(dt=0.1, t_end=1.0, sample_every=2)   # 6 samples
+
+    @pytest.mark.parametrize("make", [
+        lambda shape: np.zeros(shape, dtype=np.int64),
+        lambda shape: np.zeros(shape, dtype=np.float32),
+        lambda shape: np.zeros((shape[0] + 1, shape[1])),
+        lambda shape: np.zeros((shape[0] - 1, shape[1])),
+        lambda shape: np.zeros(shape).tolist(),
+    ], ids=["int", "float32", "extra-row", "missing-row", "list"])
+    def test_anything_else_is_refused_before_the_first_step(self, ref_params, monkeypatch,
+                                                             make):
+        def no_stepper(*args):
+            raise AssertionError("the run stepped before its samples were checked")
+        monkeypatch.setattr(solver, "ThetaStepper", no_stepper)
+        grid = rs.make_grid(ref_params, 8, 8)
+        with pytest.raises(ValueError, match=r"float64 u of shape \(len\(times\), 45\)"):
+            rs.simulate(ref_params, grid, self.CFG, samples=make((6, grid.n)))
+
+    def test_a_float64_array_of_the_run_shape_holds_the_run(self, ref_params):
+        grid = rs.make_grid(ref_params, 8, 8)
+        samples = np.full((6, grid.n), np.nan)
+        ts = rs.simulate(ref_params, grid, self.CFG, samples=samples)
+        assert ts.u is samples
+        np.testing.assert_array_equal(samples, rs.simulate(ref_params, grid, self.CFG).u)
+
+
 class TestThetaStability:
     """A theta < 1/2 step whose step matrix has spectral radius above 1 is
     refused when the stepper is built; theta >= 1/2 is never checked."""
