@@ -211,10 +211,10 @@ def _check_finite(prefix: str, obj, out: list, allow_inf=()) -> None:
 def validate_params(matrix=None, tissue=None, interface=None) -> list[str]:
     """Report invariant violations as human-readable strings (empty == valid).
 
-    Cross-layer constraints (l1 > l0) are checked when both layer sets are
-    supplied.  This reports rather than raises so callers can collect every
-    problem in one pass; :func:`nondimensionalize` raises on a non-empty
-    report.
+    A non-finite field is reported once, as not finite: the range checks and
+    the cross-layer one (l1 > l0, when both layer sets are supplied) read
+    only finite values.  This reports rather than raises so callers can
+    collect every problem in one pass; :func:`nondimensionalize` raises.
     """
     out: list[str] = []
     if matrix is not None:
@@ -223,11 +223,11 @@ def validate_params(matrix=None, tissue=None, interface=None) -> list[str]:
             v = getattr(matrix, name)
             if math.isfinite(v) and v < 0:
                 out.append(f"matrix.{name}: must be >= 0, got {v}")
-        if not 0.0 < matrix.eps0 < 1.0:
+        if math.isfinite(matrix.eps0) and not 0.0 < matrix.eps0 < 1.0:
             out.append(f"matrix.eps0: porosity must lie strictly inside (0, 1), got {matrix.eps0}")
         for name in ("d0", "l0", "m0"):
             v = getattr(matrix, name)
-            if not (math.isfinite(v) and v > 0):
+            if math.isfinite(v) and v <= 0:
                 out.append(f"matrix.{name}: must be > 0, got {v}")
     if tissue is not None:
         _check_finite("tissue", tissue, out)
@@ -237,16 +237,16 @@ def validate_params(matrix=None, tissue=None, interface=None) -> list[str]:
                 out.append(f"tissue.{name}: must be >= 0, got {v}")
         for name in ("d1", "l1"):
             v = getattr(tissue, name)
-            if not (math.isfinite(v) and v > 0):
+            if math.isfinite(v) and v <= 0:
                 out.append(f"tissue.{name}: must be > 0, got {v}")
-        if matrix is not None and tissue.l1 <= matrix.l0:
+        if matrix is not None and -math.inf < tissue.l1 <= matrix.l0 < math.inf:
             out.append(f"tissue.l1: outer coordinate must exceed matrix.l0={matrix.l0}, got {tissue.l1}")
     if interface is not None:
         _check_finite("interface", interface, out, allow_inf=("pm",))
         # pm = 0 is admitted: it seals the membrane and decouples the layers.
-        if not interface.pm >= 0:
+        if math.isfinite(interface.pm) and interface.pm < 0:
             out.append(f"interface.pm: must be >= 0 or INFINITE, got {interface.pm}")
-        if not (math.isfinite(interface.sigma) and interface.sigma > 0):
+        if math.isfinite(interface.sigma) and interface.sigma <= 0:
             out.append(f"interface.sigma: must be > 0, got {interface.sigma}")
     return out
 

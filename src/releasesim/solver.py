@@ -21,7 +21,8 @@ new time level.  The step matrix is factorized once per
 A step is one call of SciPy's CSR matrix-vector kernel for the right-hand
 side, one addition of the source, one SuperLU solve and a finiteness test:
 a dot product with a zero vector, NaN exactly when an entry is NaN or
-infinite (0*inf is NaN).  :func:`simulate` binds them once per run.  The
+infinite (0*inf is NaN).  :func:`simulate` alone takes steps: it binds
+them once per run and tests ``u0`` and every step's result.  The
 kernel is called directly, not through ``R @ u``: the operator's dispatch
 (type, shape and upcast checks) cost more than the product itself on the
 grids the CLI runs.  It is the call ``R @ u`` makes, on the same operands
@@ -333,7 +334,6 @@ def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> N
     discs of dt*L_r, weighted by each unknown's drug mass, that all lie in
     that disc prove stability; else the eigenvalues of L_r decide.
     """
-    load_scipy()
     solve = sp.identity(L.shape[0], format="csr") - C
     w = (solve.T @ np.concatenate([grid.layer_weights(layer)
                                    for _, layer in FIELD_TABLE.values()]))[free]
@@ -349,16 +349,15 @@ def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> N
 
 
 class ThetaStepper:
-    """One-step propagator; factorizes the step matrix once and reuses it.
-
-    ``_step(u)`` is the bare step, a closure over operands bound here once:
-    ``R @ u`` by SciPy's CSR kernel (see the module docstring), the source,
-    the solve.  Its test ``_nonfinite(u)`` is NaN, so true, exactly when
-    ``u`` is not all finite; it warns unless invalid values are ignored.
+    """The theta step's operands, bound once: R, the source and the factorized
+    step matrix.  ``_step(u)`` is the bare step, a closure over them: ``R @ u``
+    by SciPy's CSR kernel (see the module docstring), the source, the solve.
+    Its test ``_nonfinite(u)`` is NaN, so true (and a warning unless invalid
+    values are ignored), exactly when ``u`` is not all finite.  Only
+    :func:`simulate` steps with them.
     """
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
-        load_scipy()
         L, g, C = _assemble(grid, p, config.outer_bc)
         keep = (C.getnnz(axis=1) == 0).astype(float)
         keep_diag = sp.diags(keep)
@@ -385,19 +384,6 @@ class ThetaStepper:
             rhs += src
             return solve(rhs)
         self._step, self._nonfinite = step, np.zeros(n).dot
-
-    def advance(self, u: np.ndarray, t_new: float) -> np.ndarray:
-        """One step of the packed state vector ``u``, an array of shape (n,)
-        (left untouched), to the clock ``t_new``, which only labels a failure;
-        returns a new vector."""
-        if getattr(u, "shape", None) != self._rhs_src.shape:  # the kernel reads n entries
-            raise ValueError(f"u must be an array of shape {self._rhs_src.shape}, "
-                             f"got {np.shape(u)}")
-        u_new = self._step(u)
-        with np.errstate(invalid="ignore"):
-            if self._nonfinite(u_new):
-                raise NumericalError(_NONFINITE.format(t_new))
-        return u_new
 
 
 @dataclass(frozen=True)
@@ -453,6 +439,8 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     forms' state at some time.  The samples are preallocated, samples x
     unknowns x 8 bytes, or are the caller's float64 ``samples`` of that shape.
     ``on_sample(k)`` is called each time the first ``k`` samples are stored.
+    Every state the run holds is finite, ``u0`` included, or it raises
+    :class:`NumericalError` at the clock of the step that made it, t0 + dt for u0.
     """
     u = initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
     if u.shape != (grid.n,):
@@ -461,18 +449,20 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     if samples is None:
         samples = np.empty((len(idx), grid.n))
     series = TimeSeries(sample_times(config, t0), samples, grid=grid, params=p, config=config)
-    samples[0] = u
-    on_sample(1)
     if len(idx) > 1:
         stepper = ThetaStepper(grid, p, config)
         step, nonfinite = stepper._step, stepper._nonfinite
-        # test every step: at theta = 1 a NaN in a constrained unknown is gone a step later
-        with np.errstate(invalid="ignore"):
-            for k in range(1, len(idx)):
-                for j in range(idx[k - 1] + 1, idx[k] + 1):
-                    u = step(u)
-                    if nonfinite(u):
-                        raise NumericalError(_NONFINITE.format(t0 + j * config.dt))
-                samples[k] = u
-                on_sample(k + 1)
+    if not np.isfinite(u).all():
+        raise NumericalError(_NONFINITE.format(t0 + config.dt))
+    samples[0] = u
+    on_sample(1)
+    # test every step: at theta = 1 a NaN in a constrained unknown is gone a step later
+    with np.errstate(invalid="ignore"):
+        for k in range(1, len(idx)):
+            for j in range(idx[k - 1] + 1, idx[k] + 1):
+                u = step(u)
+                if nonfinite(u):
+                    raise NumericalError(_NONFINITE.format(t0 + j * config.dt))
+            samples[k] = u
+            on_sample(k + 1)
     return series

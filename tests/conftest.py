@@ -5,12 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import releasesim as rs
 
 # One seed for the whole suite; tests derive child generators from it so
 # reruns are reproducible.
 SUITE_SEED = 20260816
+
+# One hypothesis profile for the whole suite: every run draws the same
+# examples and keeps no example database, so no run replays another's.
+settings.register_profile("releasesim", derandomize=True, database=None, deadline=None)
+settings.load_profile("releasesim")
 
 
 @pytest.fixture(scope="session")

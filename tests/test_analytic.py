@@ -1,8 +1,9 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import releasesim as rs
@@ -77,13 +78,24 @@ class TestRateQuadratics:
 # stabilized exponential difference quotients
 
 
+def plain_pair_quotient(p: float, q: float, t: float) -> float:
+    """(exp(-p*t) - exp(-q*t)) / (q - p) in decimal arithmetic, with 50
+    significant digits left after the subtraction cancels about
+    -log10(|q - p|*t) of them."""
+    p, q, t = (decimal.Decimal(x) for x in (p, q, t))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50 + max(0, -(abs(q - p) * t).adjusted())
+        return float(((-p * t).exp() - (-q * t).exp()) / (q - p))
+
+
 class TestDifferenceQuotients:
     @given(p=rates(), q=rates(), t=st.floats(0.0, 50.0))
+    @example(p=1.0, q=10.0 ** 1e-6, t=44.0)   # where the float formula cancels
     @settings(max_examples=200)
     def test_pair_quotient_matches_plain_formula_when_separated(self, p, q, t):
-        if abs(q - p) * t < 1e-4 or abs(q - p) < 1e-6 * max(p, q):
-            return  # the plain formula itself cancels; nothing to compare to
-        expected = (math.exp(-p * t) - math.exp(-q * t)) / (q - p)
+        if q == p:
+            return  # 0/0: the plain formula has no value there
+        expected = plain_pair_quotient(p, q, t)
         assert float(_ediff(p, q, t)) == pytest.approx(expected, rel=1e-11, abs=1e-300)
 
     def test_pair_quotient_is_symmetric(self):

@@ -121,6 +121,19 @@ class TestValidate:
         report = rs.validate_params(matrix=rs.MatrixParams(alpha0=float("nan")))
         assert any("finite" in v for v in report)
 
+    @pytest.mark.parametrize("section, name, value", [
+        (section, name, value)
+        for section, names in (("matrix", ("eps0", "d0", "l0", "m0")), ("tissue", ("d1", "l1")),
+                               ("interface", ("pm", "sigma")))
+        for name in names for value in (math.inf, -math.inf, math.nan)
+        if (name, value) != ("pm", math.inf)   # pm = inf is INFINITE, the perfect contact
+    ])
+    def test_a_non_finite_field_is_reported_once(self, section, name, value):
+        sets = {"matrix": rs.MatrixParams(), "tissue": rs.TissueParams(),
+                "interface": rs.InterfaceParams()}
+        sets[section] = dataclasses.replace(sets[section], **{name: value})
+        assert rs.validate_params(**sets) == [f"{section}.{name}: must be finite, got {value}"]
+
     def test_nondimensionalize_collects_all_violations(self):
         with pytest.raises(rs.ValidationError) as err:
             rs.nondimensionalize(rs.MatrixParams(eps0=1.5, km=-1.0),

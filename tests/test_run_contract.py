@@ -76,8 +76,15 @@ def rows(path: Path) -> list[list[float]]:
 TRAJECTORIES = ("matrix.csv", "tissue.csv")
 
 
+def test_the_suite_profile_draws_fixed_examples_and_keeps_no_database():
+    # tests/conftest.py loads it for every property test of the suite
+    assert settings.default.derandomize
+    assert settings.default.database is None
+    assert settings.default.deadline is None
+
+
 @given(spec=run_specs(), cpus=st.sampled_from([1, 2]))
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40)
 def test_simulate_keeps_the_run_contract(spec, cpus):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "run.json", Path(tmp) / "out"

@@ -8,6 +8,8 @@ import releasesim as rs
 from releasesim import solver
 from releasesim.errors import NumericalError
 
+from conftest import make_rng
+
 
 def inert_params(pm: float = 0.0, sigma: float = 1.0) -> rs.DimensionlessParams:
     """All kinetic rates zero: pure two-layer diffusion."""
@@ -213,19 +215,34 @@ class TestPackedState:
                           params=rs.reference_params(), config=rs.SolverConfig())
 
 
-def stepped_reference(p, grid, cfg, u0, t0):
-    """The sampled trajectory as a plain loop of ThetaStepper.advance on a
-    packed state."""
+class NonFinite(Exception):
+    """A state of the reference run is not all finite; ``args[0]`` is its clock."""
+
+
+def sampled_steps(cfg) -> list[int]:
+    """The step numbers a run samples: every ``sample_every``-th, the first
+    and the last."""
+    return [j for j in range(cfg.n_steps + 1) if j % cfg.sample_every == 0 or j == cfg.n_steps]
+
+
+def operator_reference(p, grid, cfg, u0=None, t0=0.0):
+    """The sampled trajectory as a plain loop of the step through SciPy's
+    public sparse operator, ``R @ u``, with R, the source and the LU from the
+    stepper.  Every state, ``u0`` included, is tested with ``np.isfinite``;
+    the first that fails raises ``NonFinite`` with the clock of the step that
+    made it, t0 + dt for ``u0``."""
     stepper = rs.ThetaStepper(grid, p, cfg)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    u = u0
-    samples, js = [u], [0]
-    for j in range(1, n_steps + 1):
-        u = stepper.advance(u, t0 + j * cfg.dt)
-        if j % cfg.sample_every == 0 or j == n_steps:
-            samples.append(u)
-            js.append(j)
-    return np.stack(samples), t0 + np.asarray(js, float) * cfg.dt
+    u = rs.initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
+    if not np.isfinite(u).all():
+        raise NonFinite(t0 + cfg.dt)
+    states = [u]
+    with np.errstate(all="ignore"):
+        for j in range(1, cfg.n_steps + 1):
+            u = stepper._lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
+            if not np.isfinite(u).all():
+                raise NonFinite(t0 + j * cfg.dt)
+            states.append(u)
+    return np.stack([states[j] for j in sampled_steps(cfg)])
 
 
 class TestPackedLoopMatchesStepper:
@@ -243,7 +260,8 @@ class TestPackedLoopMatchesStepper:
         cfg = replace(rs.SolverConfig(dt=0.05, t_end=2.0, sample_every=4), **cfg_update)
         u0 = uniform_state(grid, 0.5) if t0 else rs.initialize(grid)
         ts = rs.simulate(p, grid, cfg, u0=u0, t0=t0)
-        samples, times = stepped_reference(p, grid, cfg, u0, t0)
+        samples = operator_reference(p, grid, cfg, u0, t0)
+        times = t0 + np.asarray(sampled_steps(cfg), float) * cfg.dt
         np.testing.assert_array_equal(ts.times, times)
         packed = np.concatenate([getattr(ts, name) for name in FIELDS], axis=1)
         np.testing.assert_array_equal(packed, samples)
@@ -251,20 +269,6 @@ class TestPackedLoopMatchesStepper:
         assert ts.u.flags.c_contiguous
         for name in FIELDS:
             assert np.shares_memory(getattr(ts, name), ts.u)
-
-
-def operator_reference(p, grid, cfg):
-    """The sampled trajectory as a loop of the step through SciPy's public
-    sparse operator, ``R @ u``, with R and the source from the stepper."""
-    stepper = rs.ThetaStepper(grid, p, cfg)
-    idx = solver.sample_indices(cfg.n_steps, cfg.sample_every)
-    u = rs.initialize(grid)
-    samples = [u]
-    for j in range(1, cfg.n_steps + 1):
-        u = stepper._lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
-        if j in idx:
-            samples.append(u)
-    return np.stack(samples)
 
 
 class TestKernelStep:
@@ -300,19 +304,23 @@ class TestKernelStep:
         ts = rs.simulate(ref_params, grid, cfg, u0=u0)
         expected = rs.simulate(ref_params, grid, cfg, u0=ints.astype(float))
         np.testing.assert_array_equal(ts.u, expected.u)
-        stepper = rs.ThetaStepper(grid, ref_params, cfg)
-        np.testing.assert_array_equal(stepper.advance(u0, 0.05),
-                                      stepper.advance(ints.astype(float), 0.05))
 
-    @pytest.mark.parametrize("shape", [(44,), (46,), (45, 1), ()])
-    def test_a_misshapen_state_is_refused(self, ref_params, shape):
-        grid = rs.make_grid(ref_params, 8, 8)
-        stepper = rs.ThetaStepper(grid, ref_params, rs.SolverConfig(dt=0.1, t_end=1.0))
-        assert grid.n == 45
-        with pytest.raises(ValueError, match=r"shape \(45,\)"):
-            stepper.advance(np.ones(shape), 0.1)
-        with pytest.raises(ValueError, match=r"shape \(45,\)"):
-            stepper.advance([1.0] * 45, 0.1)
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("params_update, outer_bc", [
+        ({}, rs.ZERO_FLUX), ({}, rs.SINK), (dict(pm=0.8, sigma=1.3), rs.ZERO_FLUX),
+    ], ids=["zero-flux", "sink", "finite-pm"])
+    def test_a_one_step_run_is_one_operator_step(self, ref_params, params_update, outer_bc,
+                                                 theta):
+        # a single step is simulate with t_end = dt from any state and clock
+        p = replace(ref_params, **params_update)
+        grid = rs.make_grid(p, 8, 12)
+        cfg = rs.SolverConfig(dt=0.05, t_end=0.05, theta=theta, outer_bc=outer_bc)
+        u = make_rng(19).random(grid.n)
+        ts = rs.simulate(p, grid, cfg, u0=u, t0=3.0)
+        stepper = rs.ThetaStepper(grid, p, cfg)
+        one_step = stepper._lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
+        np.testing.assert_array_equal(ts.u, [u, one_step])
+        np.testing.assert_array_equal(ts.times, [3.0, 3.0 + 0.05])
 
 
 class TestPhysicalInvariants:
@@ -413,21 +421,19 @@ class TestFailureModes:
 
 
 def first_nonfinite_clock(p, grid, cfg, u0, t0=0.0):
-    """The clock of the first step whose state is not all finite, by a loop
-    of the public operator step tested with ``np.isfinite``; None if none."""
-    stepper = rs.ThetaStepper(grid, p, cfg)
-    u = u0
-    with np.errstate(all="ignore"):
-        for j in range(1, cfg.n_steps + 1):
-            u = stepper._lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
-            if not np.isfinite(u).all():
-                return t0 + j * cfg.dt
+    """The clock of the first state of :func:`operator_reference` that is not
+    all finite; None if none."""
+    try:
+        operator_reference(p, grid, cfg, u0, t0)
+    except NonFinite as exc:
+        return exc.args[0]
     return None
 
 
 class TestNonFiniteStates:
-    """Every step's state is tested by one dot product with a zero vector; a
-    run that goes non-finite fails at the clock of that step, and warns not."""
+    """``u0`` is tested before sample 0 is stored, and every step's state by
+    one dot product with a zero vector; a run that goes non-finite fails at
+    the clock of that step (t0 + dt for ``u0``), and warns not."""
 
     def test_the_dot_with_zero_flags_every_non_finite_entry(self, ref_params):
         # a BLAS that skipped zero factors would let an inf through here
@@ -462,10 +468,30 @@ class TestNonFiniteStates:
         with pytest.raises(NumericalError) as err:
             rs.simulate(p, grid, cfg, u0=u0, t0=2.0)
         assert str(err.value) == message
-        if t == 2.0 + cfg.dt:
-            with pytest.raises(NumericalError) as err:
-                rs.ThetaStepper(grid, p, cfg).advance(u0, t)
-            assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("outer_bc, name, node", [
+        (rs.ZERO_FLUX, "c0", -1),   # the tie c0 = sigma*c1
+        (rs.SINK, "c1", -1),        # the sink pin
+        (rs.SINK, "c0s", 0),
+        (rs.SINK, "ci", -1),
+    ], ids=["tie", "sink-pin", "c0s-first", "ci-last"])
+    @pytest.mark.parametrize("theta, t_end", [(1.0, 1.0), (0.5, 0.0), (1.0, 0.0)],
+                             ids=["theta=1", "theta=0.5-zero-horizon", "theta=1-zero-horizon"])
+    def test_a_non_finite_u0_is_refused_before_its_first_sample(
+            self, ref_params, outer_bc, name, node, theta, t_end, bad):
+        # with theta = 1 the tie's and the pin's columns of R are empty, so no
+        # step reaches them; a zero-horizon run takes no step at all
+        p = replace(ref_params, pm=np.inf, sigma=1.3)
+        grid = rs.make_grid(p, 8, 8)
+        cfg = rs.SolverConfig(dt=0.05, t_end=t_end, theta=theta, outer_bc=outer_bc)
+        u0 = uniform_state(grid, 0.5)
+        u0[grid.field_slice(name)][node] = bad
+        stored = []
+        with pytest.raises(NumericalError) as err:
+            rs.simulate(p, grid, cfg, u0=u0, t0=2.0, on_sample=stored.append)
+        assert str(err.value) == "non-finite solution while advancing to t=2.05; reduce dt"
+        assert stored == []
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_a_state_gone_non_finite_between_samples_fails_at_its_step(
