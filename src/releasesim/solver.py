@@ -320,8 +320,6 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
 
 # Round-off allowance of the stability test (spectral radius, disc reach).
 _STABLE_TOL = 1e-9
-# The error of a step to the clock t whose result is not finite.
-_NONFINITE = "non-finite solution while advancing to t={:.6g}; reduce dt"
 
 
 def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> None:
@@ -439,8 +437,8 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     forms' state at some time.  The samples are preallocated, samples x
     unknowns x 8 bytes, or are the caller's float64 ``samples`` of that shape.
     ``on_sample(k)`` is called each time the first ``k`` samples are stored.
-    Every state the run holds is finite, ``u0`` included, or it raises
-    :class:`NumericalError` at the clock of the step that made it, t0 + dt for u0.
+    Every state the run holds is finite, or it raises :class:`NumericalError`,
+    as the initial state at ``t0`` for ``u0``, else at the clock of its step.
     """
     u = initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
     if u.shape != (grid.n,):
@@ -453,7 +451,7 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
         stepper = ThetaStepper(grid, p, config)
         step, nonfinite = stepper._step, stepper._nonfinite
     if not np.isfinite(u).all():
-        raise NumericalError(_NONFINITE.format(t0 + config.dt))
+        raise NumericalError(f"non-finite initial state at t={t0:.6g}")
     samples[0] = u
     on_sample(1)
     # test every step: at theta = 1 a NaN in a constrained unknown is gone a step later
@@ -462,7 +460,8 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
             for j in range(idx[k - 1] + 1, idx[k] + 1):
                 u = step(u)
                 if nonfinite(u):
-                    raise NumericalError(_NONFINITE.format(t0 + j * config.dt))
+                    raise NumericalError("non-finite solution while advancing to "
+                                         f"t={t0 + j * config.dt:.6g}; reduce dt")
             samples[k] = u
             on_sample(k + 1)
     return series

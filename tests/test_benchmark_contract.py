@@ -60,6 +60,30 @@ def test_every_counted_argument_is_a_parameter(module, attribute):
     assert [name for name in COUNTED_ARGUMENTS[module, attribute]
             if name not in parameters] == []
 
+
+def test_the_oracle_check_hands_the_whole_grid_to_two_calls():
+    # the traced run counts len(t_grid) per oracle call: a check that split
+    # its grid into several calls, or its balances into more, would change
+    # verification.oracle_points without changing the work
+    import numpy as np
+
+    import releasesim as rs
+    from releasesim.verification import check_oracle, oracle_time_grid
+
+    p = rs.reference_params()
+    mode = rs.default_mode(p)
+    grids = []
+
+    def recording(which, p, ap, x, t_grid):
+        grids.append(t_grid)
+        return rs.ode_oracle(which, p, ap, x, t_grid)
+
+    assert check_oracle(p, mode, oracle=recording)["passed"]
+    assert len(grids) == 2
+    for t_grid in grids:
+        np.testing.assert_array_equal(t_grid, oracle_time_grid(p, mode))
+
+
 def test_every_wrap_point_is_reached(monkeypatch, tmp_path):
     # A refactor that reaches a layer by another name would leave its wrap
     # point resolvable but never called, and the layer's traced times empty.

@@ -216,7 +216,8 @@ class TestPackedState:
 
 
 class NonFinite(Exception):
-    """A state of the reference run is not all finite; ``args[0]`` is its clock."""
+    """A state of the reference run is not all finite; ``args[0]`` is the
+    message ``simulate`` must raise for it."""
 
 
 def sampled_steps(cfg) -> list[int]:
@@ -229,18 +230,19 @@ def operator_reference(p, grid, cfg, u0=None, t0=0.0):
     """The sampled trajectory as a plain loop of the step through SciPy's
     public sparse operator, ``R @ u``, with R, the source and the LU from the
     stepper.  Every state, ``u0`` included, is tested with ``np.isfinite``;
-    the first that fails raises ``NonFinite`` with the clock of the step that
-    made it, t0 + dt for ``u0``."""
+    the first that fails raises ``NonFinite``: ``u0`` as the initial state at
+    t0, a step's result with the clock of that step."""
     stepper = rs.ThetaStepper(grid, p, cfg)
     u = rs.initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
     if not np.isfinite(u).all():
-        raise NonFinite(t0 + cfg.dt)
+        raise NonFinite(f"non-finite initial state at t={t0:.6g}")
     states = [u]
     with np.errstate(all="ignore"):
         for j in range(1, cfg.n_steps + 1):
             u = stepper._lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
             if not np.isfinite(u).all():
-                raise NonFinite(t0 + j * cfg.dt)
+                t = t0 + j * cfg.dt
+                raise NonFinite(f"non-finite solution while advancing to t={t:.6g}; reduce dt")
             states.append(u)
     return np.stack([states[j] for j in sampled_steps(cfg)])
 
@@ -408,8 +410,7 @@ class TestFailureModes:
         grid = rs.make_grid(ref_params, 8, 8)
         bad = uniform_state(grid)
         bad[grid.field_slice("c0")][3] = np.nan
-        with pytest.raises(NumericalError, match=r"^non-finite solution while advancing "
-                           r"to t=0\.1; reduce dt$"):
+        with pytest.raises(NumericalError, match=r"^non-finite initial state at t=0$"):
             rs.simulate(ref_params, grid, rs.SolverConfig(dt=0.1, t_end=1.0),
                         u0=bad)
 
@@ -420,9 +421,9 @@ class TestFailureModes:
             rs.simulate(ref_params, grid, cfg)
 
 
-def first_nonfinite_clock(p, grid, cfg, u0, t0=0.0):
-    """The clock of the first state of :func:`operator_reference` that is not
-    all finite; None if none."""
+def first_nonfinite_message(p, grid, cfg, u0, t0=0.0):
+    """What ``simulate`` must raise for the first state of
+    :func:`operator_reference` that is not all finite; None if none."""
     try:
         operator_reference(p, grid, cfg, u0, t0)
     except NonFinite as exc:
@@ -432,8 +433,9 @@ def first_nonfinite_clock(p, grid, cfg, u0, t0=0.0):
 
 class TestNonFiniteStates:
     """``u0`` is tested before sample 0 is stored, and every step's state by
-    one dot product with a zero vector; a run that goes non-finite fails at
-    the clock of that step (t0 + dt for ``u0``), and warns not."""
+    one dot product with a zero vector; a non-finite ``u0`` fails as the
+    initial state at t0, a run that goes non-finite at the clock of that
+    step, and neither warns."""
 
     def test_the_dot_with_zero_flags_every_non_finite_entry(self, ref_params):
         # a BLAS that skipped zero factors would let an inf through here
@@ -462,9 +464,8 @@ class TestNonFiniteStates:
         cfg = rs.SolverConfig(dt=0.05, t_end=1.0, outer_bc=outer_bc, sample_every=7)
         u0 = uniform_state(grid, 0.5)
         u0[grid.field_slice(name)][node] = bad
-        t = first_nonfinite_clock(p, grid, cfg, u0, t0=2.0)
-        assert t is not None
-        message = f"non-finite solution while advancing to t={t:.6g}; reduce dt"
+        message = first_nonfinite_message(p, grid, cfg, u0, t0=2.0)
+        assert message == "non-finite initial state at t=2"
         with pytest.raises(NumericalError) as err:
             rs.simulate(p, grid, cfg, u0=u0, t0=2.0)
         assert str(err.value) == message
@@ -490,7 +491,7 @@ class TestNonFiniteStates:
         stored = []
         with pytest.raises(NumericalError) as err:
             rs.simulate(p, grid, cfg, u0=u0, t0=2.0, on_sample=stored.append)
-        assert str(err.value) == "non-finite solution while advancing to t=2.05; reduce dt"
+        assert str(err.value) == "non-finite initial state at t=2"
         assert stored == []
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])

@@ -7,8 +7,8 @@ import pytest
 import releasesim as rs
 from releasesim.errors import NumericalError
 from releasesim.solver import FIELD_TABLE, MATRIX
-from releasesim.verification import (_cumulative_trapezoid, _field_deviations, _rk4_linear,
-                                     check_oracle)
+from releasesim.verification import (ORACLE_BLOCK, ORACLE_GRID_CAP, _cumulative_trapezoid,
+                                     _field_deviations, _rk4_linear, check_oracle)
 
 from conftest import make_rng
 
@@ -218,8 +218,18 @@ def _stiff_draws():
     return draws
 
 
+def _edge_sizes(block):
+    """Step counts around a block: below it, equal to it, one more than it
+    and a whole multiple of it (a grid has at least 2 steps)."""
+    return sorted({n for n in (block - 1, block, block + 1, 2 * block) if n >= 2})
+
+
 class TestFieldwiseOracle:
-    def test_equals_the_all_fields_oracle_exactly(self, ref_params, ref_mode):
+    @pytest.mark.parametrize("block", [1, 7, ORACLE_BLOCK])
+    def test_equals_the_all_fields_oracle_exactly(self, ref_params, ref_mode, monkeypatch, block):
+        from releasesim import verification
+
+        monkeypatch.setattr(verification, "ORACLE_BLOCK", block)
         rng = make_rng(23)
         sampled = []
         for _ in range(3):
@@ -231,28 +241,69 @@ class TestFieldwiseOracle:
         # the stiff draws run what check_oracle runs: the solid balance and the pair
         cases += [(case, ("matrix_solid", pair)) for case in _stiff_draws()]
         for (p, ap), balances in cases:
-            t = rs.oracle_time_grid(p, ap)
+            t_full = rs.oracle_time_grid(p, ap)
+            # the grid check_oracle runs, at the default block only, and
+            # its first steps cut at the block's edges
+            grids = [t_full[:n + 1] for n in _edge_sizes(block)]
+            grids += [t_full] if block == ORACLE_BLOCK else []
             x_t = 0.5 * (p.l0 + p.l1)
-            for which in balances:
-                x = 0.0 if which == "matrix_solid" else x_t
-                new = _oracle_outcome(lambda: rs.ode_oracle(which, p, ap, x, t))
-                old = _oracle_outcome(lambda: _all_fields_oracle(which, p, ap, x, t))
-                assert new == old, (which, p)
+            for t in grids:
+                for which in balances:
+                    x = 0.0 if which == "matrix_solid" else x_t
+                    new = _oracle_outcome(lambda: rs.ode_oracle(which, p, ap, x, t))
+                    old = _oracle_outcome(lambda: _all_fields_oracle(which, p, ap, x, t))
+                    assert new == old, (which, len(t), p)
 
-    def test_coarse_grid_message_is_unchanged(self, ref_params, ref_mode):
-        t = np.linspace(0.0, 25.0, 11)
+    @pytest.mark.parametrize("block", [1, 7, ORACLE_BLOCK])
+    def test_coarse_grid_message_is_unchanged(self, ref_params, ref_mode, monkeypatch, block):
+        from releasesim import verification
+
+        monkeypatch.setattr(verification, "ORACLE_BLOCK", block)
         x_t = 0.5 * (ref_params.l0 + ref_params.l1)
-        for which, x in (("matrix_solid", 0.0), ("tissue_bound", x_t), ("internalized", x_t),
-                         (("tissue_bound", "internalized"), x_t)):
-            new = _oracle_outcome(lambda: rs.ode_oracle(which, ref_params, ref_mode, x, t))
-            old = _oracle_outcome(lambda: _all_fields_oracle(which, ref_params, ref_mode, x, t))
-            assert isinstance(new, str) and "too coarse" in new
-            assert new == old
+        grids = [np.linspace(0.0, 2.5 * n, n + 1) for n in (10, *_edge_sizes(block))]
+        # z = -20 per solid step, past RK4's stability limit: LAPACK pivots
+        # there, and a pivoted solve cut into blocks would print nan, not 34.8
+        grids.append(np.linspace(0.0, 201 * 20.0 / ref_params.solid_rate, 202))
+        for t in grids:
+            for which, x in (("matrix_solid", 0.0), ("tissue_bound", x_t), ("internalized", x_t),
+                             (("tissue_bound", "internalized"), x_t)):
+                with np.errstate(all="ignore"):
+                    new = _oracle_outcome(lambda: rs.ode_oracle(which, ref_params, ref_mode, x, t))
+                    old = _oracle_outcome(
+                        lambda: _all_fields_oracle(which, ref_params, ref_mode, x, t))
+                assert isinstance(new, str) and "too coarse" in new
+                assert new == old, (which, len(t))
+
+    @pytest.mark.parametrize("which, poisoned", [
+        ("matrix_solid", "matrix_free"), ("matrix_solid", "matrix_solid"),
+        ("internalized", "tissue_bound"), ("internalized", "tissue_internalized"),
+    ], ids=["solid-forcing", "solid-own", "internalized-forcing", "internalized-own"])
+    def test_a_nan_in_the_last_block_is_refused(self, ref_params, ref_mode, monkeypatch,
+                                                which, poisoned):
+        # a running maximum must keep a NaN as one max over the whole grid
+        # does; Python's max(0.0, nan) is 0.0, which would certify the run
+        from releasesim import analytic, verification
+
+        monkeypatch.setattr(verification, "ORACLE_BLOCK", 64)
+        t = np.linspace(0.0, 25.0, 1001)          # last block: steps 960 to 1000
+        x = 0.0 if which == "matrix_solid" else 0.5 * (ref_params.l0 + ref_params.l1)
+        assert rs.ode_oracle(which, ref_params, ref_mode, x, t) <= 1e-8
+
+        def nan_late(x, times, p, ap, _field=getattr(analytic, poisoned)):
+            values = np.array(_field(x, times, p, ap), dtype=float)
+            values[np.asarray(times) > t[990]] = np.nan
+            return values
+        for module in (analytic, verification):
+            monkeypatch.setattr(module, poisoned, nan_late)
+        new = _oracle_outcome(lambda: rs.ode_oracle(which, ref_params, ref_mode, x, t))
+        old = _oracle_outcome(lambda: _all_fields_oracle(which, ref_params, ref_mode, x, t))
+        assert isinstance(new, str) and "too coarse" in new
+        assert new == old
 
     def test_each_field_is_evaluated_only_where_it_is_used(self, ref_params, ref_mode, monkeypatch):
         # the oracle's cost is the closed form on the 4n+1 quarter grid: a
         # balance may evaluate its forcing there, its own field only on the
-        # n+1 output points, and no other field at all
+        # n+1 output points, and no other field at all, one block at a time
         from releasesim import analytic, verification
 
         calls = []
@@ -267,16 +318,37 @@ class TestFieldwiseOracle:
 
         t = rs.oracle_time_grid(ref_params, ref_mode)
         n = len(t) - 1
+        assert n > 2 * ORACLE_BLOCK
         x_t = 0.5 * (ref_params.l0 + ref_params.l1)
-
-        def sizes(which, x, field):
+        for which, x, forcing, own in (("matrix_solid", 0.0, "matrix_free", "matrix_solid"),
+                                       ("tissue_bound", x_t, "tissue_free", "tissue_bound"),
+                                       ("internalized", x_t, "tissue_bound", "tissue_internalized")):
             calls.clear()
             rs.ode_oracle(which, ref_params, ref_mode, x, t)
-            return [size for name, size in calls if name == field]
+            assert {name for name, _ in calls} == {forcing, own}
+            own_sizes = [size for name, size in calls if name == own]
+            assert sum(own_sizes) == n + 1
+            assert max(own_sizes) <= ORACLE_BLOCK + 1
+            assert max(size for name, size in calls if name == forcing) <= 4 * ORACLE_BLOCK + 1
 
-        assert sizes("tissue_bound", x_t, "tissue_internalized") == []
-        assert sizes("internalized", x_t, "tissue_internalized") == [n + 1]
-        assert sizes("matrix_solid", 0.0, "matrix_solid") == [n + 1]
+    def test_memory_is_bounded_by_the_block_not_the_grid(self):
+        # at the grid cap, over the stiffest benchmark draw's horizon; one
+        # pass over the whole grid traced 88.5 MiB here, the blocks 6.5 MiB
+        import tracemalloc
+
+        from releasesim import solver
+
+        p, ap = max(_stiff_draws(), key=lambda case: len(rs.oracle_time_grid(*case)))
+        t = np.linspace(0.0, rs.oracle_time_grid(p, ap)[-1], ORACLE_GRID_CAP + 1)
+        x_t = 0.5 * (p.l0 + p.l1)
+        solver.load_scipy()     # the first solve's import is not the oracle's memory
+        tracemalloc.start()
+        try:
+            rs.ode_oracle(("tissue_bound", "internalized"), p, ap, x_t, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, peak / 2 ** 20
 
 
 class TestSampling:
