@@ -2,10 +2,12 @@
 
 Three independent instruments:
 
-* :func:`ode_oracle` re-integrates a kinetic balance with classical RK4,
-  forced by its closed-form driver field on the quarter-step grid, and
-  reports the deviation from its closed-form field on the output grid; it
-  streams both grids in fixed blocks of steps.
+* :func:`ode_oracle` re-integrates a kinetic balance with classical RK4
+  driven by the closed-form driver fields and reports the deviation from the
+  closed-form answer.  It calls the per-field evaluators of
+  :mod:`releasesim.analytic` (``matrix_free``, ``matrix_solid``,
+  ``tissue_free``, ``tissue_bound``, ``tissue_internalized``): each balance's
+  driver on the quarter-step grid, its own field on the output grid.
 * :func:`mass_audit` books total drug against the lysosomal sink and the
   boundary outflow with trapezoid quadrature in space and time.
 * :func:`spatial_convergence` / :func:`temporal_convergence` measure observed
@@ -52,8 +54,11 @@ def _rk4_linear(decay: float, forcing_half: np.ndarray, dt: float, y0: float) ->
     """Classical RK4 for y' = -decay*y + F(t) with F pre-evaluated on the
     half-step grid (2N+1 points).  The update is the exact linear recurrence
     y[n+1] = rho*y[n] + s[n], solved as one unit lower-bidiagonal system."""
-    k1, f_mid, f_end = forcing_half[0:-1:2], forcing_half[1::2], forcing_half[2::2]
+    f_start = forcing_half[0:-1:2]
+    f_mid = forcing_half[1::2]
+    f_end = forcing_half[2::2]
     z = -decay * dt
+    k1 = f_start
     k2 = 0.5 * z * k1 + f_mid
     k3 = 0.5 * z * k2 + f_mid
     k4 = z * k3 + f_end
@@ -100,12 +105,9 @@ def ode_oracle(which: str | tuple[str, ...], p: DimensionlessParams, ap: Analyti
     ``which`` names one balance, or is a tuple of balances of one layer at
     the same station.  A tuple returns one deviation per name, in order.
     Each balance evaluates only its forcing field on the quarter-step grid
-    and only its own field on ``t_grid``.
-
-    Each balance runs ``ORACLE_BLOCK`` output steps at a time from the states
-    the previous block ended on, keeping running maxima.  Every operation is
-    element-wise, a restarted unpivoted recurrence or an order-free maximum,
-    so each deviation and refusal is bit for bit the one a single pass gives.
+    and only its own field on ``t_grid``, ``ORACLE_BLOCK`` output steps at a
+    time from the states the previous block ended on; each deviation and
+    refusal is bit for bit the one a single pass over the whole grid gives.
 
     ``t_grid`` must start at 0 (the balances' initial values are given
     there), be uniform with a positive step, and be dense enough that the
@@ -133,19 +135,17 @@ def ode_oracle(which: str | tuple[str, ...], p: DimensionlessParams, ap: Analyti
     n = len(t) - 1
     devs = []
     for name, (forcing, decay, own, y0, _) in zip(names, problems):
-        # past RK4's stability limit LAPACK pivots, and a pivoted solve
-        # depends on the whole system: such a run is one block
+        # for rho > 1 LAPACK pivots over the whole system: such a run is one block
         block = ORACLE_BLOCK if _rk4_growth(-decay * dt) <= 1.0 else n
-        y_end = y_fine_end = y0
+        y = y_fine = [y0]    # a block starts from the states the last one ended on
         # running max |ref|, |y - y_fine|, |y - ref|; np.max's initial keeps a NaN
         ref_max = diff_max = dev_max = 0.0
-        for a in range(0, n, block):
-            e = min(a + block, n)
-            # the half-step grid is every other quarter-step point, bit for bit
+        for a, e in pairwise([*range(0, n, block), n]):
+            # the half-step grid is every other quarter-step point, bit for bit:
+            # (dt/4)*(2k) and (dt/2)*k are the same exact product, rounded once
             f_quarter = forcing(0.25 * dt * np.arange(4 * a, 4 * e + 1))
-            y = _rk4_linear(decay, f_quarter[::2], dt, y_end)
-            y_fine = _rk4_linear(decay, f_quarter, 0.5 * dt, y_fine_end)[::2]
-            y_end, y_fine_end = y[-1], y_fine[-1]
+            y = _rk4_linear(decay, f_quarter[::2], dt, y[-1])
+            y_fine = _rk4_linear(decay, f_quarter, 0.5 * dt, y_fine[-1])[::2]
             new = 0 if a == 0 else 1    # a later block starts where one ended
             y, y_fine, ref = y[new:], y_fine[new:], own(t[a + new:e + 1])
             ref_max = np.max(np.abs(ref), initial=ref_max)

@@ -457,7 +457,7 @@ class TestNonFiniteStates:
         (np.inf, rs.ZERO_FLUX, "c0", -1),   # the tie c0 = sigma*c1
         (np.inf, rs.SINK, "c1", -1),        # the sink pin
     ])
-    def test_a_non_finite_entry_fails_at_the_first_step_it_reaches(
+    def test_a_non_finite_u0_entry_is_refused_as_the_operator_reference_refuses_it(
             self, ref_params, pm, outer_bc, name, node, bad):
         p = replace(ref_params, pm=pm, sigma=1.3)
         grid = rs.make_grid(p, 8, 8)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 from dataclasses import replace
 
@@ -263,11 +264,13 @@ class TestFieldwiseOracle:
         grids = [np.linspace(0.0, 2.5 * n, n + 1) for n in (10, *_edge_sizes(block))]
         # z = -20 per solid step, past RK4's stability limit: LAPACK pivots
         # there, and a pivoted solve cut into blocks would print nan, not 34.8
-        grids.append(np.linspace(0.0, 201 * 20.0 / ref_params.solid_rate, 202))
-        for t in grids:
+        unstable = np.linspace(0.0, 201 * 20.0 / ref_params.solid_rate, 202)
+        for t in [*grids, unstable]:
             for which, x in (("matrix_solid", 0.0), ("tissue_bound", x_t), ("internalized", x_t),
                              (("tissue_bound", "internalized"), x_t)):
-                with np.errstate(all="ignore"):
+                # only the unstable grid overflows; the others run under the
+                # suite's warnings-as-errors rule
+                with np.errstate(all="ignore") if t is unstable else contextlib.nullcontext():
                     new = _oracle_outcome(lambda: rs.ode_oracle(which, ref_params, ref_mode, x, t))
                     old = _oracle_outcome(
                         lambda: _all_fields_oracle(which, ref_params, ref_mode, x, t))
