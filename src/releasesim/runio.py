@@ -261,6 +261,10 @@ def config_to_spec(cfg: dict) -> tuple[RunSpec, dict]:
         given = {f.name: _read(section, f, raw[f.name]) for f in section_fields
                  if f.name in raw}
         if section == "analytic":
+            for key, v in given.items():
+                if not math.isfinite(v) or (v < 0 and key in ("a", "b")):
+                    floor = " and >= 0" if key in ("a", "b") else ""
+                    raise ConfigError(f"analytic.{key} must be finite{floor}, got {v!r}")
             analytic = given
         elif section == "grid":
             spec = replace(spec, **given)

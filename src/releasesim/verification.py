@@ -84,42 +84,38 @@ def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _oracle_problem(which: str, p: DimensionlessParams, ap: AnalyticParams, x: float):
     """(forcing as a function of t, decay rate, the balance's own closed-form
-    field as a function of t, y0, layer) for one balance at station x."""
+    field as a function of t, y0) for one balance at station x."""
     if which == "matrix_solid":
         src = p.km * p.c_lim
         return (lambda t: p.free_rate * matrix_free(x, t, p, ap) - src, p.solid_rate,
-                lambda t: matrix_solid(x, t, p, ap), 1.0, "matrix")
+                lambda t: matrix_solid(x, t, p, ap), 1.0)
     if which == "tissue_bound":
         return (lambda t: p.ka * tissue_free(x, t, p, ap), p.bound_rate,
-                lambda t: tissue_bound(x, t, p, ap), 0.0, "tissue")
+                lambda t: tissue_bound(x, t, p, ap), 0.0)
     if which == "internalized":
         return (lambda t: p.ki * tissue_bound(x, t, p, ap), p.kid,
-                lambda t: tissue_internalized(x, t, p, ap), 0.0, "tissue")
+                lambda t: tissue_internalized(x, t, p, ap), 0.0)
     raise ValueError(f"unknown balance {which!r}; expected one of {', '.join(KINETIC_BALANCES)}")
 
 
-def ode_oracle(which: str | tuple[str, ...], p: DimensionlessParams, ap: AnalyticParams,
-               x: float, t_grid) -> float | tuple[float, ...]:
+def ode_oracle(which: str, p: DimensionlessParams, ap: AnalyticParams,
+               x: float, t_grid) -> float:
     """Max relative deviation between RK4 re-integration and the closed form.
 
-    ``which`` names one balance, or is a tuple of balances of one layer at
-    the same station.  A tuple returns one deviation per name, in order.
-    Each balance evaluates only its forcing field on the quarter-step grid
-    and only its own field on ``t_grid``, ``ORACLE_BLOCK`` output steps at a
-    time from the states the previous block ended on; each deviation and
-    refusal is bit for bit the one a single pass over the whole grid gives.
+    ``which`` names one balance.  It evaluates only its forcing field on the
+    quarter-step grid and only its own field on ``t_grid``, ``ORACLE_BLOCK``
+    output steps at a time from the states the previous block ended on; the
+    deviation and any refusal are bit for bit the ones a single pass over
+    the whole grid gives.
 
-    ``t_grid`` must start at 0 (the balances' initial values are given
-    there), be uniform with a positive step, and be dense enough that the
-    integrator's own step-doubling error estimate stays below 1e-9 of the
-    solution scale; otherwise a NumericalError asks for a finer grid.  The
+    ``t_grid`` must start at 0 (the balance's initial value is given there)
+    and be uniform with a positive step.  A step that puts RK4's growth
+    factor above 1 is refused before any closed form is evaluated, and a
+    step-doubling error estimate above 1e-9 of the solution scale after the
+    run: both raise a NumericalError that asks for a finer grid.  The
     deviation is normalized by the closed form's max magnitude over the grid.
     """
-    x = float(x)
-    names = (which,) if isinstance(which, str) else tuple(which)
-    problems = [_oracle_problem(name, p, ap, x) for name in names]
-    if len({prob[4] for prob in problems}) > 1:
-        raise ValueError("balances evaluated together must share one layer")
+    forcing, decay, own, y0 = _oracle_problem(which, p, ap, float(x))
     t = np.asarray(t_grid, dtype=float)
     if len(t) < 3:
         raise ValueError("t_grid needs at least 3 points")
@@ -131,35 +127,36 @@ def ode_oracle(which: str | tuple[str, ...], p: DimensionlessParams, ap: Analyti
     dt = float(dts[0])
     if not dt > 0.0:
         raise ValueError(f"t_grid must increase, got step {dt}")
+    growth = _rk4_growth(-decay * dt)
+    if growth > 1.0:
+        raise NumericalError(
+            f"t_grid too coarse for the {which} oracle: step {dt:.3g} is past RK4's "
+            f"stability limit, growth factor {growth:.3g} per step"
+        )
 
     n = len(t) - 1
-    devs = []
-    for name, (forcing, decay, own, y0, _) in zip(names, problems):
-        # for rho > 1 LAPACK pivots over the whole system: such a run is one block
-        block = ORACLE_BLOCK if _rk4_growth(-decay * dt) <= 1.0 else n
-        y = y_fine = [y0]    # a block starts from the states the last one ended on
-        # running max |ref|, |y - y_fine|, |y - ref|; np.max's initial keeps a NaN
-        ref_max = diff_max = dev_max = 0.0
-        for a, e in pairwise([*range(0, n, block), n]):
-            # the half-step grid is every other quarter-step point, bit for bit:
-            # (dt/4)*(2k) and (dt/2)*k are the same exact product, rounded once
-            f_quarter = forcing(0.25 * dt * np.arange(4 * a, 4 * e + 1))
-            y = _rk4_linear(decay, f_quarter[::2], dt, y[-1])
-            y_fine = _rk4_linear(decay, f_quarter, 0.5 * dt, y_fine[-1])[::2]
-            new = 0 if a == 0 else 1    # a later block starts where one ended
-            y, y_fine, ref = y[new:], y_fine[new:], own(t[a + new:e + 1])
-            ref_max = np.max(np.abs(ref), initial=ref_max)
-            diff_max = np.max(np.abs(y - y_fine), initial=diff_max)
-            dev_max = np.max(np.abs(y - ref), initial=dev_max)
-        scale = max(float(ref_max), 1e-30)
-        est = float(diff_max) / 15.0
-        # a NaN estimate (an overflowed run) fails the test too
-        if not est <= 1e-9 * max(scale, 1.0):
-            raise NumericalError(
-                f"t_grid too coarse for the {name} oracle: step-doubling estimate {est:.3g}"
-            )
-        devs.append(float(dev_max) / scale)
-    return devs[0] if isinstance(which, str) else tuple(devs)
+    y = y_fine = [y0]    # a block starts from the states the last one ended on
+    # running max |ref|, |y - y_fine|, |y - ref|; np.max's initial keeps a NaN
+    ref_max = diff_max = dev_max = 0.0
+    for a, e in pairwise([*range(0, n, ORACLE_BLOCK), n]):
+        # the half-step grid is every other quarter-step point, bit for bit:
+        # (dt/4)*(2k) and (dt/2)*k are the same exact product, rounded once
+        f_quarter = forcing(0.25 * dt * np.arange(4 * a, 4 * e + 1))
+        y = _rk4_linear(decay, f_quarter[::2], dt, y[-1])
+        y_fine = _rk4_linear(decay, f_quarter, 0.5 * dt, y_fine[-1])[::2]
+        new = 0 if a == 0 else 1    # a later block starts where one ended
+        y, y_fine, ref = y[new:], y_fine[new:], own(t[a + new:e + 1])
+        ref_max = np.max(np.abs(ref), initial=ref_max)
+        diff_max = np.max(np.abs(y - y_fine), initial=diff_max)
+        dev_max = np.max(np.abs(y - ref), initial=dev_max)
+    scale = max(float(ref_max), 1e-30)
+    est = float(diff_max) / 15.0
+    # a NaN estimate (an overflowed run) fails the test too
+    if not est <= 1e-9 * max(scale, 1.0):
+        raise NumericalError(
+            f"t_grid too coarse for the {which} oracle: step-doubling estimate {est:.3g}"
+        )
+    return float(dev_max) / scale
 
 
 def oracle_time_grid(p: DimensionlessParams, ap: AnalyticParams, n_min: int = 2000) -> np.ndarray:
@@ -390,9 +387,8 @@ def check_oracle(p: DimensionlessParams, mode: AnalyticParams, oracle=ode_oracle
     t_grid = oracle_time_grid(p, mode)
     # mid-layer stations keep clear of the mode's spatial nodes
     x_t = 0.5 * (p.l0 + p.l1)
-    solid = oracle("matrix_solid", p, mode, 0.0, t_grid)
-    bound, internalized = oracle(("tissue_bound", "internalized"), p, mode, x_t, t_grid)
-    devs = {"matrix_solid": solid, "tissue_bound": bound, "internalized": internalized}
+    devs = {name: oracle(name, p, mode, 0.0 if name == "matrix_solid" else x_t, t_grid)
+            for name in KINETIC_BALANCES}
     passed = all(v <= ORACLE_TOL for v in devs.values())
     return {"name": "oracle", "passed": passed, "deviations": devs, "tolerance": ORACLE_TOL}
 

@@ -61,26 +61,29 @@ def test_every_counted_argument_is_a_parameter(module, attribute):
             if name not in parameters] == []
 
 
-def test_the_oracle_check_hands_the_whole_grid_to_two_calls():
-    # the traced run counts len(t_grid) per oracle call: a check that split
-    # its grid into several calls, or its balances into more, would change
-    # verification.oracle_points without changing the work
+def test_the_oracle_check_hands_the_whole_grid_to_three_calls():
+    # the traced run counts len(t_grid) per oracle call, so one call per
+    # balance makes verification.oracle_points balances x points; a check
+    # that split its grid into several calls would change it without
+    # changing the work
     import numpy as np
 
     import releasesim as rs
+    from releasesim.analytic import KINETIC_BALANCES
     from releasesim.verification import check_oracle, oracle_time_grid
 
     p = rs.reference_params()
     mode = rs.default_mode(p)
-    grids = []
+    calls = []
 
     def recording(which, p, ap, x, t_grid):
-        grids.append(t_grid)
+        calls.append((which, t_grid))
         return rs.ode_oracle(which, p, ap, x, t_grid)
 
     assert check_oracle(p, mode, oracle=recording)["passed"]
-    assert len(grids) == 2
-    for t_grid in grids:
+    assert [which for which, _ in calls] == list(KINETIC_BALANCES)
+    for which, t_grid in calls:
+        assert isinstance(which, str)
         np.testing.assert_array_equal(t_grid, oracle_time_grid(p, mode))
 
 

@@ -259,6 +259,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="outer_bc"):
             config_to_spec({"solver": {"outer_bc": "leaky"}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("a", float("nan")), ("b", -1.0), ("e1", float("inf")), ("e2", float("-inf")),
+    ])
+    def test_analytic_values_are_finite_and_wavenumbers_nonnegative(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^analytic\.{key} must be finite"):
+            config_to_spec({"analytic": {key: value}})
+        assert config_to_spec({"analytic": {key: 0.0}})[1] == {key: 0.0}
+
     def test_grid_minimum_enforced(self):
         with pytest.raises(ConfigError, match="nx0"):
             config_to_spec({"grid": {"nx0": 2}})
@@ -677,6 +685,19 @@ class TestCliErrors:
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["exit_code"] == 1
         assert "porosity" in err["message"]
+
+    @pytest.mark.parametrize("command", [["analytic", "--t-end", "1"], ["verify", "all"]])
+    def test_non_finite_analytic_config_exits_one(self, tmp_path, capsys, command):
+        # Python's json reads NaN and Infinity, which no mode can use
+        path = tmp_path / "nan.json"
+        path.write_text('{"analytic": {"a": NaN}}')
+        code = main([*command, "--config", str(path), "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"] == "analytic.a must be finite and >= 0, got nan"
 
     def test_missing_config_exits_three(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),

@@ -1,4 +1,3 @@
-import contextlib
 import json
 from dataclasses import replace
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 import releasesim as rs
+from releasesim.analytic import KINETIC_BALANCES
 from releasesim.errors import NumericalError
 from releasesim.solver import FIELD_TABLE, MATRIX
 from releasesim.verification import (ORACLE_BLOCK, ORACLE_GRID_CAP, _cumulative_trapezoid,
@@ -59,15 +59,47 @@ class TestOdeOracle:
         # the initial values hold at t = 0; any other start, a zero step or
         # a backward grid would be reported as a passing deviation
         x_t = 0.5 * (ref_params.l0 + ref_params.l1)
-        for which, x in (("matrix_solid", 0.0), ("tissue_bound", x_t),
-                         (("tissue_bound", "internalized"), x_t)):
+        for which, x in (("matrix_solid", 0.0), ("tissue_bound", x_t), ("internalized", x_t)):
             with pytest.raises(ValueError, match=message):
                 rs.ode_oracle(which, ref_params, ref_mode, x, t_grid)
 
-    def test_unknown_balance_rejected(self, ref_params, ref_mode):
+    @pytest.mark.parametrize("which", ["free_matrix", ("tissue_bound", "internalized")])
+    def test_unknown_balance_rejected(self, ref_params, ref_mode, which):
         with pytest.raises(ValueError, match="unknown balance"):
-            rs.ode_oracle("free_matrix", ref_params, ref_mode, 0.0,
-                          np.linspace(0.0, 1.0, 11))
+            rs.ode_oracle(which, ref_params, ref_mode, 0.0, np.linspace(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize("which", ["matrix_solid", "tissue_bound", "internalized"])
+    def test_a_step_past_the_stability_limit_is_refused_before_it_runs(
+            self, ref_params, ref_mode, monkeypatch, which):
+        # z = -20 per step: RK4's growth factor is ~5.5e3, so a run would
+        # overflow; the refusal comes first, under the suite's
+        # warnings-as-errors rule, with no closed form evaluated
+        from releasesim import verification
+
+        calls = []
+        for name in ("matrix_free", "matrix_solid", "tissue_free", "tissue_bound",
+                     "tissue_internalized"):
+            monkeypatch.setattr(verification, name,
+                                lambda *args, _name=name: calls.append(_name))
+        decay = {"matrix_solid": ref_params.solid_rate, "tissue_bound": ref_params.bound_rate,
+                 "internalized": ref_params.kid}[which]
+        t = np.linspace(0.0, 200 * 20.0 / decay, 201)
+        x = 0.0 if which == "matrix_solid" else 0.5 * (ref_params.l0 + ref_params.l1)
+        with pytest.raises(NumericalError, match=f"^t_grid too coarse for the {which} oracle: "
+                                                 r"step \S+ is past RK4's stability limit"):
+            rs.ode_oracle(which, ref_params, ref_mode, x, t)
+        assert calls == []
+
+    def test_a_zero_balance_past_the_stability_limit_is_refused(self, ref_params, ref_mode):
+        # with e2 = 0 the tissue balances are 0 throughout, and so is an
+        # unstable RK4 run of them: a step-doubling test alone certifies it
+        mode = replace(ref_mode, e2=0.0)
+        x_t = 0.5 * (ref_params.l0 + ref_params.l1)
+        t = np.linspace(0.0, 200 * 20.0 / min(ref_params.bound_rate, ref_params.kid), 201)
+        for which in ("tissue_bound", "internalized"):
+            assert rs.ode_oracle(which, ref_params, mode, x_t, np.linspace(0.0, 1.0, 11)) == 0.0
+            with pytest.raises(NumericalError, match="stability limit"):
+                rs.ode_oracle(which, ref_params, mode, x_t, t)
 
     def test_time_grid_shape(self, ref_params, ref_mode):
         t = rs.oracle_time_grid(ref_params, ref_mode, n_min=500)
@@ -129,13 +161,7 @@ def _oracle_outcome(call):
         return f"NumericalError: {exc}"
 
 
-class TestSharedOracle:
-    def _singles(self, p, ap, t):
-        x_t = 0.5 * (p.l0 + p.l1)
-        return (_oracle_outcome(lambda: rs.ode_oracle("matrix_solid", p, ap, 0.0, t)),
-                _oracle_outcome(lambda: rs.ode_oracle("tissue_bound", p, ap, x_t, t)),
-                _oracle_outcome(lambda: rs.ode_oracle("internalized", p, ap, x_t, t)))
-
+class TestCheckOracle:
     def test_check_returns_exactly_the_single_balance_values(self, ref_params, ref_mode):
         rng = make_rng(22)
         cases = [(ref_params, ref_mode)]
@@ -144,68 +170,41 @@ class TestSharedOracle:
             cases.append((p, rs.sample_mode(rng)))
         for p, ap in cases:
             t = rs.oracle_time_grid(p, ap)
-            singles = self._singles(p, ap, t)
             x_t = 0.5 * (p.l0 + p.l1)
-            pair = _oracle_outcome(
-                lambda: rs.ode_oracle(("tissue_bound", "internalized"), p, ap, x_t, t))
+            singles = (_oracle_outcome(lambda: rs.ode_oracle("matrix_solid", p, ap, 0.0, t)),
+                       _oracle_outcome(lambda: rs.ode_oracle("tissue_bound", p, ap, x_t, t)),
+                       _oracle_outcome(lambda: rs.ode_oracle("internalized", p, ap, x_t, t)))
             # a refusal is the first balance's refusal, word for word
-            assert pair == next((v for v in singles[1:] if isinstance(v, str)), singles[1:])
             checked = _oracle_outcome(lambda: tuple(check_oracle(p, ap)["deviations"].values()))
             assert checked == next((v for v in singles if isinstance(v, str)), singles)
-
-    def test_coarse_grid_raises_the_same_error(self, ref_params, ref_mode):
-        t = np.linspace(0.0, 25.0, 11)
-        x_t = 0.5 * (ref_params.l0 + ref_params.l1)
-        pair = _oracle_outcome(
-            lambda: rs.ode_oracle(("tissue_bound", "internalized"), ref_params, ref_mode, x_t, t))
-        single = _oracle_outcome(
-            lambda: rs.ode_oracle("tissue_bound", ref_params, ref_mode, x_t, t))
-        assert isinstance(pair, str) and "too coarse" in pair
-        assert pair == single
-
-    def test_balances_of_both_layers_are_not_mixed(self, ref_params, ref_mode):
-        with pytest.raises(ValueError, match="one layer"):
-            rs.ode_oracle(("matrix_solid", "tissue_bound"), ref_params, ref_mode, 0.5,
-                          np.linspace(0.0, 1.0, 11))
-
-    def test_overflowing_run_is_refused_not_reported(self, ref_params, ref_mode):
-        # z = -20 per step: RK4's growth factor is ~5.5e3, so the run overflows
-        t = np.linspace(0.0, 200 * 20.0 / ref_params.solid_rate, 201)
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="too coarse"):
-            rs.ode_oracle("matrix_solid", ref_params, ref_mode, 0.0, t)
 
 
 def _all_fields_oracle(which, p, ap, x, t_grid):
     """The oracle as it was before the per-field evaluators: every field of
     the layer on the quarter-step grid, then every field again on t_grid.
-    The reference the oracle must equal exactly."""
+    The reference the oracle must equal exactly on a grid within RK4's
+    stability limit."""
     closed_forms = {"matrix_solid": (rs.eval_matrix, 1), "tissue_bound": (rs.eval_tissue, 1),
                     "internalized": (rs.eval_tissue, 2)}
-    names = (which,) if isinstance(which, str) else tuple(which)
     forcing = {"matrix_solid": lambda f: p.free_rate * f[0] - p.km * p.c_lim,
                "tissue_bound": lambda f: p.ka * f[0], "internalized": lambda f: p.ki * f[1]}
     decay = {"matrix_solid": p.solid_rate, "tissue_bound": p.bound_rate, "internalized": p.kid}
     y0 = {"matrix_solid": 1.0, "tissue_bound": 0.0, "internalized": 0.0}
-    closed = closed_forms[names[0]][0]
+    closed, index = closed_forms[which]
     t = np.asarray(t_grid, dtype=float)
     dt = float(np.diff(t)[0])
     n = len(t) - 1
-    fields = closed(float(x), t[0] + 0.25 * dt * np.arange(4 * n + 1), p, ap)
-    forcings = [forcing[name](fields) for name in names]
-    fields = closed(float(x), t, p, ap)
-    devs = []
-    for name, f_quarter in zip(names, forcings):
-        y = _rk4_linear(decay[name], f_quarter[::2], dt, y0[name])
-        y_fine = _rk4_linear(decay[name], f_quarter, 0.5 * dt, y0[name])[::2]
-        ref = fields[closed_forms[name][1]]
-        scale = max(float(np.max(np.abs(ref))), 1e-30)
-        est = float(np.max(np.abs(y - y_fine))) / 15.0
-        if not est <= 1e-9 * max(scale, 1.0):
-            raise NumericalError(
-                f"t_grid too coarse for the {name} oracle: step-doubling estimate {est:.3g}"
-            )
-        devs.append(float(np.max(np.abs(y - ref))) / scale)
-    return devs[0] if isinstance(which, str) else tuple(devs)
+    f_quarter = forcing[which](closed(float(x), t[0] + 0.25 * dt * np.arange(4 * n + 1), p, ap))
+    y = _rk4_linear(decay[which], f_quarter[::2], dt, y0[which])
+    y_fine = _rk4_linear(decay[which], f_quarter, 0.5 * dt, y0[which])[::2]
+    ref = closed(float(x), t, p, ap)[index]
+    scale = max(float(np.max(np.abs(ref))), 1e-30)
+    est = float(np.max(np.abs(y - y_fine))) / 15.0
+    if not est <= 1e-9 * max(scale, 1.0):
+        raise NumericalError(
+            f"t_grid too coarse for the {which} oracle: step-doubling estimate {est:.3g}"
+        )
+    return float(np.max(np.abs(y - ref))) / scale
 
 
 def _stiff_draws():
@@ -236,12 +235,7 @@ class TestFieldwiseOracle:
         for _ in range(3):
             p = rs.sample_params(rng)
             sampled.append((p, rs.sample_mode(rng)))
-        pair = ("tissue_bound", "internalized")
-        cases = [((ref_params, ref_mode), ("matrix_solid", "tissue_bound", "internalized", pair))]
-        cases += [(case, ("matrix_solid", "tissue_bound", "internalized", pair)) for case in sampled]
-        # the stiff draws run what check_oracle runs: the solid balance and the pair
-        cases += [(case, ("matrix_solid", pair)) for case in _stiff_draws()]
-        for (p, ap), balances in cases:
+        for p, ap in [(ref_params, ref_mode), *sampled, *_stiff_draws()]:
             t_full = rs.oracle_time_grid(p, ap)
             # the grid check_oracle runs, at the default block only, and
             # its first steps cut at the block's edges
@@ -249,7 +243,7 @@ class TestFieldwiseOracle:
             grids += [t_full] if block == ORACLE_BLOCK else []
             x_t = 0.5 * (p.l0 + p.l1)
             for t in grids:
-                for which in balances:
+                for which in KINETIC_BALANCES:
                     x = 0.0 if which == "matrix_solid" else x_t
                     new = _oracle_outcome(lambda: rs.ode_oracle(which, p, ap, x, t))
                     old = _oracle_outcome(lambda: _all_fields_oracle(which, p, ap, x, t))
@@ -261,19 +255,11 @@ class TestFieldwiseOracle:
 
         monkeypatch.setattr(verification, "ORACLE_BLOCK", block)
         x_t = 0.5 * (ref_params.l0 + ref_params.l1)
-        grids = [np.linspace(0.0, 2.5 * n, n + 1) for n in (10, *_edge_sizes(block))]
-        # z = -20 per solid step, past RK4's stability limit: LAPACK pivots
-        # there, and a pivoted solve cut into blocks would print nan, not 34.8
-        unstable = np.linspace(0.0, 201 * 20.0 / ref_params.solid_rate, 202)
-        for t in [*grids, unstable]:
-            for which, x in (("matrix_solid", 0.0), ("tissue_bound", x_t), ("internalized", x_t),
-                             (("tissue_bound", "internalized"), x_t)):
-                # only the unstable grid overflows; the others run under the
-                # suite's warnings-as-errors rule
-                with np.errstate(all="ignore") if t is unstable else contextlib.nullcontext():
-                    new = _oracle_outcome(lambda: rs.ode_oracle(which, ref_params, ref_mode, x, t))
-                    old = _oracle_outcome(
-                        lambda: _all_fields_oracle(which, ref_params, ref_mode, x, t))
+        for n in (10, *_edge_sizes(block)):
+            t = np.linspace(0.0, 2.5 * n, n + 1)
+            for which, x in (("matrix_solid", 0.0), ("tissue_bound", x_t), ("internalized", x_t)):
+                new = _oracle_outcome(lambda: rs.ode_oracle(which, ref_params, ref_mode, x, t))
+                old = _oracle_outcome(lambda: _all_fields_oracle(which, ref_params, ref_mode, x, t))
                 assert isinstance(new, str) and "too coarse" in new
                 assert new == old, (which, len(t))
 
@@ -337,6 +323,7 @@ class TestFieldwiseOracle:
     def test_memory_is_bounded_by_the_block_not_the_grid(self):
         # at the grid cap, over the stiffest benchmark draw's horizon; one
         # pass over the whole grid traced 88.5 MiB here, the blocks 6.5 MiB
+        # for each of the two tissue balances
         import tracemalloc
 
         from releasesim import solver
@@ -347,7 +334,8 @@ class TestFieldwiseOracle:
         solver.load_scipy()     # the first solve's import is not the oracle's memory
         tracemalloc.start()
         try:
-            rs.ode_oracle(("tissue_bound", "internalized"), p, ap, x_t, t)
+            for which in ("tissue_bound", "internalized"):
+                rs.ode_oracle(which, p, ap, x_t, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
