@@ -1,12 +1,13 @@
 """Config files, answer files, and the run manifest.
 
-All text outputs are UTF-8 with LF newlines; floats are written with 17
-significant digits so round-tripping through the files is lossless and
-byte-identical reruns are byte-identical answers.  A config file's sections
-and keys come from the RunSpec dataclasses, through
-:data:`~releasesim.scenario.CONFIG_FIELDS`.  Unknown sections and keys are
-hard errors: a typo like "apha0" silently running the defaults is the worst
-failure mode a config file can have.
+All answer files are UTF-8 text with LF newlines, written by one writer.
+CSV floats are written as "%.17g" (17 significant digits: 0.1 reads
+0.10000000000000001), JSON floats as Python's shortest round-trip repr (0.1
+reads 0.1); both read back to the same double, and a rerun writes the same
+bytes.  A config file's sections and keys come from the RunSpec
+dataclasses, through :data:`~releasesim.scenario.CONFIG_FIELDS`.  Unknown
+sections and keys are hard errors: a typo like "apha0" silently running the
+defaults is the worst failure mode a config file can have.
 """
 
 from __future__ import annotations
@@ -16,38 +17,18 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import MISSING, Field, fields, is_dataclass, replace
+from dataclasses import MISSING, Field, astuple, fields, is_dataclass, replace
 from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
 
-from .analytic import AnalyticParams
+from .analytic import AnalyticParams, default_mode, matrix_rates, residuals, tissue_rates
 from .errors import ConfigError, ValidationError
 from .params import validate_params
 from .scenario import CONFIG_FIELDS, RunSpec
 from .solver import FIELD_TABLE, LAYER_FIELDS, MATRIX, TISSUE, CompositeGrid, TimeSeries
 from .verification import analytic_state
-
-
-def _fmt(v) -> str:
-    """One CSV cell: 17-significant-digit floats, bare ints and strings."""
-    if v is None:
-        return "nan"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _jsonable(obj):
@@ -76,12 +57,17 @@ def _jsonable(obj):
     return obj
 
 
+def _write_text(path, head: str, lines=()) -> None:
+    """An answer file: UTF-8 text with LF newlines, ``head`` then ``lines``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        fh.writelines(lines)
+
+
 def write_json(path, obj) -> None:
     """Deterministic JSON: sorted keys, two-space indent, LF, UTF-8."""
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2,
-                      separators=(",", ": "), allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_text(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+                                 separators=(",", ": "), allow_nan=False) + "\n")
 
 
 _HASH_CHUNK = 1 << 20
@@ -138,14 +124,13 @@ def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
                   times, rows) -> None:
     """Long-format answer file, one block per time: line i is t, ``cells[i]``,
     then the next ``per_line`` values of the time's row from ``rows``.  Each
-    t is formatted once; values go through "%.17g", the same bytes as ``_fmt``.
+    t is formatted once; every float goes through "%.17g".
     """
     # "\0" stands in for the time's t on every line of the block
     block = "".join(f"\0,{cell}{',%.17g' * per_line}\n" for cell in cells)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, values in zip(np.asarray(times, float).tolist(), rows, strict=True):
-            fh.write(block.replace("\0", "%.17g" % t) % tuple(values))
+    _write_text(path, ",".join(header) + "\n",
+                (block.replace("\0", "%.17g" % t) % tuple(values)
+                 for t, values in zip(np.asarray(times, float).tolist(), rows, strict=True)))
 
 
 def _write_layer(path, ts: TimeSeries, layer: str, ready=None) -> None:
@@ -183,24 +168,25 @@ def write_analytic_csv(path, times, grid: CompositeGrid, p, ap: AnalyticParams) 
 
 def write_flux_mismatch_csv(path, times, flux_matrix, flux_tissue) -> None:
     """Interface fluxes of the closed-form mode and their gap per time."""
-    def rows():
-        for t, fm, ft in zip(times, flux_matrix, flux_tissue):
-            yield (t, fm, ft, abs(fm - ft))
-    _write_csv(path, ["t", "matrix_side", "tissue_side", "mismatch"], rows())
+    _write_text(path, "t,matrix_side,tissue_side,mismatch\n",
+                ("%.17g,%.17g,%.17g,%.17g\n" % (t, fm, ft, abs(fm - ft))
+                 for t, fm, ft in zip(times, flux_matrix, flux_tissue)))
 
 
 def write_sweep_csv(path, rows_in) -> None:
-    """One line per probe per sweep point; failed points carry empty probes."""
-    def rows():
+    """One line per probe per sweep point.  A failed point is one line with
+    no species; a number that is missing there, or a probe's ``t_extinct``
+    of None, is written as nan."""
+    def lines():
         for row in rows_in:
-            if row.metrics is None:
-                yield (row.param, row.value, row.status, "", None, None, None, None)
-            else:
-                for pr in row.metrics.probes:
-                    yield (row.param, row.value, row.status, pr.species, pr.x,
-                           pr.peak, pr.t_peak, pr.t_extinct)
-    _write_csv(path, ["param", "value", "status", "species", "x",
-                      "peak", "t_peak", "t_extinct"], rows())
+            probes = ([("", None, None, None, None)] if row.metrics is None else
+                      [(pr.species, pr.x, pr.peak, pr.t_peak, pr.t_extinct)
+                       for pr in row.metrics.probes])
+            for species, *numbers in probes:
+                yield "%s,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g\n" % (
+                    row.param, row.value, row.status, species,
+                    *(math.nan if v is None else v for v in numbers))
+    _write_text(path, "param,value,status,species,x,peak,t_peak,t_extinct\n", lines())
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +264,16 @@ def config_to_spec(cfg: dict) -> tuple[RunSpec, dict]:
         raise ValidationError(violations)
     if spec.nx0 < 4 or spec.nx1 < 4:
         raise ConfigError("grid.nx0 and grid.nx1 must each be at least 4")
+    if analytic:  # finite but huge values overflow the closed forms (a * a at a = 1e200)
+        p = spec.dimensionless()
+        mode = replace(default_mode(p), **analytic)
+        rates = [*astuple(matrix_rates(p, mode.a)), *astuple(tissue_rates(p, mode.b))]
+        with np.errstate(all="ignore"):  # residuals are evaluated only for finite rates
+            what = ("decay rates" if not np.isfinite(rates).all()
+                    else "balance residuals" if not np.isfinite([*residuals(p, mode).values()]).all()
+                    else None)
+        if what:
+            raise ConfigError(f"analytic section gives a mode whose {what} are not finite: {mode}")
     return spec, analytic
 
 

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def wrap_points() -> tuple:
@@ -143,3 +144,34 @@ def test_commands_on_two_cpus_leave_no_child_or_thread(run_fresh, tmp_path):
     assert proc.returncode == 0, proc.stderr
     after = json.loads(proc.stdout.strip().splitlines()[-1])
     assert after == {name: [0, None, 1] for name in ("simulate", "sweep", "verify")}
+
+
+FIRST_COMMANDS_PASS_THEIR_CHECKS = """
+import contextlib, io, json, sys
+from pathlib import Path
+bench, root = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, str(bench))
+import checks, workloads
+import releasesim.cli as cli
+references = json.loads((bench / "reference.json").read_text(encoding="utf-8"))["workloads"]
+problems = {}
+for name in workloads.NAMES:
+    spec = workloads.build(name, 1, root / name)
+    spec["reference"] = references.get(name)
+    out = root / name / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([*spec["commands"][0], "--out", str(out)])
+    problems[name] = checks.check_command(spec, out, rc)[1]
+print(json.dumps(problems))
+"""
+
+
+def test_each_workloads_first_command_passes_the_benchmarks_checks(run_fresh, tmp_path):
+    # the benchmark counts a command whose outputs fail its checks (exit code,
+    # hashes, reference values, ledger bound, sweep rows, verify checks) as
+    # failed; a fresh interpreter keeps the benchmark's modules out of the suite
+    proc = run_fresh(FIRST_COMMANDS_PASS_THEIR_CHECKS, str(PERFBENCH), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    problems = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(problems) == 4
+    assert problems == dict.fromkeys(problems, [])

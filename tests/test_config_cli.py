@@ -16,11 +16,16 @@ import releasesim as rs
 from releasesim import cli, metrics, runio, scenario, solver
 from releasesim.cli import _build_parser, main
 from releasesim.errors import ConfigError, ValidationError
-from releasesim.runio import (_fmt, _jsonable, config_to_spec, hash_file,
+from releasesim.runio import (_jsonable, config_to_spec, hash_file,
                               load_config, replacing, save_config, spec_to_config,
                               write_analytic_csv, write_flux_mismatch_csv,
                               write_json, write_matrix_csv, write_sweep_csv,
                               write_tissue_csv)
+
+
+# Floats that stress "%.17g": a signed zero, the least subnormal, a tiny and
+# two huge normals, and an infinity.
+SPECIALS = [-0.0, 5e-324, 1e-300, 1.5e300, -1.5e300, float("inf")]
 
 
 def tiny_spec() -> rs.RunSpec:
@@ -29,15 +34,6 @@ def tiny_spec() -> rs.RunSpec:
 
 
 class TestFormatting:
-    def test_cell_formats(self):
-        assert _fmt(None) == "nan"
-        assert _fmt(True) == "true"
-        assert _fmt(False) == "false"
-        assert _fmt(7) == "7"
-        assert _fmt(0.25) == "0.25"
-        assert _fmt(1.0 / 3.0) == "0.33333333333333331"
-        assert _fmt("C0") == "C0"
-
     def test_jsonable_handles_numpy_and_non_finite(self):
         obj = {"a": np.float64("nan"), "b": np.array([1.0, 2.0]),
                "c": np.int64(3), "d": np.bool_(True), "e": float("inf")}
@@ -128,6 +124,13 @@ class TestDataFiles:
             "t,matrix_side,tissue_side,mismatch\n"
             "0,0.5,0.25,0.25\n"
         )
+        # the special values, each cell as per-cell formatting writes it
+        times = np.array(SPECIALS)
+        fm, ft = times[::-1], np.roll(times, 2)
+        write_flux_mismatch_csv(path, times, fm, ft)
+        assert path.read_text() == "t,matrix_side,tissue_side,mismatch\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in (t, a, b, abs(a - b))) + "\n"
+            for t, a, b in zip(times, fm, ft))
 
     def test_sweep_csv_rows_have_uniform_arity(self, tmp_path):
         spec = replace(rs.RunSpec(), nx0=8, nx1=8,
@@ -135,6 +138,13 @@ class TestDataFiles:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rows = rs.sweep(spec, "ka", [0.6, -1.0])
+        # one more point whose numbers are the special values, one t_extinct None
+        probes = [replace(pr, x=SPECIALS[i % 6], peak=SPECIALS[(i + 1) % 6],
+                          t_peak=SPECIALS[(i + 2) % 6],
+                          t_extinct=None if i == 0 else SPECIALS[(i + 3) % 6])
+                  for i, pr in enumerate(rows[0].metrics.probes)]
+        rows.append(replace(rows[0], value=5e-324,
+                            metrics=replace(rows[0].metrics, probes=tuple(probes))))
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, rows)
         with open(path, newline="") as fh:
@@ -146,6 +156,16 @@ class TestDataFiles:
         assert statuses == {"ok", "error"}
         error_rows = [row for row in parsed[1:] if row[2] == "error"]
         assert error_rows == [["ka", "-1", "error", "", "nan", "nan", "nan", "nan"]]
+
+        def cell(v):  # per-cell formatting, nan for a missing number
+            return "nan" if v is None else format(float(v), ".17g")
+        expected = []
+        for row in rows:
+            for pr in row.metrics.probes if row.metrics else [None]:
+                numbers = (pr.x, pr.peak, pr.t_peak, pr.t_extinct) if pr else (None,) * 4
+                expected.append([row.param, cell(row.value), row.status,
+                                 pr.species if pr else "", *map(cell, numbers)])
+        assert parsed[1:] == expected
 
 
     def test_trajectory_writers_match_per_cell_formatting(self, tmp_path):
@@ -687,17 +707,28 @@ class TestCliErrors:
         assert "porosity" in err["message"]
 
     @pytest.mark.parametrize("command", [["analytic", "--t-end", "1"], ["verify", "all"]])
-    def test_non_finite_analytic_config_exits_one(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("config, message", [
         # Python's json reads NaN and Infinity, which no mode can use
-        path = tmp_path / "nan.json"
-        path.write_text('{"analytic": {"a": NaN}}')
+        ('{"analytic": {"a": NaN}}', "analytic.a must be finite and >= 0, got nan"),
+        # finite but huge values overflow the mode's rates or residuals
+        ('{"analytic": {"a": 1e200}}', "analytic section gives a mode whose decay rates "
+         "are not finite: AnalyticParams(a=1e+200, "),
+        ('{"analytic": {"b": 1e200}}', "analytic section gives a mode whose decay rates "
+         "are not finite: AnalyticParams(a=1.5707963267948966, b=1e+200, "),
+        ('{"analytic": {"e1": 1e308}}', "analytic section gives a mode whose balance "
+         "residuals are not finite: AnalyticParams("),
+    ], ids=["nan-a", "huge-a", "huge-b", "huge-e1"])
+    def test_non_finite_analytic_config_exits_one(self, tmp_path, capsys, command, config,
+                                                  message):
+        path = tmp_path / "mode.json"
+        path.write_text(config)
         code = main([*command, "--config", str(path), "--out", str(tmp_path / "o")])
         lines = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError"
-        assert err["message"] == "analytic.a must be finite and >= 0, got nan"
+        assert err["message"].startswith(message)
 
     def test_missing_config_exits_three(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),
