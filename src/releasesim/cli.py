@@ -30,7 +30,7 @@ import argparse
 import json
 import mmap
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from datetime import datetime, timezone
 from math import isfinite
 from pathlib import Path
@@ -39,8 +39,8 @@ import numpy as np
 
 from . import __version__
 from .analytic import (KINETIC_BALANCES, AnalyticParams, default_mode, interface_fluxes,
-                       residuals)
-from .errors import NumericalError, ValidationError, WorkerError
+                       matrix_rates, residuals, tissue_rates)
+from .errors import ConfigError, NumericalError, ValidationError, WorkerError
 from .metrics import release_metrics, sweep as run_sweep
 from .params import DimensionlessParams
 from .runio import (hash_file, load_config, replacing, spec_to_config, spell_infinite_pm,
@@ -106,17 +106,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def _begin(args) -> tuple[str, RunSpec, AnalyticParams, Path, DimensionlessParams]:
     """A command's start time, spec, closed-form mode (the default one with
     the config's analytic overrides), created output directory and
-    dimensionless parameters."""
+    dimensionless parameters.  A mode from the config whose decay rates,
+    balance residuals or interface fluxes (at the command's sample times)
+    are not finite is a ConfigError."""
     started = _now()
     spec, analytic_overrides = load_config(args.config) if args.config else (RunSpec(), {})
     flags = vars(args)  # verify has no run overrides
     grid, solver = ({f.name: flags[f.name] for f in CONFIG_FIELDS[section]
                      if flags.get(f.name) is not None} for section in ("grid", "solver"))
     spec = replace(spec, **grid, solver=replace(spec.solver, **solver))
+    p = spec.dimensionless()
+    mode = replace(default_mode(p), **analytic_overrides)
+    if analytic_overrides:  # finite but huge values overflow the closed forms (a * a at a = 1e200)
+        rates = [*astuple(matrix_rates(p, mode.a)), *astuple(tissue_rates(p, mode.b))]
+        with np.errstate(all="ignore"):  # residuals and fluxes are evaluated only for finite rates
+            what = ("decay rates" if not np.isfinite(rates).all()
+                    else "balance residuals" if not np.isfinite([*residuals(p, mode).values()]).all()
+                    else "interface fluxes"
+                    if not np.isfinite(interface_fluxes(p, mode, sample_times(spec.solver))).all()
+                    else None)
+        if what:
+            raise ConfigError(f"analytic section gives a mode whose {what} are not finite: {mode}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    p = spec.dimensionless()
-    return started, spec, replace(default_mode(p), **analytic_overrides), out, p
+    return started, spec, mode, out, p
 
 
 def _finish(out: Path, args, spec: RunSpec, p, started: str,

@@ -17,13 +17,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import MISSING, Field, astuple, fields, is_dataclass, replace
+from dataclasses import MISSING, Field, fields, is_dataclass, replace
 from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
 
-from .analytic import AnalyticParams, default_mode, matrix_rates, residuals, tissue_rates
+from .analytic import AnalyticParams
 from .errors import ConfigError, ValidationError
 from .params import validate_params
 from .scenario import CONFIG_FIELDS, RunSpec
@@ -179,13 +179,13 @@ def write_sweep_csv(path, rows_in) -> None:
     of None, is written as nan."""
     def lines():
         for row in rows_in:
-            probes = ([("", None, None, None, None)] if row.metrics is None else
-                      [(pr.species, pr.x, pr.peak, pr.t_peak, pr.t_extinct)
+            probes = ([("", math.nan, math.nan, math.nan, math.nan)] if row.metrics is None else
+                      [(pr.species, pr.x, pr.peak, pr.t_peak,
+                        math.nan if pr.t_extinct is None else pr.t_extinct)
                        for pr in row.metrics.probes])
-            for species, *numbers in probes:
+            for probe in probes:
                 yield "%s,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g\n" % (
-                    row.param, row.value, row.status, species,
-                    *(math.nan if v is None else v for v in numbers))
+                    row.param, row.value, row.status, *probe)
     _write_text(path, "param,value,status,species,x,peak,t_peak,t_extinct\n", lines())
 
 
@@ -264,16 +264,6 @@ def config_to_spec(cfg: dict) -> tuple[RunSpec, dict]:
         raise ValidationError(violations)
     if spec.nx0 < 4 or spec.nx1 < 4:
         raise ConfigError("grid.nx0 and grid.nx1 must each be at least 4")
-    if analytic:  # finite but huge values overflow the closed forms (a * a at a = 1e200)
-        p = spec.dimensionless()
-        mode = replace(default_mode(p), **analytic)
-        rates = [*astuple(matrix_rates(p, mode.a)), *astuple(tissue_rates(p, mode.b))]
-        with np.errstate(all="ignore"):  # residuals are evaluated only for finite rates
-            what = ("decay rates" if not np.isfinite(rates).all()
-                    else "balance residuals" if not np.isfinite([*residuals(p, mode).values()]).all()
-                    else None)
-        if what:
-            raise ConfigError(f"analytic section gives a mode whose {what} are not finite: {mode}")
     return spec, analytic
 
 

@@ -28,6 +28,12 @@ from releasesim.runio import (_jsonable, config_to_spec, hash_file,
 SPECIALS = [-0.0, 5e-324, 1e-300, 1.5e300, -1.5e300, float("inf")]
 
 
+def overflowing(what: str, **analytic) -> str:
+    """The refusal of the default mode with ``analytic``'s values."""
+    mode = replace(rs.default_mode(rs.RunSpec().dimensionless()), **analytic)
+    return f"analytic section gives a mode whose {what} are not finite: {mode}"
+
+
 def tiny_spec() -> rs.RunSpec:
     return replace(rs.RunSpec(), nx0=4, nx1=4,
                    solver=rs.SolverConfig(dt=0.1, t_end=0.0))
@@ -710,14 +716,14 @@ class TestCliErrors:
     @pytest.mark.parametrize("config, message", [
         # Python's json reads NaN and Infinity, which no mode can use
         ('{"analytic": {"a": NaN}}', "analytic.a must be finite and >= 0, got nan"),
-        # finite but huge values overflow the mode's rates or residuals
-        ('{"analytic": {"a": 1e200}}', "analytic section gives a mode whose decay rates "
-         "are not finite: AnalyticParams(a=1e+200, "),
-        ('{"analytic": {"b": 1e200}}', "analytic section gives a mode whose decay rates "
-         "are not finite: AnalyticParams(a=1.5707963267948966, b=1e+200, "),
-        ('{"analytic": {"e1": 1e308}}', "analytic section gives a mode whose balance "
-         "residuals are not finite: AnalyticParams("),
-    ], ids=["nan-a", "huge-a", "huge-b", "huge-e1"])
+        # finite but huge values overflow the mode's rates, residuals or fluxes
+        ('{"analytic": {"a": 1e200}}', overflowing("decay rates", a=1e200)),
+        ('{"analytic": {"b": 1e200}}', overflowing("decay rates", b=1e200)),
+        ('{"analytic": {"e1": 1e308}}', overflowing("balance residuals", e1=1e308)),
+        # d1 enters only the tissue side of the interface flux
+        ('{"tissue": {"d1": 1e10}, "analytic": {"e2": 1e300}}',
+         overflowing("interface fluxes", e2=1e300)),
+    ], ids=["nan-a", "huge-a", "huge-b", "huge-e1", "huge-d1-e2"])
     def test_non_finite_analytic_config_exits_one(self, tmp_path, capsys, command, config,
                                                   message):
         path = tmp_path / "mode.json"
@@ -728,7 +734,8 @@ class TestCliErrors:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError"
-        assert err["message"].startswith(message)
+        assert err["message"] == message
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_three(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),
