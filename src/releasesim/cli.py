@@ -132,6 +132,15 @@ def _begin(args) -> tuple[str, RunSpec, AnalyticParams, Path, DimensionlessParam
     return started, spec, mode, out, p
 
 
+def _warn_still_rising(metrics, prefix: str = "") -> None:
+    """A warning line on stderr for each probe of ``metrics`` that peaks at
+    the end of the run."""
+    for pr in metrics.probes:
+        if pr.peak_at_end:
+            print(f"warning: {prefix}{pr.species} at x={pr.x:g} is still rising at the end "
+                  "of the run; its peak metrics are lower bounds", file=sys.stderr)
+
+
 def _finish(out: Path, args, spec: RunSpec, p, started: str,
             artifact_names: list[str], extra: dict | None = None) -> None:
     """Write config.resolved.json and the run manifest with output hashes;
@@ -171,6 +180,7 @@ def _cmd_simulate(args) -> int:
     write_json(out / "ledger.json", ledger)
     _finish(out, args, spec, p, started,
             ["matrix.csv", "tissue.csv", "metrics.json", "ledger.json"])
+    _warn_still_rising(metrics)
     print(f"matrix fraction {metrics.matrix_fraction:.4f}, "
           f"degraded fraction {metrics.degraded_fraction:.4f} at t={metrics.t_end:g}")
     return 0
@@ -218,13 +228,13 @@ def _cmd_verify(args) -> int:
     started, spec, mode, out, p = _begin(args)
     names = list(_CHECKS) if args.check == "all" else [args.check]
     checks = parallel_map(lambda name: _CHECKS[name](p, mode, spec), names)
+    all_passed = all(c["passed"] for c in checks)
+    write_json(out / "verify.json", {"checks": checks, "passed": all_passed})
+    _finish(out, args, spec, p, started, ["verify.json"], extra={"analytic": mode})
     for name, check in zip(names, checks):
         detail = {k: v for k, v in check.items() if k not in ("name", "passed")}
         print(f"{'PASS' if check['passed'] else 'FAIL'} {name}: "
               f"{json.dumps(detail, sort_keys=True, default=str)}")
-    all_passed = all(c["passed"] for c in checks)
-    write_json(out / "verify.json", {"checks": checks, "passed": all_passed})
-    _finish(out, args, spec, p, started, ["verify.json"])
     return 0 if all_passed else 2
 
 
@@ -271,6 +281,7 @@ def _cmd_sweep(args) -> int:
             m = row.metrics
             line += (f" {m.matrix_fraction:12.4f} {m.degraded_fraction:9.4f}"
                      f" {m.ci_exposure:9.4f}")
+            _warn_still_rising(m, prefix=f"{args.param}={row.value:g}: ")
         else:
             print(f"warning: {args.param}={row.value:g} failed: {row.error}",
                   file=sys.stderr)

@@ -8,7 +8,6 @@ quadratic / linear across one sample interval.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,7 +73,7 @@ class ProbeSeriesMetrics:
     peak: float
     t_peak: float
     t_extinct: float | None   # None when the series never falls to the threshold
-    peak_at_end: bool
+    peak_at_end: bool         # still rising at the end: peak and t_peak are lower bounds
 
 
 def probe_metrics(times: np.ndarray, values: np.ndarray, species: str,
@@ -95,12 +94,6 @@ def probe_metrics(times: np.ndarray, values: np.ndarray, species: str,
     if 0 < i < len(values) - 1:
         t_peak, peak = parabolic_peak(times[i - 1], times[i], times[i + 1],
                                       values[i - 1], values[i], values[i + 1])
-    if peak_at_end:
-        warnings.warn(
-            f"{species} at x={x:g} is still rising at the end of the run; "
-            "its peak metrics are lower bounds",
-            stacklevel=2,
-        )
     thr = EXTINCTION_FRACTION * peak
     t_extinct = None
     below = np.nonzero(values[i:] <= thr)[0]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-import warnings
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -100,9 +99,6 @@ R = TypeVar("R")
 _TASK: tuple[Callable, list] | None = None
 # stream_map tells its workers every STREAM_BLOCK-th count.
 STREAM_BLOCK = 64
-# Dedupes the warnings re-issued from workers, as a module's
-# ``__warningregistry__`` dedupes them in a serial run.
-_WARNING_REGISTRY: dict = {}
 
 
 def _usable_cpus() -> int:
@@ -112,12 +108,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_item(i: int) -> tuple:
-    """Item ``i`` of the task, in a worker: its result and the warnings it raised."""
+def _run_item(i: int):
+    """Item ``i`` of the task, in a worker: its result."""
     fn, items = _TASK
-    with warnings.catch_warnings(record=True) as caught:
-        result = fn(items[i])
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return fn(items[i])
 
 
 def _fork_context(workers: int):
@@ -134,37 +128,30 @@ def _in_workers(context, workers: int, fn: Callable, items, alongside=lambda: No
     global _TASK
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     _TASK = fn, items
-    results = []
     try:
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             outcomes = pool.map(_run_item, range(len(items)))
             alongside()
-            for result, caught in outcomes:
-                for message, category, filename, lineno in caught:
-                    warnings.warn_explicit(message, category, filename, lineno,
-                                           registry=_WARNING_REGISTRY)
-                results.append(result)
+            return list(outcomes)
     except BrokenProcessPool as exc:
         raise WorkerError(f"a worker process died: {exc}") from exc
     finally:
         _TASK = None
-    return results
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """``[fn(x) for x in items]``, with each call in a forked worker process.
 
     One worker per usable CPU, at most one per item.  Results come back in
-    item order, and the warnings a worker raised are re-issued here in item
-    order, so the caller sees what a serial run gives.  ``fn`` and ``items``
-    reach the workers by fork inheritance and need not pickle; the results
-    must.  The calls run in-process with one worker, inside a worker (a
-    nested call), where the platform cannot fork, and while this process
-    runs other threads (a fork copies their locks in whatever state they
-    are in).  An exception ``fn`` raises comes back as itself; a worker that
-    dies raises :class:`~releasesim.errors.WorkerError`.  Every job the
-    package maps steps the solver, so SciPy is loaded before the fork and the
-    workers inherit it.
+    item order, as a serial run gives them.  ``fn`` and ``items`` reach the
+    workers by fork inheritance and need not pickle; the results must.  The
+    calls run in-process with one worker, inside a worker (a nested call),
+    where the platform cannot fork, and while this process runs other
+    threads (a fork copies their locks in whatever state they are in).  An
+    exception ``fn`` raises comes back as itself; a worker that dies raises
+    :class:`~releasesim.errors.WorkerError`.  Every job the package maps
+    steps the solver, so SciPy is loaded before the fork and the workers
+    inherit it.
     """
     items = list(items)
     workers = min(len(items), _usable_cpus())

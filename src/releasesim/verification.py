@@ -20,7 +20,6 @@ forms on the grid nodes as a packed state, as written to ``analytic.csv``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from itertools import pairwise
 
@@ -288,24 +287,19 @@ class ConvergenceReport:
         finals = [seq[-1] for seq in self.orders.values() if seq and np.isfinite(seq[-1])]
         return float(min(finals)) if finals else float("nan")
 
-    def warn_if_preasymptotic(self, label: str) -> None:
-        for name in self.orders:
-            if any(b >= a for a, b in pairwise(e[name] for e in self.errors)):
-                warnings.warn(
-                    f"{label}: error sequence for {name} is not monotone; "
-                    "refinement may not have reached the asymptotic regime",
-                    stacklevel=2,
-                )
-                return
+    @property
+    def monotone(self) -> bool:
+        """Whether every field's error falls at each refinement; where one does
+        not, the refinement may not have reached the asymptotic regime."""
+        return not any(b >= a for name in self.orders
+                       for a, b in pairwise(e[name] for e in self.errors))
 
 
-def _refinement(label: str, levels: tuple, runs, ref: TimeSeries) -> ConvergenceReport:
+def _refinement(levels: tuple, runs, ref: TimeSeries) -> ConvergenceReport:
     """Report of ``runs`` (one per level, iterated once) against the reference
-    run at t_end; warns under ``label`` if an error sequence is not monotone."""
-    report = ConvergenceReport(levels=tuple(levels),
-                               errors=tuple(_field_deviations(ts, ref) for ts in runs))
-    report.warn_if_preasymptotic(label)
-    return report
+    run at t_end."""
+    return ConvergenceReport(levels=tuple(levels),
+                             errors=tuple(_field_deviations(ts, ref) for ts in runs))
 
 
 def spatial_convergence(p: DimensionlessParams, config: SolverConfig,
@@ -320,8 +314,7 @@ def spatial_convergence(p: DimensionlessParams, config: SolverConfig,
         if ref_cells % n:
             raise ValueError(f"reference cell count {ref_cells} must be a multiple of {n}")
     ref = simulate(p, make_grid(p, ref_cells, ref_cells), config)
-    return _refinement("spatial refinement", cells,
-                       (simulate(p, make_grid(p, n, n), config) for n in cells), ref)
+    return _refinement(cells, (simulate(p, make_grid(p, n, n), config) for n in cells), ref)
 
 
 def temporal_convergence(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
@@ -329,8 +322,7 @@ def temporal_convergence(p: DimensionlessParams, grid: CompositeGrid, config: So
     """Observed temporal order at t_end on a fixed grid against a small-dt
     reference run."""
     ref = simulate(p, grid, replace(config, dt=ref_dt))
-    return _refinement(f"temporal refinement (theta={config.theta})", dts,
-                       (simulate(p, grid, replace(config, dt=dt)) for dt in dts), ref)
+    return _refinement(dts, (simulate(p, grid, replace(config, dt=dt)) for dt in dts), ref)
 
 
 def convergence_study(p: DimensionlessParams) -> dict:
@@ -411,4 +403,5 @@ def check_convergence(p: DimensionlessParams, study=convergence_study) -> dict:
     orders = {name: result[name].observed_order for name in REQUIRED_ORDERS}
     passed = all(orders[name] >= bound for name, bound in REQUIRED_ORDERS.items())
     return {"name": "convergence", "passed": passed, "observed_orders": orders,
+            "monotone": {name: result[name].monotone for name in REQUIRED_ORDERS},
             "required": dict(REQUIRED_ORDERS)}

@@ -4,8 +4,8 @@ import itertools
 import json
 import re
 import shlex
+import sys
 import time
-import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -141,9 +141,7 @@ class TestDataFiles:
     def test_sweep_csv_rows_have_uniform_arity(self, tmp_path):
         spec = replace(rs.RunSpec(), nx0=8, nx1=8,
                        solver=rs.SolverConfig(dt=0.05, t_end=2.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = rs.sweep(spec, "ka", [0.6, -1.0])
+        rows = rs.sweep(spec, "ka", [0.6, -1.0])
         # one more point whose numbers are the special values, one t_extinct None
         probes = [replace(pr, x=SPECIALS[i % 6], peak=SPECIALS[(i + 1) % 6],
                           t_peak=SPECIALS[(i + 2) % 6],
@@ -436,6 +434,17 @@ class TestCliSimulate:
         assert resolved["solver"]["theta"] == 1.0
         assert resolved["solver"]["outer_bc"] == "sink"
 
+    def test_still_rising_probes_are_warning_lines(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, solver={"dt": 0.05, "t_end": 10.0})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        probes = json.loads((out / "metrics.json").read_text())["probes"]
+        rising = [pr for pr in probes if pr["peak_at_end"]]
+        assert len(rising) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {pr['species']} at x={pr['x']:g} is still rising at the end of the run; "
+            "its peak metrics are lower bounds" for pr in rising]
+
     def test_answer_files_are_the_same_with_one_and_two_workers(self, tmp_path, capsys,
                                                                 monkeypatch):
         # 1.05 / 0.05 = 21 steps, sampled every 4th: the last sample is off-stride
@@ -701,6 +710,54 @@ class TestCliSweep:
         assert exc.value.code != 0
 
 
+    def test_still_rising_probes_are_named_per_point(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, solver={"dt": 0.05, "t_end": 10.0})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"),
+                     "--param", "ka", "--values", "0.2,0.6"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: ka={v}: Ci at x={x} is still rising at the end of the run; "
+            "its peak metrics are lower bounds"
+            for v in ("0.2", "0.6") for x in ("1", "1.33333", "1.66667", "2")]
+
+
+# Each command's flags, beside --config and --out
+COMMANDS = {
+    "simulate": ["simulate", "--outer-bc", "sink"],
+    "analytic": ["analytic"],
+    "verify": ["verify", "residuals"],
+    "sweep": ["sweep", "--param", "ka", "--values", "0.3,0.9"],
+}
+# Each command's answer files, beside config.resolved.json and run.json
+ANSWERS = {
+    "simulate": ["matrix.csv", "tissue.csv", "metrics.json", "ledger.json"],
+    "analytic": ["analytic.csv", "flux_mismatch.csv", "residuals.json"],
+    "verify": ["verify.json"],
+    "sweep": ["sweep.csv"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_resolved_config_reproduces_the_run(tmp_path, command):
+    cfg = small_config(tmp_path, solver={"dt": 0.05, "t_end": 2.0},
+                       interface={"pm": 3, "sigma": 1.4}, analytic={"a": 2.0, "e2": 0.5})
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([*COMMANDS[command], "--config", str(cfg), "--out", str(first)]) == 0
+    assert main([*COMMANDS[command], "--config", str(first / "config.resolved.json"),
+                 "--out", str(again)]) == 0
+    answers = {p.name: p.read_bytes() for p in first.iterdir() if p.name != "run.json"}
+    assert {p.name: p.read_bytes() for p in again.iterdir() if p.name != "run.json"} == answers
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, as in ``releasesim verify | true``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
 class TestCliErrors:
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -781,6 +838,18 @@ class TestCliErrors:
         err = json.loads(lines[0])
         assert err["exit_code"] == 1
         assert "finite" in err["message"]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_closed_stdout_exits_three_after_the_answer_files(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        out = tmp_path / "o"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main([*COMMANDS[command], "--config", str(small_config(tmp_path)),
+                     "--out", str(out)])
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert code == 3 and err["error"] == "BrokenPipeError"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*ANSWERS[command], "config.resolved.json", "run.json"])
 
     def test_dead_worker_exits_four(self, tmp_path, run_fresh):
         # in a fresh interpreter, so a pool that waited forever would meet a timeout
@@ -863,10 +932,8 @@ sys.exit(cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "40",
 
     def test_stable_explicit_run_keeps_its_bytes(self, tmp_path):
         out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # probes still rising
-            assert main(["simulate", "--theta", "0", "--nx0", "4", "--nx1", "4",
-                         "--dt", "1e-4", "--t-end", "0.01", "--out", str(out)]) == 0
+        assert main(["simulate", "--theta", "0", "--nx0", "4", "--nx1", "4",
+                     "--dt", "1e-4", "--t-end", "0.01", "--out", str(out)]) == 0
         # sha256 of the answer files from before the stability check existed
         assert {name: hash_file(out / name) for name in STABLE_EXPLICIT} == STABLE_EXPLICIT
 

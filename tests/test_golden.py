@@ -79,9 +79,9 @@ GOLDEN = {
     },
     "verify": {
         "config.resolved.json":
-            "169191e223dedf7f2ac4ed81ccad1189d1dd61623a7dc4f2370f7e6e858eaf87",
+            "60cf8e19f4df49d29e7f08141ad20124a3be5859e87dda292af4ee40f7a25f16",
         "verify.json":
-            "549987dc94f03869f907bca4a140e1416f1342e85b12cc79e77731c9f5d7b73e",
+            "e111ce2ecad42b363cb0fa36bafc7f0b900759e01c27b4630b917a566e7c594e",
     },
 }
 
@@ -109,7 +109,6 @@ def _fingerprints(case: str, tmp_path) -> dict[str, str]:
             for path in sorted(out.iterdir()) if path.name != "run.json"}
 
 
-@pytest.mark.filterwarnings("ignore:.*still rising:UserWarning")
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_answer_files_match_golden_hashes(case, tmp_path):
     assert _fingerprints(case, tmp_path) == GOLDEN[case]

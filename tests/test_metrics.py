@@ -1,8 +1,6 @@
 import json
 import os
-import re
 import threading
-import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -103,10 +101,9 @@ class TestProbeMetrics:
         assert pr.t_peak == 0.0 and pr.peak == 3.0
         assert pr.t_extinct is None  # never falls to 1% of the peak
 
-    def test_still_rising_series_warns_and_flags(self):
-        with pytest.warns(UserWarning, match="still rising"):
-            pr = rs.probe_metrics(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]),
-                                  "Ci", 1.5)
+    def test_still_rising_series_is_flagged(self):
+        pr = rs.probe_metrics(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]),
+                              "Ci", 1.5)
         assert pr.peak_at_end
         assert pr.peak == 2.0 and pr.t_peak == 2.0
 
@@ -204,10 +201,8 @@ class TestSweep:
     def test_single_point_sweep_equals_direct_run(self, tmp_path):
         spec = small_spec()
         base_ka = rs.get_param(spec, "ka")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = rs.sweep(spec, "ka", [base_ka])
-            direct = rs.release_metrics(rs.run_spec(spec))
+        rows = rs.sweep(spec, "ka", [base_ka])
+        direct = rs.release_metrics(rs.run_spec(spec))
         assert len(rows) == 1
         assert rows[0].status == "ok"
         assert rows[0].error is None
@@ -217,9 +212,7 @@ class TestSweep:
 
     def test_bad_value_is_isolated_on_its_own_row(self):
         spec = small_spec()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = rs.sweep(spec, "ka", [0.6, -1.0])
+        rows = rs.sweep(spec, "ka", [0.6, -1.0])
         assert [r.status for r in rows] == ["ok", "error"]
         assert rows[1].metrics is None
         assert "ka" in rows[1].error
@@ -230,18 +223,14 @@ class TestSweep:
 
     def test_no_internalization_means_no_exposure(self):
         spec = small_spec()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = rs.sweep(spec, "ki", [0.0])
+        rows = rs.sweep(spec, "ki", [0.0])
         m = rows[0].metrics
         assert m.ci_exposure == 0.0
         assert m.degraded_fraction == 0.0
 
     def test_exposure_falls_as_degradation_speeds_up(self):
         spec = small_spec()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = rs.sweep(spec, "kid", [0.05, 0.1, 0.2, 0.4])
+        rows = rs.sweep(spec, "kid", [0.05, 0.1, 0.2, 0.4])
         exposures = [r.metrics.ci_exposure for r in rows]
         assert all(r.status == "ok" for r in rows)
         assert all(a > b for a, b in zip(exposures, exposures[1:]))
@@ -258,10 +247,8 @@ class TestLocalSensitivity:
         assert rec.base_metric > 0.1
 
     def test_dissolution_accelerates_degradation(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rec = rs.local_sensitivity(small_spec(), "alpha0",
-                                       metric="degraded_fraction_final")
+        rec = rs.local_sensitivity(small_spec(), "alpha0",
+                                   metric="degraded_fraction_final")
         assert rec.forward > 0.0 and rec.backward > 0.0
         assert rec.central == pytest.approx(0.5 * (rec.forward + rec.backward),
                                             rel=1e-12)
@@ -272,23 +259,19 @@ class TestLocalSensitivity:
         def scaled(ts):
             return 5.0 * rs.release_metrics(ts).degraded_fraction
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = rs.local_sensitivity(small_spec(), "alpha0",
-                                     metric="degraded_fraction_final")
-            b = rs.local_sensitivity(small_spec(), "alpha0", metric=scaled)
+        a = rs.local_sensitivity(small_spec(), "alpha0",
+                                 metric="degraded_fraction_final")
+        b = rs.local_sensitivity(small_spec(), "alpha0", metric=scaled)
         assert b.central == pytest.approx(a.central, rel=1e-10)
         assert b.base_metric == pytest.approx(5.0 * a.base_metric, rel=1e-12)
 
     def test_central_difference_is_the_more_stable_estimate(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            coarse = rs.local_sensitivity(small_spec(), "alpha0",
-                                          metric="degraded_fraction_final",
-                                          rel_step=0.2)
-            fine = rs.local_sensitivity(small_spec(), "alpha0",
-                                        metric="degraded_fraction_final",
-                                        rel_step=0.1)
+        coarse = rs.local_sensitivity(small_spec(), "alpha0",
+                                      metric="degraded_fraction_final",
+                                      rel_step=0.2)
+        fine = rs.local_sensitivity(small_spec(), "alpha0",
+                                    metric="degraded_fraction_final",
+                                    rel_step=0.1)
         drift_central = abs(coarse.central - fine.central)
         drift_forward = abs(coarse.forward - fine.forward)
         assert drift_central <= drift_forward + 1e-9
@@ -318,19 +301,11 @@ class TestLocalSensitivity:
 
     def test_named_metrics_all_evaluate(self):
         ts = rs.run_spec(small_spec())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            values = {name: fn(ts) for name, fn in rs.NAMED_METRICS.items()}
+        values = {name: fn(ts) for name, fn in rs.NAMED_METRICS.items()}
         for name, v in values.items():
             assert np.isfinite(v), name
         assert values["t_peak_c1_mid"] > 0.0
         assert values["peak_c1_mid"] > 0.0
-
-
-def _still_rising(x: float) -> float:
-    # a probe series that peaks at its last sample warns "still rising"
-    rs.probe_metrics(np.array([0.0, 1.0]), np.array([0.0, 1.0]), "Ci", x)
-    return x
 
 
 # Runs in a fresh interpreter: a pool that waited for a dead worker would
@@ -402,18 +377,6 @@ class TestParallelMap:
         with pytest.raises(NumericalError, match="item 2"):
             scenario.parallel_map(fn, range(4))
 
-    def test_worker_warnings_are_reissued_in_item_order(self, cpus):
-        stations = [0.5, 1.5, 2.5, 3.5]
-        messages = []
-        for n in (1, 2):
-            cpus(n)
-            with pytest.warns(UserWarning, match="still rising") as record:
-                assert scenario.parallel_map(_still_rising, stations) == stations
-            messages.append([(w.category, str(w.message)) for w in record])
-        assert messages[0] == messages[1]
-        assert [re.search(r"x=(\S+)", m).group(1) for _, m in messages[1]] == [
-            "0.5", "1.5", "2.5", "3.5"]
-
     def test_a_dead_worker_raises_instead_of_hanging(self, run_fresh):
         proc = run_fresh(DEAD_WORKER)
         assert proc.returncode == 0, proc.stderr
@@ -426,9 +389,7 @@ class TestParallelRuns:
         files = []
         for n in (1, 2):
             cpus(n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rows = rs.sweep(spec, "ka", [0.3, -1.0, 0.9])
+            rows = rs.sweep(spec, "ka", [0.3, -1.0, 0.9])
             assert [r.status for r in rows] == ["ok", "error", "ok"]
             assert rows[1].error == "ValidationError: tissue.ka: must be >= 0, got -1.0"
             path = tmp_path / f"sweep{n}.csv"
@@ -443,7 +404,5 @@ class TestParallelRuns:
         records = []
         for n in (1, 2):
             cpus(n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                records.append(rs.local_sensitivity(small_spec(), "alpha0", metric=metric))
+            records.append(rs.local_sensitivity(small_spec(), "alpha0", metric=metric))
         assert records[0] == records[1]

@@ -443,11 +443,19 @@ class TestConvergence:
         assert report.orders == {"c0": [2.0], "c1": [1.0]}
         assert report.observed_order == 1.0
 
-    def test_non_monotone_errors_warn(self):
-        report = rs.ConvergenceReport(levels=(8, 16), errors=({"c0": 0.1}, {"c0": 0.2}))
-        assert report.orders == {"c0": [-1.0]}
-        with pytest.warns(UserWarning, match="not monotone"):
-            report.warn_if_preasymptotic("synthetic")
+    def test_monotone_only_while_every_error_falls(self):
+        falling = rs.ConvergenceReport(levels=(8, 16, 32),
+                                       errors=({"c0": 0.4, "c1": 0.4}, {"c0": 0.1, "c1": 0.2},
+                                               {"c0": 0.025, "c1": 0.1}))
+        assert falling.monotone
+        rising = rs.ConvergenceReport(levels=(8, 16), errors=({"c0": 0.1}, {"c0": 0.2}))
+        assert rising.orders == {"c0": [-1.0]}
+        assert not rising.monotone
+        # one field whose error stalls at one refinement is enough
+        stalled = rs.ConvergenceReport(levels=(8, 16, 32),
+                                       errors=({"c0": 0.4, "c1": 0.4}, {"c0": 0.1, "c1": 0.2},
+                                               {"c0": 0.025, "c1": 0.2}))
+        assert not stalled.monotone
 
     def test_deviations_take_each_layer_stride_from_the_grids(self, ref_params):
         cfg = rs.SolverConfig(dt=0.05, t_end=0.5, sample_every=10 ** 9)
