@@ -13,12 +13,13 @@ defaults is the worst failure mode a config file can have.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
 import os
 from dataclasses import MISSING, Field, fields, is_dataclass, replace
-from itertools import chain, pairwise
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,10 @@ def _jsonable(obj):
 
 
 def _write_text(path, head: str, lines=()) -> None:
-    """An answer file: UTF-8 text with LF newlines, ``head`` then ``lines``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
+    """An answer file: ``head``, then ``lines``, which are UTF-8 bytes.  The
+    text's own newlines are LF."""
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
         fh.writelines(lines)
 
 
@@ -120,30 +122,278 @@ def replacing(*paths):
             tmp.unlink(missing_ok=True)
 
 
-def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
-                  times, rows) -> None:
-    """Long-format answer file, one block per time: line i is t, ``cells[i]``,
-    then the next ``per_line`` values of the time's row from ``rows``.  Each
-    t is formatted once; every float goes through "%.17g".
+# ---------------------------------------------------------------------------
+# "%.17g" in bulk
+#
+# The kernel writes each value's text into a slot of _SLOT bytes, four
+# little-endian words, with NUL bytes wherever the text has no character:
+#   word 0     byte 0 the sign, bytes 1-5 the "0.000" of a value below 1 in
+#              fixed notation, byte 6 the first digit and byte 7 the point
+#              after it;
+#   words 1-2  the other 16 digits; a point after one of them moves the
+#              digits behind it up by a byte, into word 3;
+#   word 3     the exponent ("e-05", "e+308"), and byte _SEP, free for a
+#              separator.
+# Deleting the NUL bytes of a run of slots leaves the texts, each followed by
+# its separator.
+
+_SLOT = 32
+_SEP = 31
+# Values formatted by one kernel call: its float arrays (64 KiB) stay in the
+# CPU caches, and below malloc's mmap threshold, so that each call reuses heap
+# memory rather than faulting in fresh pages.
+_CHUNK = 1 << 13
+_VELTKAMP = 134217729.0   # 2**27 + 1: splits a double into two halves of 26 bits
+# A scaled value whose fraction is this close to 1/2 is a tie, or too close to
+# one to round by the double-double; CPython formats it.
+_NEAR_TIE = 2.0 ** -30
+_X_MIN, _X_MAX = -324, 308    # decimal exponents of the finite nonzero doubles
+_E16, _E17 = 10 ** 16, 10 ** 17
+
+
+def _split(a):
+    """Veltkamp's split: ``a = hi + lo`` with hi and lo of 26 significant bits,
+    so that products of the halves are exact."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+class _G17Tables:
+    """The kernel's tables.  The layout tables are made when the first call
+    builds this object; 10**p is made per exponent, the first time a call
+    needs it."""
+
+    def __init__(self):
+        size = _X_MAX - _X_MIN + 1
+        # 10**(16 - x) = (hi + lo) * 2**shift with hi in [1, 2), at x - _X_MIN
+        self.hi, self.lo = np.zeros(size), np.zeros(size)
+        self.shift = np.zeros(size, np.int64)
+        self.made = np.zeros(size, bool)
+        g = np.arange(10000)
+        digits = np.zeros((10000, 8), np.uint8)
+        for i, d in enumerate((g // 1000, g // 100 % 10, g // 10 % 10, g % 10)):
+            digits[:, i] = 48 + d
+        self.digits = digits.view(np.uint64).ravel()     # four digits, then NUL
+        self.zeros = np.zeros(10000, np.uint8)           # trailing zeros; 4 for 0
+        for k in range(1, 5):
+            self.zeros[g % 10 ** k == 0] = k
+        # words 1-2 of a slot: the bytes before byte q, and a point at byte q
+        q = np.arange(17)
+        self.below = [np.array([_word(b"\xff" * min(max(k - w, 0), 8)) for k in q.tolist()],
+                               np.uint64) for w in (0, 8)]
+        self.point = [np.array([_word(b"\0" * (k - w) + b".") if w <= k < w + 8 else 0
+                                for k in q.tolist()], np.uint64) for w in (0, 8)]
+        x = np.arange(_X_MIN, _X_MAX + 1)
+        self.fixed = (x >= -4) & (x < 17)                # %g's fixed notation
+        self.prefix = np.zeros(size, np.uint64)
+        for k in range(1, 5):
+            self.prefix[-k - _X_MIN] = _word(b"\0" + b"0." + b"0" * (k - 1))
+        self.exponent = np.array([0 if fixed else _word(b"e%+03d" % k)
+                                  for k, fixed in zip(x.tolist(), self.fixed.tolist())],
+                                 np.uint64)
+        # the significant digits a point after the first digit needs (99: never)
+        self.first_point = np.where(self.fixed & (x != 0), 99, 2)
+
+    def pow10(self, x):
+        """(hi, lo, shift) of 10**(16 - x) for each decimal exponent in ``x``."""
+        i = x - _X_MIN
+        if i.size and not self.made[i.min():i.max() + 1].all():
+            for j in np.unique(i[~self.made[i]]).tolist():
+                p = 16 - (j + _X_MIN)
+                # m * 2**e: 10**p, or at least 256 bits of it
+                m, e = ((10 ** p, 0) if p >= 0 else
+                        ((1 << (256 + 4 * -p)) // 10 ** -p, -256 - 4 * -p))
+                if m.bit_length() < 128:
+                    m, e = m << 128, e - 128
+                drop = m.bit_length() - 53
+                hi = (m + (1 << (drop - 1))) >> drop
+                if hi.bit_length() > 53:
+                    hi, drop = hi >> 1, drop + 1
+                rest = m - (hi << drop)
+                self.hi[j] = math.ldexp(hi, -52)
+                self.lo[j] = (math.ldexp(rest >> (drop - 120), -172) if drop > 120
+                              else math.ldexp(rest, -52 - drop))
+                self.shift[j] = drop + e + 52
+                self.made[j] = True
+        return self.hi[i], self.lo[i], self.shift[i]
+
+
+@functools.cache
+def _g17_tables() -> _G17Tables:
+    return _G17Tables()
+
+
+def _scaled(tables: _G17Tables, f, e, x):
+    """Floor and fraction of ``f * 2**e * 10**(16 - x)``, for f in [0.5, 1):
+    a double-double product (Dekker's, over Veltkamp's splits) of f and
+    10**(16 - x), accurate to about 2**-45 where the result has 17 digits."""
+    hi, lo, shift = tables.pow10(x)
+    fh, fl = _split(f)
+    hh, hl = _split(hi)
+    product = f * hi
+    error = ((fh * hh - product) + fh * hl + fl * hh) + fl * hl + f * lo
+    scale = ((e + shift + 1023) << 52).view(np.float64)   # 2**(e + shift)
+    product *= scale
+    error *= scale
+    whole = np.floor(error)
+    return product.astype(np.int64) + whole.astype(np.int64), error - whole
+
+
+def _g17(values) -> np.ndarray:
+    """The "%.17g" text of each value of ``values``, as uint8 rows of _SLOT
+    bytes (see above).
+
+    The 17 digits are |v| * 10**(16 - x) rounded, where x is v's decimal
+    exponent: x is first taken from log10, then moved by one where the
+    scaled value's floor has 16 or 18 digits.  A fraction above 1/2 rounds
+    up.  Zeros, non-finite values and (near) ties, whose fraction is within
+    _NEAR_TIE of 1/2, take CPython's "%.17g".
     """
-    # "\0" stands in for the time's t on every line of the block
-    block = "".join(f"\0,{cell}{',%.17g' * per_line}\n" for cell in cells)
-    _write_text(path, ",".join(header) + "\n",
-                (block.replace("\0", "%.17g" % t) % tuple(values)
-                 for t, values in zip(np.asarray(times, float).tolist(), rows, strict=True)))
+    tables = _g17_tables()
+    v = np.ascontiguousarray(values, np.float64).ravel()
+    n = v.size
+    a = np.abs(v)
+    special = ~np.isfinite(a) | (a == 0)
+    a[special] = 1.0
+    f, e = np.frexp(a)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    digits, frac = _scaled(tables, f, e, x)
+    off = np.flatnonzero((digits < _E16) | (digits >= _E17))
+    if off.size:
+        x[off] += np.where(digits[off] < _E16, -1, 1)
+        d, fr = _scaled(tables, f[off], e[off], x[off])
+        # still 16 or 18 digits: within round-off of a power of ten, which it rounds to
+        edge = (d < _E16) | (d >= _E17)
+        digits[off], frac[off] = np.clip(d, _E16, _E17), np.where(edge, 0.0, fr)
+    fallback = special | (np.abs(frac - 0.5) < _NEAR_TIE)
+    digits += frac > 0.5
+    carry = digits == _E17
+    digits[carry] = _E16
+    x += carry
+    # the digits as d0 and four groups of four
+    high = digits // 100000000
+    low = digits - high * 100000000
+    d0 = high // 100000000
+    high -= d0 * 100000000
+    g1 = high // 10000
+    g3 = low // 10000
+    groups = (g1, high - g1 * 10000, g3, low - g3 * 10000)
+    xi = x - _X_MIN
+    slots = np.empty((n, 4), np.uint64)
+    slots[:, 1] = tables.digits[groups[0]] | (tables.digits[groups[1]] << np.uint64(32))
+    slots[:, 2] = tables.digits[groups[2]] | (tables.digits[groups[3]] << np.uint64(32))
+    slots[:, 3] = tables.exponent[xi]
+    # %g drops the zeros that end the digits after the point
+    significant = np.full(n, 17)
+    ends = np.flatnonzero(tables.zeros[groups[3]])
+    if ends.size:
+        zeros, g = tables.zeros, [group[ends] for group in groups]
+        significant[ends] = 17 - (zeros[g[3]] + (g[3] == 0) * (
+            zeros[g[2]] + (g[2] == 0) * (zeros[g[1]] + (g[1] == 0) * zeros[g[0]])))
+        # fixed notation keeps every digit before the point
+        kept = np.maximum(significant[ends], np.where(tables.fixed[xi[ends]], x[ends] + 1, 0))
+        for w in (0, 1):
+            slots[ends, 1 + w] &= tables.below[w][kept - 1]
+    # a point after digit x, for x in 1..15: the digits behind it move up
+    inner = np.flatnonzero((x >= 1) & (x < 16))
+    if inner.size:
+        q = x[inner]
+        words = slots[inner]
+        mid = q + 1 < significant[inner]
+        byte = np.uint64(8)
+        ahead = [words[:, 1 + w] & tables.below[w][q] for w in (0, 1)]
+        behind = [words[:, 1 + w] ^ ahead[w] for w in (0, 1)]
+        words[:, 1] = ahead[0] | (behind[0] << byte) | tables.point[0][q] * mid
+        words[:, 2] = (ahead[1] | (behind[1] << byte) | (behind[0] >> np.uint64(56))
+                       | tables.point[1][q] * mid)
+        words[:, 3] = behind[1] >> np.uint64(56)
+        slots[inner] = words
+    point = (significant >= tables.first_point[xi]).astype(np.uint64) * np.uint64(46 << 56)
+    slots[:, 0] = (tables.prefix[xi] | ((d0 + 48) << 48).view(np.uint64) | point
+                   | np.signbit(v).astype(np.uint64) * np.uint64(45))
+    out = slots.view(np.uint8)
+    rows = np.flatnonzero(fallback)
+    if rows.size:
+        out[rows] = 0
+        _, first, where = np.unique(v[rows].view(np.int64), return_index=True,
+                                    return_inverse=True)
+        for k, value in enumerate(v[rows[first]].tolist()):
+            text = np.frombuffer(b"%.17g" % value, np.uint8)
+            out[rows[where == k], :text.size] = text
+    return out
+
+
+def _texts(values) -> list[str]:
+    """The "%.17g" text of each value of ``values``."""
+    slots = _g17(values)
+    slots[:, _SEP] = ord("\n")
+    return slots.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def _padded(texts) -> np.ndarray:
+    """``texts`` as the rows of a uint8 array, NUL-padded to one width."""
+    encoded = [text.encode("utf-8") for text in texts]
+    width = max(map(len, encoded), default=0)
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in encoded),
+                         np.uint8).reshape(len(encoded), width)
+
+
+def _lines(times, mid: np.ndarray, per_line: int, rows) -> bytearray:
+    """The lines of the samples at ``times``: per sample, line i is its t,
+    ``mid[i]``, then the next ``per_line`` values of its row in ``rows``."""
+    t = _padded(_texts(times))
+    s, lines = t.shape[0], mid.shape[0]
+    values = _g17(rows).reshape(s, lines, per_line, _SLOT)
+    values[..., _SEP] = ord(",")
+    values[..., -1, _SEP] = ord("\n")
+    starts = np.cumsum([0, t.shape[1], mid.shape[1]])
+    buf = bytearray(s * lines * (starts[-1] + per_line * _SLOT))
+    out = np.frombuffer(buf, np.uint8).reshape(s, lines, -1)
+    out[:, :, :starts[1]] = t[:, None]
+    out[:, :, starts[1]:starts[2]] = mid
+    out[:, :, starts[2]:] = values.reshape(s, lines, -1)
+    return buf.translate(None, b"\0")
+
+
+def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
+                  times, rows, ready=()) -> None:
+    """Long-format answer file, one block of lines per time: line i is t,
+    ``cells[i]``, then the next ``per_line`` values of the time's row.
+    ``rows(a, b)`` gives the rows of samples a to b as a 2-D float array;
+    they are asked for in chunks of about _CHUNK values, each chunk once its
+    samples are among the first count ``ready`` yields, or at its end.
+    """
+    times = np.asarray(times, float)
+    total = len(times)
+    mid = _padded(f",{cell}," for cell in cells)
+    step = max(1, _CHUNK // max(1, len(cells) * per_line))
+
+    def chunks():
+        done = 0
+        for count in chain(ready, [total]):
+            while count - done >= step or done < count == total:
+                end = min(count, done + step)
+                yield _lines(times[done:end], mid, per_line, rows(done, end))
+                done = end
+    _write_text(path, ",".join(header) + "\n", chunks())
 
 
 def _write_layer(path, ts: TimeSeries, layer: str, ready=None) -> None:
     """Long-format trajectory of one layer: t, x, then its fields' labels.
-    Samples are written up to each count ``ready`` yields, then all of them."""
+    Samples are written once each count ``ready`` yields covers them, then
+    all of them."""
     names = LAYER_FIELDS[layer]
     # a file row's columns of the packed state: the fields interleaved by node
     cols = (np.arange(ts.grid.layer_nodes(layer))[:, None]
             + [ts.grid.field_slice(name).start for name, _ in names]).ravel()
-    counts = pairwise(chain([0], ready or (), [ts.n_samples]))
     _write_blocks(path, ["t", "x", *(label for _, label in names)],
-                  ["%.17g" % x for x in ts.grid.layer_x(layer).tolist()], len(names),
-                  ts.times, (row for a, b in counts for row in ts.u[a:b, cols].tolist()))
+                  _texts(ts.grid.layer_x(layer)), len(names), ts.times,
+                  lambda a, b: ts.u[a:b, cols], ready or ())
 
 
 def write_matrix_csv(path, ts: TimeSeries, ready=None) -> None:
@@ -159,34 +409,44 @@ def write_tissue_csv(path, ts: TimeSeries, ready=None) -> None:
 def write_analytic_csv(path, times, grid: CompositeGrid, p, ap: AnalyticParams) -> None:
     """Closed-form fields in long format: t, x, species, value; per time, one
     line per node of each field, in packed order."""
-    cells = [f"{'%.17g' % x},{label}" for name, (label, layer) in FIELD_TABLE.items()
-             for x in grid.layer_x(layer).tolist()]
+    times = np.asarray(times, float)
+    cells = [f"{x},{label}" for name, (label, layer) in FIELD_TABLE.items()
+             for x in _texts(grid.layer_x(layer))]
     _write_blocks(path, ["t", "x", "species", "value"], cells, 1, times,
-                  (analytic_state(p, ap, grid, t).tolist()
-                   for t in np.asarray(times, float).tolist()))
+                  lambda a, b: np.array([analytic_state(p, ap, grid, t)
+                                         for t in times[a:b].tolist()]).reshape(b - a, -1))
+
+
+def _csv_lines(lines) -> bytes:
+    return "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
 
 
 def write_flux_mismatch_csv(path, times, flux_matrix, flux_tissue) -> None:
     """Interface fluxes of the closed-form mode and their gap per time."""
+    t, fm, ft = (np.asarray(a, float) for a in (times, flux_matrix, flux_tissue))
+    texts = _texts(np.column_stack([t, fm, ft, np.abs(fm - ft)]))
     _write_text(path, "t,matrix_side,tissue_side,mismatch\n",
-                ("%.17g,%.17g,%.17g,%.17g\n" % (t, fm, ft, abs(fm - ft))
-                 for t, fm, ft in zip(times, flux_matrix, flux_tissue)))
+                [_csv_lines(zip(*[iter(texts)] * 4))])
 
 
 def write_sweep_csv(path, rows_in) -> None:
     """One line per probe per sweep point.  A failed point is one line with
     no species; a number that is missing there, or a probe's ``t_extinct``
     of None, is written as nan."""
-    def lines():
-        for row in rows_in:
-            probes = ([("", math.nan, math.nan, math.nan, math.nan)] if row.metrics is None else
-                      [(pr.species, pr.x, pr.peak, pr.t_peak,
-                        math.nan if pr.t_extinct is None else pr.t_extinct)
-                       for pr in row.metrics.probes])
-            for probe in probes:
-                yield "%s,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g\n" % (
-                    row.param, row.value, row.status, *probe)
-    _write_text(path, "param,value,status,species,x,peak,t_peak,t_extinct\n", lines())
+    lines, numbers = [], []
+    for row in rows_in:
+        probes = ([("", math.nan, math.nan, math.nan, math.nan)] if row.metrics is None else
+                  [(pr.species, pr.x, pr.peak, pr.t_peak,
+                    math.nan if pr.t_extinct is None else pr.t_extinct)
+                   for pr in row.metrics.probes])
+        for species, *probe_numbers in probes:
+            lines.append([row.param, row.status, species])
+            numbers.append([row.value, *probe_numbers])
+    texts = iter(_texts(np.array(numbers, float).reshape(-1, 5)))
+    _write_text(path, "param,value,status,species,x,peak,t_peak,t_extinct\n",
+                [_csv_lines([param, next(texts), status, species,
+                             *(next(texts) for _ in range(4))]
+                            for param, status, species in lines)])
 
 
 # ---------------------------------------------------------------------------
