@@ -320,12 +320,17 @@ def _g17(values) -> np.ndarray:
     rows = np.flatnonzero(fallback)
     if rows.size:
         out[rows] = 0
+        # each distinct value (by its bits: 0.0 is not -0.0) once
         _, first, where = np.unique(v[rows].view(np.int64), return_index=True,
                                     return_inverse=True)
-        for k, value in enumerate(v[rows[first]].tolist()):
-            text = np.frombuffer(b"%.17g" % value, np.uint8)
-            out[rows[where == k], :text.size] = text
+        for k, text in enumerate(_cpython_g17(v[rows[first]])):
+            out[rows[where == k], :len(text)] = np.frombuffer(text, np.uint8)
     return out
+
+
+def _cpython_g17(values) -> list[bytes]:
+    """CPython's "%.17g" of each value: the kernel's fallback."""
+    return [b"%.17g" % value for value in values.tolist()]
 
 
 def _texts(values) -> list[str]:
@@ -417,36 +422,37 @@ def write_analytic_csv(path, times, grid: CompositeGrid, p, ap: AnalyticParams) 
                                          for t in times[a:b].tolist()]).reshape(b - a, -1))
 
 
-def _csv_lines(lines) -> bytes:
-    return "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
-
-
 def write_flux_mismatch_csv(path, times, flux_matrix, flux_tissue) -> None:
     """Interface fluxes of the closed-form mode and their gap per time."""
     t, fm, ft = (np.asarray(a, float) for a in (times, flux_matrix, flux_tissue))
     texts = _texts(np.column_stack([t, fm, ft, np.abs(fm - ft)]))
     _write_text(path, "t,matrix_side,tissue_side,mismatch\n",
-                [_csv_lines(zip(*[iter(texts)] * 4))])
+                ["".join(",".join(line) + "\n" for line in zip(*[iter(texts)] * 4)).encode()])
 
 
 def write_sweep_csv(path, rows_in) -> None:
-    """One line per probe per sweep point.  A failed point is one line with
-    no species; a number that is missing there, or a probe's ``t_extinct``
-    of None, is written as nan."""
-    lines, numbers = [], []
+    """One line per probe per sweep point.  ``peak_at_end`` is true where the
+    probe is still rising at the end of the run, so that its peak and t_peak
+    are lower bounds.  A failed point is one line with no species and no
+    ``peak_at_end``; a number that is missing there, or a probe's
+    ``t_extinct`` of None, is written as nan."""
+    labels, numbers = [], []
     for row in rows_in:
-        probes = ([("", math.nan, math.nan, math.nan, math.nan)] if row.metrics is None else
-                  [(pr.species, pr.x, pr.peak, pr.t_peak,
-                    math.nan if pr.t_extinct is None else pr.t_extinct)
-                   for pr in row.metrics.probes])
-        for species, *probe_numbers in probes:
-            lines.append([row.param, row.status, species])
-            numbers.append([row.value, *probe_numbers])
-    texts = iter(_texts(np.array(numbers, float).reshape(-1, 5)))
-    _write_text(path, "param,value,status,species,x,peak,t_peak,t_extinct\n",
-                [_csv_lines([param, next(texts), status, species,
-                             *(next(texts) for _ in range(4))]
-                            for param, status, species in lines)])
+        for pr in row.metrics.probes if row.metrics else [None]:
+            if pr is None:
+                labels.append((row.param, row.status, "", ""))
+                numbers.append([row.value, math.nan, math.nan, math.nan, math.nan])
+            else:
+                labels.append((row.param, row.status, pr.species,
+                               "true" if pr.peak_at_end else "false"))
+                numbers.append([row.value, pr.x, pr.peak, pr.t_peak,
+                                math.nan if pr.t_extinct is None else pr.t_extinct])
+    texts = _texts(np.array(numbers, float))
+    lines = "".join(f"{param},{value},{status},{species},{x},{peak},{t_peak},{t_extinct},"
+                    f"{at_end}\n" for (param, status, species, at_end),
+                    (value, x, peak, t_peak, t_extinct) in zip(labels, zip(*[iter(texts)] * 5)))
+    _write_text(path, "param,value,status,species,x,peak,t_peak,t_extinct,peak_at_end\n",
+                [lines.encode()])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ are asserted exactly as documented in the README.
 """
 
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -224,10 +223,8 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     outs = (tmp_path / "a", tmp_path / "b")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for out in outs:
-            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    for out in outs:
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     names = ("matrix.csv", "tissue.csv", "metrics.json", "ledger.json",
              "config.resolved.json")
     for name in names:

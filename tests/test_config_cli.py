@@ -154,12 +154,12 @@ class TestDataFiles:
         with open(path, newline="") as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0] == ["param", "value", "status", "species", "x",
-                             "peak", "t_peak", "t_extinct"]
-        assert all(len(row) == 8 for row in parsed)
+                             "peak", "t_peak", "t_extinct", "peak_at_end"]
+        assert all(len(row) == 9 for row in parsed)
         statuses = {row[2] for row in parsed[1:]}
         assert statuses == {"ok", "error"}
         error_rows = [row for row in parsed[1:] if row[2] == "error"]
-        assert error_rows == [["ka", "-1", "error", "", "nan", "nan", "nan", "nan"]]
+        assert error_rows == [["ka", "-1", "error", "", "nan", "nan", "nan", "nan", ""]]
 
         def cell(v):  # per-cell formatting, nan for a missing number
             return "nan" if v is None else format(float(v), ".17g")
@@ -168,7 +168,8 @@ class TestDataFiles:
             for pr in row.metrics.probes if row.metrics else [None]:
                 numbers = (pr.x, pr.peak, pr.t_peak, pr.t_extinct) if pr else (None,) * 4
                 expected.append([row.param, cell(row.value), row.status,
-                                 pr.species if pr else "", *map(cell, numbers)])
+                                 pr.species if pr else "", *map(cell, numbers),
+                                 "" if pr is None else str(pr.peak_at_end).lower()])
         assert parsed[1:] == expected
 
 
@@ -479,13 +480,16 @@ class TestCliSimulate:
         assert len(calls) == 1
         assert json.loads((out / "ledger.json").read_text()) == _jsonable(audit(calls[0]))
 
-    # 4+4 cells, 149 steps sampled at each: 150 samples, more than one
-    # publishing block and not a whole number of them
+    # 4+4 cells, 999 steps sampled at each: 1,000 samples, more than one
+    # publishing block and more than one formatting chunk of either file, and
+    # a whole number of none of them
     STREAMED = {"grid": {"nx0": 4, "nx1": 4},
-                "solver": {"dt": 0.01, "t_end": 1.49, "sample_every": 1}}
+                "solver": {"dt": 0.01, "t_end": 9.99, "sample_every": 1}}
 
     def test_streamed_files_equal_the_in_process_ones(self, tmp_path, capsys, monkeypatch):
-        assert 150 > scenario.STREAM_BLOCK and 150 % scenario.STREAM_BLOCK
+        # a chunk's samples: runio._CHUNK values over 5 nodes of 2 or 3 fields
+        blocks = [scenario.STREAM_BLOCK, runio._CHUNK // 10, runio._CHUNK // 15]
+        assert all(1000 > block and 1000 % block for block in blocks)
         cfg = small_config(tmp_path, **self.STREAMED)
         names = ("matrix.csv", "tissue.csv", "metrics.json", "ledger.json",
                  "config.resolved.json")
@@ -504,7 +508,7 @@ class TestCliSimulate:
         assert [c is None for c in contexts] == [True, False]  # in-process, then streamed
         assert files[0] == files[1]
         assert stdouts[0] == stdouts[1]
-        assert files[0][0].count(b"\n") == 1 + 150 * 5
+        assert files[0][0].count(b"\n") == 1 + 1000 * 5
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_mid_run_leaves_trajectory_files_as_they_were(self, tmp_path, capsys,
@@ -718,6 +722,22 @@ class TestCliSweep:
             f"warning: ka={v}: Ci at x={x} is still rising at the end of the run; "
             "its peak metrics are lower bounds"
             for v in ("0.2", "0.6") for x in ("1", "1.33333", "1.66667", "2")]
+
+    def test_sweep_csv_flags_the_probes_the_warnings_name(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--param", "ka", "--values", "0.2,0.6", "--t-end", "10",
+                     "--out", str(out)]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning:")]
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["peak_at_end"] for row in rows} == {"true", "false"}
+        flagged = [f"warning: ka={float(row['value']):g}: {row['species']} at "
+                   f"x={float(row['x']):g} is still rising at the end of the run; "
+                   "its peak metrics are lower bounds"
+                   for row in rows if row["peak_at_end"] == "true"]
+        assert len(warned) == 8
+        assert flagged == warned
 
 
 # Each command's flags, beside --config and --out

@@ -75,7 +75,7 @@ GOLDEN = {
         "config.resolved.json":
             "20eafb0a3f47eb2f0199a4ad537f09e646904ea434e9bd58db728b8630b60d8e",
         "sweep.csv":
-            "710501ef14f9122ee735db142a2a605a32667543e214bacef993cdd68456c5a4",
+            "7bb1a64ac27b81ad848d6095a61f8c4f05c9c21d6446434cf68b1a7cb63bc757",
     },
     "verify": {
         "config.resolved.json":

@@ -80,11 +80,16 @@ def test_simulate_on_one_cpu_loads_no_process_pool(run_fresh, tmp_path):
 NO_SCIPY = """
 import contextlib, io, json, sys
 import releasesim.cli as cli
+from releasesim import runio
 
 def scipy_modules():
     return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 
+def kernel_tables():
+    return runio._g17_tables.cache_info().currsize
+
 loaded = {"import": scipy_modules()}
+tables = {"import": kernel_tables()}
 codes = {}
 with contextlib.redirect_stdout(io.StringIO()):
     try:
@@ -92,17 +97,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         codes["--help"] = exc.code
 loaded["--help"] = scipy_modules()
+tables["--help"] = kernel_tables()
 for name, config in (("missing config", sys.argv[1]), ("invalid config", sys.argv[2])):
     with contextlib.redirect_stderr(io.StringIO()):
         codes[name] = cli.main(["simulate", "--config", config, "--out", sys.argv[3]])
     loaded[name] = scipy_modules()
-print(json.dumps({"codes": codes, "loaded": loaded}))
+    tables[name] = kernel_tables()
+print(json.dumps({"codes": codes, "loaded": loaded, "tables": tables}))
 """
 
 
 def test_no_scipy_before_the_first_solve(run_fresh, tmp_path):
     # SciPy is more than half of the CLI's import time; it loads at the first
-    # solve, so importing the CLI, --help and a config error never pay for it
+    # solve, so importing the CLI, --help and a config error never pay for it.
+    # Nor do they build the tables of the CSV float kernel, which the first
+    # answer file that holds a float builds.
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"matrix": {"eps0": 1.5}}))
     proc = run_fresh(NO_SCIPY, str(tmp_path / "missing.json"), str(invalid),
@@ -112,6 +121,8 @@ def test_no_scipy_before_the_first_solve(run_fresh, tmp_path):
     assert result["codes"] == {"--help": 0, "missing config": 3, "invalid config": 1}
     assert result["loaded"] == {"import": [], "--help": [], "missing config": [],
                                 "invalid config": []}
+    assert result["tables"] == {"import": 0, "--help": 0, "missing config": 0,
+                                "invalid config": 0}
 
 
 PRE_FORK = """
