@@ -4,7 +4,11 @@ All answer files are UTF-8 text with LF newlines, written by one writer.
 CSV floats are written as "%.17g" (17 significant digits: 0.1 reads
 0.10000000000000001), JSON floats as Python's shortest round-trip repr (0.1
 reads 0.1); both read back to the same double, and a rerun writes the same
-bytes.  A config file's sections and keys come from the RunSpec
+bytes.  The CSV floats come from one vectorized NumPy kernel,
+:func:`_g17`, whose bytes are CPython's "%.17g" for every double: it rounds
+a double-double product to 17 digits and lays them out as "%g" does.
+Zeros, non-finite values and the values within 2**-30 of a rounding tie
+fall back to CPython's "%.17g" itself.  A config file's sections and keys come from the RunSpec
 dataclasses, through :data:`~releasesim.scenario.CONFIG_FIELDS`.  Unknown
 sections and keys are hard errors: a typo like "apha0" silently running the
 defaults is the worst failure mode a config file can have.
@@ -236,12 +240,23 @@ def _scaled(tables: _G17Tables, f, e, x):
     fh, fl = _split(f)
     hh, hl = _split(hi)
     product = f * hi
-    error = ((fh * hh - product) + fh * hl + fl * hh) + fl * hl + f * lo
-    scale = ((e + shift + 1023) << 52).view(np.float64)   # 2**(e + shift)
+    # ((fh*hh - product) + fh*hl + fl*hh) + fl*hl + f*lo, in this order
+    error = fh * hh
+    error -= product
+    term = fh * hl
+    error += term
+    error += np.multiply(fl, hh, out=term)
+    error += np.multiply(fl, hl, out=term)
+    error += np.multiply(f, lo, out=term)
+    shift += e
+    shift += 1023
+    shift <<= 52
+    scale = shift.view(np.float64)   # 2**(e + shift)
     product *= scale
     error *= scale
     whole = np.floor(error)
-    return product.astype(np.int64) + whole.astype(np.int64), error - whole
+    error -= whole
+    return product.astype(np.int64) + whole.astype(np.int64), error
 
 
 def _g17(values) -> np.ndarray:
@@ -348,10 +363,9 @@ def _padded(texts) -> np.ndarray:
                          np.uint8).reshape(len(encoded), width)
 
 
-def _lines(times, mid: np.ndarray, per_line: int, rows) -> bytearray:
-    """The lines of the samples at ``times``: per sample, line i is its t,
+def _lines(t: np.ndarray, mid: np.ndarray, per_line: int, rows) -> bytearray:
+    """The lines of some samples: per sample, line i is its text in ``t``,
     ``mid[i]``, then the next ``per_line`` values of its row in ``rows``."""
-    t = _padded(_texts(times))
     s, lines = t.shape[0], mid.shape[0]
     values = _g17(rows).reshape(s, lines, per_line, _SLOT)
     values[..., _SEP] = ord(",")
@@ -373,8 +387,8 @@ def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
     they are asked for in chunks of about _CHUNK values, each chunk once its
     samples are among the first count ``ready`` yields, or at its end.
     """
-    times = np.asarray(times, float)
-    total = len(times)
+    t = _padded(_texts(times))
+    total = len(t)
     mid = _padded(f",{cell}," for cell in cells)
     step = max(1, _CHUNK // max(1, len(cells) * per_line))
 
@@ -383,7 +397,7 @@ def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
         for count in chain(ready, [total]):
             while count - done >= step or done < count == total:
                 end = min(count, done + step)
-                yield _lines(times[done:end], mid, per_line, rows(done, end))
+                yield _lines(t[done:end], mid, per_line, rows(done, end))
                 done = end
     _write_text(path, ",".join(header) + "\n", chunks())
 
