@@ -8,10 +8,12 @@ bytes.  The CSV floats come from one vectorized NumPy kernel,
 :func:`_g17`, whose bytes are CPython's "%.17g" for every double: it rounds
 a double-double product to 17 digits and lays them out as "%g" does.
 Zeros, non-finite values and the values within 2**-30 of a rounding tie
-fall back to CPython's "%.17g" itself.  A config file's sections and keys come from the RunSpec
-dataclasses, through :data:`~releasesim.scenario.CONFIG_FIELDS`.  Unknown
-sections and keys are hard errors: a typo like "apha0" silently running the
-defaults is the worst failure mode a config file can have.
+fall back to CPython's "%.17g" itself.
+
+A config file's sections and keys come from the RunSpec dataclasses,
+through :data:`~releasesim.scenario.CONFIG_FIELDS`.  Unknown sections and
+keys are hard errors: a typo like "apha0" silently running the defaults is
+the worst failure mode a config file can have.
 """
 
 from __future__ import annotations
@@ -370,12 +372,12 @@ def _lines(t: np.ndarray, mid: np.ndarray, per_line: int, rows) -> bytearray:
     values = _g17(rows).reshape(s, lines, per_line, _SLOT)
     values[..., _SEP] = ord(",")
     values[..., -1, _SEP] = ord("\n")
-    starts = np.cumsum([0, t.shape[1], mid.shape[1]])
-    buf = bytearray(s * lines * (starts[-1] + per_line * _SLOT))
+    head = t.shape[1] + mid.shape[1]
+    buf = bytearray(s * lines * (head + per_line * _SLOT))
     out = np.frombuffer(buf, np.uint8).reshape(s, lines, -1)
-    out[:, :, :starts[1]] = t[:, None]
-    out[:, :, starts[1]:starts[2]] = mid
-    out[:, :, starts[2]:] = values.reshape(s, lines, -1)
+    out[:, :, :t.shape[1]] = t[:, None]
+    out[:, :, t.shape[1]:head] = mid
+    out[:, :, head:] = values.reshape(s, lines, -1)
     return buf.translate(None, b"\0")
 
 
@@ -390,7 +392,7 @@ def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
     t = _padded(_texts(times))
     total = len(t)
     mid = _padded(f",{cell}," for cell in cells)
-    step = max(1, _CHUNK // max(1, len(cells) * per_line))
+    step = max(1, _CHUNK // (len(cells) * per_line))
 
     def chunks():
         done = 0
@@ -433,7 +435,7 @@ def write_analytic_csv(path, times, grid: CompositeGrid, p, ap: AnalyticParams) 
              for x in _texts(grid.layer_x(layer))]
     _write_blocks(path, ["t", "x", "species", "value"], cells, 1, times,
                   lambda a, b: np.array([analytic_state(p, ap, grid, t)
-                                         for t in times[a:b].tolist()]).reshape(b - a, -1))
+                                         for t in times[a:b].tolist()]))
 
 
 def write_flux_mismatch_csv(path, times, flux_matrix, flux_tissue) -> None:
