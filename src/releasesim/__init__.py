@@ -22,8 +22,8 @@ from .solver import (FIELDS, SINK, ZERO_FLUX, CompositeGrid, SolverConfig,
                      ThetaStepper, TimeSeries, initialize, make_grid, simulate)
 from .verification import (ConvergenceReport, MassLedger, analytic_state,
                            convergence_study, mass_audit, ode_oracle,
-                           oracle_time_grid, sample_mode, sample_params,
-                           spatial_convergence, temporal_convergence)
+                           oracle_time_grid, spatial_convergence,
+                           temporal_convergence)
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,7 @@ __all__ = [
     "FIELDS", "SINK", "ZERO_FLUX", "CompositeGrid", "SolverConfig",
     "ThetaStepper", "TimeSeries", "initialize", "make_grid", "simulate",
     "ConvergenceReport", "MassLedger", "analytic_state", "convergence_study",
-    "mass_audit", "ode_oracle", "oracle_time_grid", "sample_mode", "sample_params",
-    "spatial_convergence", "temporal_convergence",
+    "mass_audit", "ode_oracle", "oracle_time_grid", "spatial_convergence",
+    "temporal_convergence",
     "__version__",
 ]

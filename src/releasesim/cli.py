@@ -13,7 +13,9 @@ failure, 4 a worker process died.  Fatal errors also emit one JSON line on
 stderr with the error class and message.
 
 ``sweep`` points and ``verify`` checks are independent jobs; they go to
-forked worker processes through :func:`releasesim.scenario.parallel_map`.
+forked worker processes through :func:`releasesim.scenario.parallel_map`,
+the points in batches of at most ``scenario.BATCH_CAP``, at least one per
+worker, each batch's runs stepped as one system (``scenario.map_param``).
 ``simulate`` writes its two trajectory files (``matrix.csv``, ``tissue.csv``)
 in two forked workers started before its time loop, at lowered priority,
 through :func:`releasesim.scenario.stream_map`: the loop stores its samples

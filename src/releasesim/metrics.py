@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .scenario import RunSpec, get_param, parallel_map, replace_param, run_spec
+from .scenario import RunSpec, get_param, map_param
 from .solver import FIELD_TABLE, LAYER_FIELDS, MATRIX, TISSUE, TimeSeries
 from .verification import MassLedger, _cumulative_trapezoid, mass_audit
 
@@ -195,24 +195,18 @@ class SweepRow:
 def sweep(spec: RunSpec, name: str, values) -> list[SweepRow]:
     """Run the spec once per parameter value, isolating per-point failures.
 
-    The points run in worker processes (:func:`~releasesim.scenario.parallel_map`);
-    the rows come back in the order of ``values``.
+    The points go through :func:`~releasesim.scenario.map_param`, in batches
+    per worker whose runs step together; the rows keep the order of ``values``.
 
     Validation and numerical failures are recorded on their own row so one
     bad corner of parameter space does not void the rest of the sweep.  An
     unknown parameter name, by contrast, fails the whole call up front.
     """
     get_param(spec, name)  # reject unknown names before running anything
-
-    def point(v) -> SweepRow:
-        v = float(v)
-        try:
-            ts = run_spec(replace_param(spec, name, v))
-            return SweepRow(name, v, release_metrics(ts), None)
-        except (ValueError, NumericalError, ZeroDivisionError, OverflowError) as exc:
-            return SweepRow(name, v, None, f"{type(exc).__name__}: {exc}")
-
-    return parallel_map(point, values)
+    values = [float(v) for v in values]
+    return [SweepRow(name, v, None, f"{type(m).__name__}: {m}") if isinstance(m, Exception)
+            else SweepRow(name, v, m, None)
+            for v, m in zip(values, map_param(release_metrics, spec, name, values))]
 
 
 def _mid_tissue(ts: TimeSeries) -> float:
@@ -256,7 +250,7 @@ def local_sensitivity(spec: RunSpec, name: str,
     """One-at-a-time elasticity of a metric with respect to one parameter.
 
     Runs the spec at the base value and at (1 +/- rel_step) times it, three
-    independent runs through :func:`~releasesim.scenario.parallel_map`, then
+    independent runs through :func:`~releasesim.scenario.map_param`, then
     forms forward, backward, and central relative differences, each divided
     by rel_step and the base metric.  A zero base metric yields NaNs rather
     than an error.
@@ -277,9 +271,11 @@ def local_sensitivity(spec: RunSpec, name: str,
     base_value = get_param(spec, name)
     if base_value == 0.0:
         raise ValueError(f"cannot take a relative step from {name} = 0")
-    m0, m_plus, m_minus = parallel_map(
-        lambda v: float(metric_fn(run_spec(replace_param(spec, name, v)))),
-        [base_value, base_value * (1.0 + rel_step), base_value * (1.0 - rel_step)])
+    outcomes = map_param(lambda ts: float(metric_fn(ts)), spec, name,
+                         [base_value, base_value * (1.0 + rel_step), base_value * (1.0 - rel_step)])
+    for failure in (m for m in outcomes if isinstance(m, Exception)):
+        raise failure
+    m0, m_plus, m_minus = outcomes
     for label, m in (("base", m0), ("forward", m_plus), ("backward", m_minus)):
         if not np.isfinite(m):
             raise NumericalError(

@@ -5,7 +5,10 @@ probes all operate on.  Parameter edits go through :func:`replace_param`,
 which addresses any physical parameter by its flat field name.
 Independent runs go to worker processes through :func:`parallel_map`, and
 jobs that consume a run's results as it stores them through
-:func:`stream_map`.
+:func:`stream_map`.  :func:`map_param` runs a spec over a parameter's values
+in contiguous batches, at least one per worker and at most ``BATCH_CAP``
+values each; a worker steps a batch's runs as one block-diagonal system
+(:func:`~releasesim.solver.march`), bit for bit as each alone.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from dataclasses import Field, dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .analytic import AnalyticParams
-from .errors import WorkerError
+from .errors import NumericalError, WorkerError
 from .params import (DimensionlessParams, InterfaceParams, MatrixParams,
                      TissueParams, nondimensionalize)
-from .solver import SolverConfig, TimeSeries, load_scipy, make_grid, simulate
+from .solver import (SolverConfig, TimeSeries, load_scipy, make_grid, march, prepare,
+                     simulate)
 
 
 @dataclass(frozen=True)
@@ -202,3 +206,42 @@ def stream_map(fn: Callable[[T, Iterator[int] | None], R], items: Iterable[T],
             for _, sender in pipes:
                 sender.close()
     return _in_workers(context, len(items), in_worker, range(len(items)), alongside)
+
+
+#: Most runs one worker steps together: it bounds a batch's samples in
+#: memory, and the gain of batching levels off there.
+BATCH_CAP = 8
+#: What a run can raise that is its own failure, not its caller's.
+RUN_ERRORS = (ValueError, NumericalError, ZeroDivisionError, OverflowError)
+
+
+def _run_batch(fn: Callable[[TimeSeries], R], spec: RunSpec, name: str, values: list) -> list:
+    """``fn`` of each value's run, or its failure; the runs step together."""
+    outcomes = []
+    for v in values:
+        try:
+            varied = replace_param(spec, name, v)
+            p = varied.dimensionless()
+            outcomes.append(prepare(p, make_grid(p, varied.nx0, varied.nx1), varied.solver))
+        except RUN_ERRORS as exc:
+            outcomes.append(exc)
+    built = [i for i, run in enumerate(outcomes) if not isinstance(run, Exception)]
+    for i, error in zip(built, march([outcomes[i] for i in built]) if built else ()):
+        try:
+            outcomes[i] = error or fn(outcomes[i][0])
+        except RUN_ERRORS as exc:
+            outcomes[i] = exc
+    return outcomes
+
+
+def map_param(fn: Callable[[TimeSeries], R], spec: RunSpec, name: str, values) -> list:
+    """``fn(run_spec(replace_param(spec, name, v)))`` for each of ``values``,
+    in order, or the ``RUN_ERRORS`` exception that the run or ``fn`` raised.
+    :func:`parallel_map` takes max(workers, ceil(N / ``BATCH_CAP``))
+    contiguous batches of near-equal size, and each batch's runs step together.
+    """
+    values = list(values)
+    n = max(1, min(len(values), _usable_cpus()), -(-len(values) // BATCH_CAP))
+    batches = [values[i * len(values) // n:(i + 1) * len(values) // n] for i in range(n)]
+    return [outcome for batch in parallel_map(lambda b: _run_batch(fn, spec, name, b), batches)
+            for outcome in batch]

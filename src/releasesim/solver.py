@@ -21,14 +21,14 @@ new time level.  The step matrix is factorized once per
 A step is one call of SciPy's CSR matrix-vector kernel for the right-hand
 side, one addition of the source, one SuperLU solve and a finiteness test:
 a dot product with a zero vector, NaN exactly when an entry is NaN or
-infinite (0*inf is NaN).  :func:`simulate` alone takes steps: it binds
-them once per run and tests ``u0`` and every step's result.  The
-kernel is called directly, not through ``R @ u``: the operator's dispatch
-(type, shape and upcast checks) cost more than the product itself on the
-grids the CLI runs.  It is the call ``R @ u`` makes, on the same operands
-in the same order, so every answer is bit for bit the operator's;
-``tests/test_solver.py::TestKernelStep`` pins that against ``R @ u`` and
-would catch a SciPy release that changed it.
+infinite (0*inf is NaN).  :func:`march` alone takes steps: a batch of runs
+as one block-diagonal system, bit for bit as each alone, and a lone run
+(:func:`simulate`) by its own stepper.  The kernel is called directly, not
+through ``R @ u``: the operator's dispatch (type, shape and upcast checks)
+cost more than the product itself on the grids the CLI runs.  It is the
+call ``R @ u`` makes, on the same operands in the same order, so every
+answer is bit for bit the operator's; ``tests/test_solver.py::TestKernelStep``
+pins that against ``R @ u`` and would catch a SciPy release that changed it.
 
 SciPy is not imported with this module: importing it is more than half of
 a command's start-up, which ``--help`` or a config error never need.
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -346,13 +347,25 @@ def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> N
                              f"spectral radius {rho:.6g} > 1; reduce dt or use theta >= 0.5")
 
 
+def _kernel_step(R, src, solve):
+    """The bare theta step over bound operands: ``R @ u`` by SciPy's CSR
+    kernel (see the module docstring), the source, the solve."""
+    n = len(src)
+    args = (n, n, R.indptr, R.indices, R.data)
+
+    def step(u):
+        # R @ u as SciPy forms it: a zeroed vector, then the kernel adds R u into it
+        rhs = np.zeros(n)
+        csr_matvec(*args, u, rhs)
+        rhs += src
+        return solve(rhs)
+    return step
+
+
 class ThetaStepper:
     """The theta step's operands, bound once: R, the source and the factorized
-    step matrix.  ``_step(u)`` is the bare step, a closure over them: ``R @ u``
-    by SciPy's CSR kernel (see the module docstring), the source, the solve.
-    Its test ``_nonfinite(u)`` is NaN, so true (and a warning unless invalid
-    values are ignored), exactly when ``u`` is not all finite.  Only
-    :func:`simulate` steps with them.
+    step matrix; ``_step(u)`` is the bare step (:func:`_kernel_step`).  Only
+    :func:`march` steps with them.
     """
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
@@ -363,25 +376,33 @@ class ThetaStepper:
         dt, theta = config.dt, config.theta
         if theta < 0.5:
             _check_stable(grid, L, C, np.flatnonzero(keep), dt, theta)
-        lhs = keep_diag @ (eye - theta * dt * L) + C
+        self._lhs = (keep_diag @ (eye - theta * dt * L) + C).tocsc()
         self._rhs_mat = (keep_diag @ (eye + (1.0 - theta) * dt * L)).tocsr()
         self._rhs_src = dt * g * keep
         try:
-            self._lu = splu(lhs.tocsc())
+            self._lu = splu(self._lhs)
         except RuntimeError as exc:
             raise NumericalError(
                 f"step matrix factorization failed (dt={dt}, theta={theta}): {exc}"
             ) from exc
-        n, src, solve = L.shape[0], self._rhs_src, self._lu.solve
-        args = (n, n, self._rhs_mat.indptr, self._rhs_mat.indices, self._rhs_mat.data)
+        self._step = _kernel_step(self._rhs_mat, self._rhs_src, self._lu.solve)
 
-        def step(u):
-            # R @ u as SciPy forms it: a zeroed vector, then the kernel adds R u into it
-            rhs = np.zeros(n)
-            csr_matvec(*args, u, rhs)
-            rhs += src
-            return solve(rhs)
-        self._step, self._nonfinite = step, np.zeros(n).dot
+
+def _block_diagonal(steppers: list[ThetaStepper]):
+    """The steppers' runs as one block-diagonal step, and the column order of
+    each run's block (None: a lone run takes its own step).  Each block keeps
+    its lone run's bits by the two rules of README "Numerics"."""
+    if len(steppers) == 1:
+        return steppers[0]._step, [None]
+    perms, Rs = [s._lu.perm_c for s in steppers], [s._rhs_mat for s in steppers]
+    offsets = np.cumsum([0, *map(len, perms)])
+    columns = [k + perm[r.indices] for r, perm, k in zip(Rs, perms, offsets)]
+    R = sp.csr_matrix((np.concatenate([r.data for r in Rs]), np.concatenate(columns),
+                       np.concatenate([[0], *(np.diff(r.indptr) for r in Rs)]).cumsum()),
+                      shape=(offsets[-1], offsets[-1]))
+    lu = splu(sp.block_diag([s._lhs[:, np.argsort(perm)] for s, perm in zip(steppers, perms)],
+                            format="csc"), permc_spec="NATURAL")
+    return _kernel_step(R, np.concatenate([s._rhs_src for s in steppers]), lu.solve), perms
 
 
 @dataclass(frozen=True)
@@ -425,6 +446,61 @@ class TimeSeries:
         return {name: float(self._view(name).min()) for name in FIELDS}
 
 
+def prepare(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
+            u0: np.ndarray | None = None, t0: float = 0.0, samples: np.ndarray | None = None):
+    """The run :func:`simulate` steps, checked, up to its first step: its
+    series, its stepper (None if it takes no step) and its initial state."""
+    u = initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
+    if u.shape != (grid.n,):
+        raise ValueError(f"u0 must have shape ({grid.n},), got {u.shape}")
+    times = sample_times(config, t0)
+    samples = np.empty((len(times), grid.n)) if samples is None else samples
+    series = TimeSeries(times, samples, grid=grid, params=p, config=config)
+    stepper = ThetaStepper(grid, p, config) if len(times) > 1 else None
+    if not np.isfinite(u).all():
+        raise NumericalError(f"non-finite initial state at t={t0:.6g}")
+    return series, stepper, u
+
+
+def march(runs: list, t0: float = 0.0, on_sample=lambda k: None) -> list[NumericalError | None]:
+    """Step ``runs`` (each from :func:`prepare`, all on one config) from the
+    clock ``t0`` as one system, bit for bit as each alone, into their series;
+    ``on_sample(k)`` follows the k-th sample.  Each run's failure, or None: a
+    run whose state turns non-finite fails at its step's clock and is zeroed,
+    its samples unfinished; the loop stops once all have failed."""
+    series, steppers, states = zip(*runs)
+    config = series[0].config
+    if any(ts.config != config for ts in series):
+        raise ValueError("the runs of a batch must share one SolverConfig")
+    idx = sample_indices(config.n_steps, config.sample_every)
+    step, perms = _block_diagonal(steppers) if len(idx) > 1 else (None, [None] * len(runs))
+    blocks = [slice(a, b) for a, b in pairwise(np.cumsum([0, *map(len, states)]))]
+    u = np.concatenate([s if perm is None else s[np.argsort(perm)]
+                        for s, perm in zip(states, perms)])
+    nonfinite, errors = np.zeros(len(u)).dot, [None] * len(runs)
+    # test every step: at theta = 1 a NaN in a constrained unknown is gone a step later
+    with np.errstate(invalid="ignore"):
+        for k in range(len(idx)):
+            for j in range(idx[k - 1] + 1, idx[k] + 1) if k else ():
+                u = step(u)
+                if nonfinite(u):
+                    for i, block in enumerate(blocks):
+                        if not np.isfinite(u[block]).all():
+                            errors[i] = errors[i] or NumericalError(
+                                "non-finite solution while advancing to "
+                                f"t={t0 + j * config.dt:.6g}; reduce dt")
+                            u[block] = 0.0
+                    if all(errors):
+                        return errors
+            for ts, block in zip(series, blocks):
+                ts.u[k] = u[block]
+            on_sample(k + 1)
+    for ts, perm in zip(series, perms):
+        if perm is not None:
+            ts.u[:] = ts.u[:, perm]
+    return errors
+
+
 def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
              u0: np.ndarray | None = None, t0: float = 0.0,
              samples: np.ndarray | None = None, on_sample=lambda k: None) -> TimeSeries:
@@ -438,30 +514,11 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     unknowns x 8 bytes, or are the caller's float64 ``samples`` of that shape.
     ``on_sample(k)`` is called each time the first ``k`` samples are stored.
     Every state the run holds is finite, or it raises :class:`NumericalError`,
-    as the initial state at ``t0`` for ``u0``, else at the clock of its step.
+    as the initial state at ``t0`` for ``u0``, else at the clock of its step:
+    this is :func:`march` on a batch of one.
     """
-    u = initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
-    if u.shape != (grid.n,):
-        raise ValueError(f"u0 must have shape ({grid.n},), got {u.shape}")
-    idx = sample_indices(config.n_steps, config.sample_every)
-    if samples is None:
-        samples = np.empty((len(idx), grid.n))
-    series = TimeSeries(sample_times(config, t0), samples, grid=grid, params=p, config=config)
-    if len(idx) > 1:
-        stepper = ThetaStepper(grid, p, config)
-        step, nonfinite = stepper._step, stepper._nonfinite
-    if not np.isfinite(u).all():
-        raise NumericalError(f"non-finite initial state at t={t0:.6g}")
-    samples[0] = u
-    on_sample(1)
-    # test every step: at theta = 1 a NaN in a constrained unknown is gone a step later
-    with np.errstate(invalid="ignore"):
-        for k in range(1, len(idx)):
-            for j in range(idx[k - 1] + 1, idx[k] + 1):
-                u = step(u)
-                if nonfinite(u):
-                    raise NumericalError("non-finite solution while advancing to "
-                                         f"t={t0 + j * config.dt:.6g}; reduce dt")
-            samples[k] = u
-            on_sample(k + 1)
-    return series
+    run = prepare(p, grid, config, u0, t0, samples)
+    error, = march([run], t0, on_sample)
+    if error:
+        raise error
+    return run[0]

@@ -170,31 +170,6 @@ def oracle_time_grid(p: DimensionlessParams, ap: AnalyticParams, n_min: int = 20
     return np.linspace(0.0, horizon, n + 1)
 
 
-def sample_params(rng: np.random.Generator, pm_infinite: bool = True) -> DimensionlessParams:
-    """Random admissible dimensionless parameter set; rates are log-uniform
-    over [1e-2, 1e1]."""
-    def lu(lo, hi):
-        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-    return DimensionlessParams(
-        alpha0=lu(1e-2, 1e1), k=lu(1e-1, 1e1), eps0=float(rng.uniform(0.1, 0.9)),
-        km=lu(1e-2, 1e1), c_lim=lu(1e-2, 1e1), beta0=lu(1e-2, 1e1),
-        delta0=lu(1e-2, 1e1), ka=lu(1e-2, 1e1), kd=lu(1e-2, 1e1),
-        ki=lu(1e-2, 1e1), kid=lu(1e-2, 1e1), d1=lu(1e-1, 1e1),
-        l1=1.0 + float(rng.uniform(0.5, 2.0)),
-        pm=np.inf if pm_infinite else lu(1e-1, 1e2),
-        sigma=lu(0.5, 2.0),
-    )
-
-
-def sample_mode(rng: np.random.Generator) -> AnalyticParams:
-    """Random mode shape; occasionally degenerates a wavenumber to exactly 0."""
-    a = 0.0 if rng.uniform() < 0.1 else float(rng.uniform(0.05, 4.0))
-    b = 0.0 if rng.uniform() < 0.1 else float(rng.uniform(0.05, 4.0))
-    return AnalyticParams(a=a, b=b, e1=float(rng.uniform(-2.0, 2.0)),
-                          e2=float(rng.uniform(-2.0, 2.0)))
-
-
 @dataclass(frozen=True)
 class MassLedger:
     """Drug bookkeeping per sample: layer masses, cumulative sink, cumulative

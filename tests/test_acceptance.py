@@ -15,7 +15,7 @@ import releasesim as rs
 from releasesim.cli import main
 from releasesim.errors import NumericalError
 
-from conftest import make_rng
+from conftest import make_rng, sample_mode, sample_params
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +30,8 @@ def test_criterion_1_initial_condition_exactness():
     rng = make_rng(101)
     worst = 0.0
     for _ in range(50):
-        p = rs.sample_params(rng)
-        ap = rs.sample_mode(rng)
+        p = sample_params(rng)
+        ap = sample_mode(rng)
         x0 = np.linspace(0.0, p.l0, 7)
         x1 = np.linspace(p.l0, p.l1, 7)
         c0, c0s = rs.eval_matrix(x0, 0.0, p, ap)
@@ -51,8 +51,8 @@ def test_criterion_2_rate_constant_identities():
     rng = make_rng(102)
     worst = 0.0
     for _ in range(1000):
-        p = rs.sample_params(rng)
-        ap = rs.sample_mode(rng)
+        p = sample_params(rng)
+        ap = sample_mode(rng)
         for r in (rs.matrix_rates(p, ap.a), rs.tissue_rates(p, ap.b)):
             assert r.rate_sum ** 2 - 4.0 * r.rate_prod >= 0.0
             sum_dev = abs(r.slow + r.fast - r.rate_sum) / max(1.0, abs(r.rate_sum))
@@ -83,8 +83,8 @@ def test_criterion_3_ode_oracle_equivalence(ref_params, ref_mode):
     rng = make_rng(103)
     accepted = refused = 0
     while accepted < 20:
-        p = rs.sample_params(rng)
-        ap = rs.sample_mode(rng)
+        p = sample_params(rng)
+        ap = sample_mode(rng)
         try:
             worst = max(worst, check(p, ap))
         except NumericalError:

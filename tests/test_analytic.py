@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import releasesim as rs
 from releasesim.analytic import _ediff, _ediff2, _ediff2_dt, _ediff_dt
 
-from conftest import make_rng
+from conftest import make_rng, sample_mode, sample_params
 
 
 def rates() -> st.SearchStrategy[float]:
@@ -17,7 +17,7 @@ def rates() -> st.SearchStrategy[float]:
 
 
 def random_params(rng) -> rs.DimensionlessParams:
-    return rs.sample_params(rng)
+    return sample_params(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ class TestRateQuadratics:
         rng = make_rng(1)
         for _ in range(300):
             p = random_params(rng)
-            ap = rs.sample_mode(rng)
+            ap = sample_mode(rng)
             for r in (rs.matrix_rates(p, ap.a), rs.tissue_rates(p, ap.b)):
                 disc = r.rate_sum ** 2 - 4.0 * r.rate_prod
                 assert disc >= 0.0
@@ -227,7 +227,7 @@ class TestClosedForms:
         kept = 0
         while kept < 25:
             p = random_params(rng)
-            ap = rs.sample_mode(rng)
+            ap = sample_mode(rng)
             mr = rs.matrix_rates(p, ap.a)
             tr = rs.tissue_rates(p, ap.b)
             nodes = sorted([tr.slow, tr.fast, p.bound_rate, p.kid])
@@ -307,8 +307,8 @@ class TestPerFieldEvaluators:
         rng = make_rng(3)
         cases = [(ref_params, ref_mode)]
         for _ in range(3):
-            p = rs.sample_params(rng)
-            cases.append((p, rs.sample_mode(rng)))
+            p = sample_params(rng)
+            cases.append((p, sample_mode(rng)))
         return cases
 
     @staticmethod
@@ -354,7 +354,7 @@ class TestResiduals:
         rng = make_rng(3)
         for _ in range(25):
             p = random_params(rng)
-            ap = rs.sample_mode(rng)
+            ap = sample_mode(rng)
             res = rs.residuals(p, ap)
             assert res["matrix_solid"] <= 1e-9
             assert res["tissue_bound"] <= 1e-9

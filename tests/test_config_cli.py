@@ -878,7 +878,7 @@ import os, sys
 import releasesim.cli as cli
 from releasesim import metrics, scenario
 scenario._usable_cpus = lambda: 2
-metrics.run_spec = lambda spec: os._exit(1)
+metrics.release_metrics = lambda ts: os._exit(1)
 sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys.argv[1]]))
 """, str(tmp_path / "o"))
         lines = proc.stderr.strip().splitlines()

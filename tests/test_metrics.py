@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import releasesim as rs
-from releasesim import scenario
+from releasesim import scenario, solver
 from releasesim.errors import NumericalError
 
 
@@ -234,6 +234,106 @@ class TestSweep:
         exposures = [r.metrics.ci_exposure for r in rows]
         assert all(r.status == "ok" for r in rows)
         assert all(a > b for a, b in zip(exposures, exposures[1:]))
+
+
+def lone_row(spec, name, v) -> rs.SweepRow:
+    """The row of one sweep point run alone, outside any batch."""
+    try:
+        ts = rs.run_spec(rs.replace_param(spec, name, v))
+        return rs.SweepRow(name, v, rs.release_metrics(ts), None)
+    except (ValueError, NumericalError) as exc:
+        return rs.SweepRow(name, v, None, f"{type(exc).__name__}: {exc}")
+
+
+def row_bytes(tmp_path, row: rs.SweepRow) -> bytes:
+    """A row's whole outcome as bytes: its metrics file, or its error."""
+    if row.metrics is None:
+        return f"{row.value!r} {row.error}".encode()
+    rs.write_json(tmp_path / "row.json", row.metrics)
+    return f"{row.value!r} ".encode() + (tmp_path / "row.json").read_bytes()
+
+
+@pytest.fixture
+def faults(monkeypatch):
+    """Makes the ka point ``unfactorable`` fail its factorization and the ka
+    point ``poisoned`` turn non-finite some steps into its run, alone or
+    batched."""
+    def install(spec, unfactorable: float, poisoned: float) -> None:
+        solver.load_scipy()
+        splu, stepper = solver.splu, solver.ThetaStepper
+        p = rs.replace_param(spec, "ka", unfactorable).dimensionless()
+        grid = rs.make_grid(p, spec.nx0, spec.nx1)
+        singular = stepper(grid, p, spec.solver)._lhs.diagonal().sum()
+        poisoned_ka = rs.replace_param(spec, "ka", poisoned).dimensionless().ka
+
+        def failing_splu(a, **kwargs):
+            if not kwargs and a.diagonal().sum() == singular:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(a, **kwargs)
+
+        class Poisoned(stepper):
+            def __init__(self, grid, p, config):
+                super().__init__(grid, p, config)
+                if p.ka == poisoned_ka:
+                    self._rhs_mat.data *= 1e30   # in place: the bound step sees it
+        monkeypatch.setattr(solver, "splu", failing_splu)
+        monkeypatch.setattr(solver, "ThetaStepper", Poisoned)
+    return install
+
+
+class TestBatchedSweep:
+    """Sweep points step in batches of at most ``scenario.BATCH_CAP``; every
+    row, failed or not, is the row its point gives run alone."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_more_points_than_the_cap_come_back_in_values_order(self, tmp_path, cpus,
+                                                                workers):
+        spec = small_spec(t_end=2.0)
+        values = [float(v) for v in np.geomspace(5.0, 0.05, 2 * scenario.BATCH_CAP + 1)]
+        lone = [row_bytes(tmp_path, lone_row(spec, "ka", v)) for v in values]
+        cpus(workers)
+        rows = rs.sweep(spec, "ka", values)
+        assert [r.value for r in rows] == values
+        assert [row_bytes(tmp_path, r) for r in rows] == lone
+
+    def test_a_swept_l1_gives_each_point_its_own_grid(self, tmp_path, cpus):
+        spec = small_spec(t_end=2.0)
+        values = [1.5, 2.0, 3.25]
+        cpus(1)
+        rows = rs.sweep(spec, "l1", values)
+        assert [row_bytes(tmp_path, r) for r in rows] == [
+            row_bytes(tmp_path, lone_row(spec, "l1", v)) for v in values]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("theta, dt, values, failed", [
+        # invalid, then unstable explicit steps, refused when their steppers are built
+        (0.0, 0.002, [0.3, -1.0, 1000.0, 3.0, 3000.0, 30.0],
+         ["ValidationError", "spectral radius", "spectral radius"]),
+        # a factorization that fails (ka 0.9), and a run that turns non-finite
+        # mid-run (ka 2.0)
+        (0.5, 0.05, [0.3, 0.9, -1.0, 2.0, 5.0, 0.7],
+         ["factorization failed", "ValidationError", "advancing to t=0.5"]),
+    ], ids=["build", "factorize-and-step"])
+    def test_failures_stay_on_their_own_rows(self, tmp_path, cpus, faults, workers, theta, dt,
+                                             values, failed):
+        spec = small_spec(theta=theta, dt=dt, t_end=100 * dt)
+        if theta:   # at theta = 0 every step matrix is the same
+            faults(spec, unfactorable=0.9, poisoned=2.0)
+        lone = [lone_row(spec, "ka", v) for v in values]
+        assert [failure in r.error for r, failure in
+                zip([r for r in lone if r.error], failed)] == [True] * len(failed)
+        cpus(workers)
+        rows = rs.sweep(spec, "ka", values)
+        assert [r.status for r in rows] == [r.status for r in lone]
+        assert [row_bytes(tmp_path, r) for r in rows] == [row_bytes(tmp_path, r) for r in lone]
+
+    def test_local_sensitivity_raises_its_points_own_failure(self, faults):
+        spec = small_spec()
+        faults(spec, unfactorable=0.9, poisoned=0.6 * 1.05)
+        with pytest.raises(NumericalError) as err:
+            rs.local_sensitivity(spec, "ka")
+        assert f"NumericalError: {err.value}" == lone_row(spec, "ka", 0.6 * 1.05).error
+        assert "non-finite solution while advancing" in str(err.value)
 
 
 class TestLocalSensitivity:

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import releasesim as rs
-from releasesim import solver
+from releasesim import scenario, solver
 from releasesim.errors import NumericalError
 
 from conftest import make_rng
@@ -325,6 +327,42 @@ class TestKernelStep:
         np.testing.assert_array_equal(ts.times, [3.0, 3.0 + 0.05])
 
 
+class TestBatchedMarch:
+    """Runs stepped together as one block-diagonal system hold, to the last
+    bit, the samples each holds stepped alone; a lone run factorizes once."""
+
+    @given(pm=st.sampled_from([np.inf, 0.8, 3.0]), sigma=st.sampled_from([1.0, 1.4, 1.5]),
+           theta=st.sampled_from([0.5, 1.0]), outer_bc=st.sampled_from([rs.ZERO_FLUX, rs.SINK]),
+           nx=st.tuples(st.integers(4, 14), st.integers(4, 14)), every=st.integers(1, 9),
+           name=st.sampled_from(["ka", "kid", "d1", "km", "l1"]),
+           values=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=scenario.BATCH_CAP + 3))
+    @example(pm=1.4, sigma=1.5, theta=1.0, outer_bc=rs.SINK, nx=(5, 13), every=3, name="l1",
+             values=[0.1 * k for k in range(1, scenario.BATCH_CAP + 4)])
+    @settings(max_examples=25)
+    def test_every_run_of_a_batch_is_its_lone_run(self, ref_params, pm, sigma, theta, outer_bc,
+                                                  nx, every, name, values):
+        cfg = rs.SolverConfig(dt=0.05, t_end=2.0, theta=theta, outer_bc=outer_bc,
+                              sample_every=every)
+        runs, lone = [], []
+        for v in values:
+            # a swept l1 gives each run its own grid
+            p = replace(ref_params, pm=pm, sigma=sigma, **{name: 1.0 + v if name == "l1" else v})
+            grid = rs.make_grid(p, *nx)
+            runs.append(solver.prepare(p, grid, cfg))
+            lone.append(rs.simulate(p, grid, cfg))
+        assert solver.march(runs) == [None] * len(values)
+        for (ts, _, _), alone in zip(runs, lone):
+            assert ts.grid == alone.grid
+            assert np.array_equal(ts.u, alone.u)
+
+    def test_a_lone_run_factorizes_once(self, ref_params, monkeypatch):
+        solver.load_scipy()
+        splu, calls = solver.splu, []
+        monkeypatch.setattr(solver, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
+        rs.simulate(ref_params, rs.make_grid(ref_params, 8, 8), rs.SolverConfig(t_end=1.0))
+        assert calls == [{}]
+
+
 class TestPhysicalInvariants:
     @pytest.mark.parametrize("pm,sigma", [(0.0, 1.3), (float("inf"), 1.0)])
     def test_uniform_field_is_stationary_without_kinetics(self, pm, sigma):
@@ -437,19 +475,19 @@ class TestNonFiniteStates:
     initial state at t0, a run that goes non-finite at the clock of that
     step, and neither warns."""
 
-    def test_the_dot_with_zero_flags_every_non_finite_entry(self, ref_params):
-        # a BLAS that skipped zero factors would let an inf through here
-        stepper = rs.ThetaStepper(rs.make_grid(ref_params, 64, 64), ref_params,
-                                  rs.SolverConfig())
+    def test_the_dot_with_zero_flags_every_non_finite_entry(self):
+        # a BLAS that skipped zero factors would let an inf through here;
+        # solver.march tests each step's state by this dot
+        nonfinite = np.zeros(325).dot
         u = np.random.default_rng(3).standard_normal(325) * 1e300
         u[:4] = [5e-324, -0.0, -1.7e308, 1.7e308]
-        assert not stepper._nonfinite(u)
+        assert not nonfinite(u)
         with np.errstate(invalid="ignore"):
             for bad in (np.nan, np.inf, -np.inf):
                 for i in range(len(u)):
                     v = u.copy()
                     v[i] = bad
-                    assert np.isnan(stepper._nonfinite(v)), (bad, i)
+                    assert np.isnan(nonfinite(v)), (bad, i)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("pm, outer_bc, name, node", [

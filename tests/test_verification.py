@@ -11,7 +11,7 @@ from releasesim.solver import FIELD_TABLE, MATRIX
 from releasesim.verification import (ORACLE_BLOCK, ORACLE_GRID_CAP, _cumulative_trapezoid,
                                      _field_deviations, _rk4_linear, check_oracle)
 
-from conftest import make_rng
+from conftest import make_rng, sample_mode, sample_params
 
 
 class TestOdeOracle:
@@ -25,8 +25,8 @@ class TestOdeOracle:
     def test_random_draws_reintegrate_cleanly(self):
         rng = make_rng(10)
         for _ in range(30):
-            p = rs.sample_params(rng)
-            ap = rs.sample_mode(rng)
+            p = sample_params(rng)
+            ap = sample_mode(rng)
             x_t = 0.5 * (p.l0 + p.l1)
             for which, x in (("matrix_solid", 0.3), ("tissue_bound", x_t),
                              ("internalized", x_t)):
@@ -166,8 +166,8 @@ class TestCheckOracle:
         rng = make_rng(22)
         cases = [(ref_params, ref_mode)]
         for _ in range(3):
-            p = rs.sample_params(rng)
-            cases.append((p, rs.sample_mode(rng)))
+            p = sample_params(rng)
+            cases.append((p, sample_mode(rng)))
         for p, ap in cases:
             t = rs.oracle_time_grid(p, ap)
             x_t = 0.5 * (p.l0 + p.l1)
@@ -233,8 +233,8 @@ class TestFieldwiseOracle:
         rng = make_rng(23)
         sampled = []
         for _ in range(3):
-            p = rs.sample_params(rng)
-            sampled.append((p, rs.sample_mode(rng)))
+            p = sample_params(rng)
+            sampled.append((p, sample_mode(rng)))
         for p, ap in [(ref_params, ref_mode), *sampled, *_stiff_draws()]:
             t_full = rs.oracle_time_grid(p, ap)
             # the grid check_oracle runs, at the default block only, and
@@ -346,21 +346,21 @@ class TestSampling:
     def test_sampled_parameters_are_admissible(self):
         rng = make_rng(11)
         for _ in range(100):
-            p = rs.sample_params(rng)
+            p = sample_params(rng)
             matrix, tissue, interface = rs.redimensionalize(p)
             assert rs.validate_params(matrix, tissue, interface) == []
 
     def test_finite_permeability_option(self):
         rng = make_rng(12)
-        p = rs.sample_params(rng, pm_infinite=False)
+        p = sample_params(rng, pm_infinite=False)
         assert np.isfinite(p.pm) and p.pm > 0
 
     def test_sampled_modes_are_valid(self):
         rng = make_rng(13)
         saw_zero = False
         for _ in range(100):
-            p = rs.sample_params(rng)
-            ap = rs.sample_mode(rng)
+            p = sample_params(rng)
+            ap = sample_mode(rng)
             assert ap.a >= 0.0 and ap.b >= 0.0
             saw_zero = saw_zero or ap.a == 0.0 or ap.b == 0.0
             # the rate splitter must accept every sampled mode
