@@ -50,8 +50,8 @@ from .errors import NumericalError
 from .params import DimensionlessParams
 
 # scipy.sparse, SuperLU, the CSR matvec kernel and LAPACK's tridiagonal
-# solver (for the RK4 oracle); None until load_scipy() binds them.
-sp = splu = csr_matvec = dgtsv = None
+# LU solve (for the RK4 oracle); None until load_scipy() binds them.
+sp = splu = csr_matvec = dgttrs = None
 
 
 def load_scipy() -> None:
@@ -59,12 +59,12 @@ def load_scipy() -> None:
     as globals of this module.  Everything that solves calls this first;
     :func:`~releasesim.scenario.parallel_map` calls it before it forks, so
     its workers inherit SciPy rather than each importing it."""
-    global sp, splu, csr_matvec, dgtsv
-    if dgtsv is None:  # bound last, so a failed import is retried
+    global sp, splu, csr_matvec, dgttrs
+    if dgttrs is None:  # bound last, so a failed import is retried
         import scipy.sparse as sp
         from scipy.sparse._sparsetools import csr_matvec
         from scipy.sparse.linalg import splu
-        from scipy.linalg.lapack import dgtsv
+        from scipy.linalg.lapack import dgttrs
 
 ZERO_FLUX = "zero-flux"
 SINK = "sink"
@@ -501,6 +501,25 @@ def march(runs: list, t0: float = 0.0, on_sample=lambda k: None) -> list[Numeric
     return errors
 
 
+def simulate_all(runs, t0: float = 0.0, on_sample=lambda k: None) -> list[TimeSeries]:
+    """The series of ``runs`` (each from :func:`prepare`, all on one config),
+    stepped as one system by :func:`march`.  It raises the first failure in
+    run order, as :func:`simulate` of each in turn would: ``runs`` may be a
+    generator that prepares them, and if preparing one raises, the runs
+    before it step first."""
+    prepared, failure = [], None
+    try:
+        prepared.extend(runs)
+    except Exception as exc:
+        failure = exc
+    for error in march(prepared, t0, on_sample) if prepared else ():
+        if error:
+            raise error
+    if failure:
+        raise failure
+    return [run[0] for run in prepared]
+
+
 def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
              u0: np.ndarray | None = None, t0: float = 0.0,
              samples: np.ndarray | None = None, on_sample=lambda k: None) -> TimeSeries:
@@ -515,10 +534,6 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     ``on_sample(k)`` is called each time the first ``k`` samples are stored.
     Every state the run holds is finite, or it raises :class:`NumericalError`,
     as the initial state at ``t0`` for ``u0``, else at the clock of its step:
-    this is :func:`march` on a batch of one.
+    this is :func:`simulate_all` of a batch of one.
     """
-    run = prepare(p, grid, config, u0, t0, samples)
-    error, = march([run], t0, on_sample)
-    if error:
-        raise error
-    return run[0]
+    return simulate_all([prepare(p, grid, config, u0, t0, samples)], t0, on_sample)[0]

@@ -31,9 +31,9 @@ from .analytic import (KINETIC_BALANCES, AnalyticParams, _mode_rates, matrix_fre
                        tissue_internalized)
 from .errors import NumericalError
 from .params import DimensionlessParams
-from .scenario import RunSpec, run_spec
-from .solver import (FIELD_TABLE, MATRIX, SINK, TISSUE, ZERO_FLUX,
-                     CompositeGrid, SolverConfig, TimeSeries, make_grid, simulate)
+from .scenario import RunSpec
+from .solver import (FIELD_TABLE, MATRIX, SINK, TISSUE, ZERO_FLUX, CompositeGrid,
+                     SolverConfig, TimeSeries, make_grid, prepare, simulate, simulate_all)
 
 # Largest uniform grid oracle_time_grid will build.  Pathologically stiff
 # parameter draws (fast rate thousands of times the slow one) would need more
@@ -49,30 +49,50 @@ def _rk4_growth(z: float) -> float:
     return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
 
 
-def _rk4_linear(decay: float, forcing_half: np.ndarray, dt: float, y0: float) -> np.ndarray:
+def _rk4_lu(decay: float, dt: float, m: int) -> tuple:
+    """``dgttrf``'s LU of the RK4 recurrence's m-row matrix, 1 on the diagonal
+    and -rho below it: 0 < rho <= 1 never pivots, so it is the matrix itself
+    and the identity permutation, and a prefix of it is a shorter run's."""
+    return (np.full(m - 1, -_rk4_growth(-decay * dt)), np.ones(m), np.zeros(m - 1),
+            np.zeros(m - 2), np.arange(1, m + 1, dtype=np.int32))
+
+
+def _rk4_linear(decay: float, forcing_half: np.ndarray, dt: float, y0: float,
+                lu: tuple) -> np.ndarray:
     """Classical RK4 for y' = -decay*y + F(t) with F pre-evaluated on the
     half-step grid (2N+1 points).  The update is the exact linear recurrence
-    y[n+1] = rho*y[n] + s[n], solved as one unit lower-bidiagonal system."""
+    y[n+1] = rho*y[n] + s[n], solved as one unit lower-bidiagonal system by
+    ``lu``, its :func:`_rk4_lu` of at least N+1 rows."""
     f_start = forcing_half[0:-1:2]
     f_mid = forcing_half[1::2]
     f_end = forcing_half[2::2]
     z = -decay * dt
-    k1 = f_start
-    k2 = 0.5 * z * k1 + f_mid
-    k3 = 0.5 * z * k2 + f_mid
-    k4 = z * k3 + f_end
-    s = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    rho = _rk4_growth(z)
-    # rows y[0] = y0 and y[n+1] - rho*y[n] = s[n].  For 0 < rho <= 1 LAPACK's
-    # tridiagonal solver eliminates without pivoting, adding s[n] + rho*y[n]
-    # in the recurrence's own order, so y is bit-identical to running it.
-    # rho > 0 for every real z, so the system is never singular.
-    b = np.concatenate([[y0], s])
-    m = len(b)
+    m = len(f_mid) + 1
+    dl, d, du, du2, ipiv = lu
+    # rows y[0] = y0 and y[n+1] - rho*y[n] = s[n], s = dt/6*(k1 + 2k2 + 2k3 + k4)
+    # formed in place by the formula's operations in its order
+    b = np.empty(m)
+    b[0], s = y0, b[1:]
+    k = np.multiply(0.5 * z, f_start)
+    k += f_mid                                  # k2
+    np.add(f_start, np.multiply(2.0, k, out=s), out=s)
+    np.multiply(0.5 * z, k, out=k)
+    k += f_mid                                  # k3
+    s += 2.0 * k
+    np.multiply(z, k, out=k)
+    k += f_end                                  # k4
+    s += k
+    np.multiply(dt / 6.0, s, out=s)
+    # LAPACK's forward sweep adds s[n] + rho*y[n] in the recurrence's order and
+    # its back sweep divides by 1, so y is the recurrence's, bit for bit.
+    # SciPy's dgttrs refuses two rows: its two sweeps, written out.
+    if m == 2:
+        (y0, s0), (low,), (up,) = b.tolist(), dl[:1].tolist(), du[:1].tolist()
+        y1 = s0 - low * y0
+        return np.array([y0 - up * y1, y1])
     solver.load_scipy()
-    return solver.dgtsv(np.full(m - 1, -rho), np.ones(m), np.zeros(m - 1), b,
-                        overwrite_dl=True, overwrite_d=True, overwrite_du=True,
-                        overwrite_b=True)[3]
+    return solver.dgttrs(dl[:m - 1], d[:m], du[:m - 1], du2[:m - 2], ipiv[:m], b,
+                         overwrite_b=True)[0]
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -135,14 +155,16 @@ def ode_oracle(which: str, p: DimensionlessParams, ap: AnalyticParams,
 
     n = len(t) - 1
     y = y_fine = [y0]    # a block starts from the states the last one ended on
+    block = min(n, ORACLE_BLOCK)
+    lu, lu_fine = _rk4_lu(decay, dt, block + 1), _rk4_lu(decay, 0.5 * dt, 2 * block + 1)
     # running max |ref|, |y - y_fine|, |y - ref|; np.max's initial keeps a NaN
     ref_max = diff_max = dev_max = 0.0
     for a, e in pairwise([*range(0, n, ORACLE_BLOCK), n]):
         # the half-step grid is every other quarter-step point, bit for bit:
         # (dt/4)*(2k) and (dt/2)*k are the same exact product, rounded once
-        f_quarter = forcing(0.25 * dt * np.arange(4 * a, 4 * e + 1))
-        y = _rk4_linear(decay, f_quarter[::2], dt, y[-1])
-        y_fine = _rk4_linear(decay, f_quarter, 0.5 * dt, y_fine[-1])[::2]
+        f_quarter = forcing(np.arange(4 * a, 4 * e + 1, dtype=float) * (0.25 * dt))
+        y = _rk4_linear(decay, f_quarter[::2], dt, y[-1], lu)
+        y_fine = _rk4_linear(decay, f_quarter, 0.5 * dt, y_fine[-1], lu_fine)[::2]
         new = 0 if a == 0 else 1    # a later block starts where one ended
         y, y_fine, ref = y[new:], y_fine[new:], own(t[a + new:e + 1])
         ref_max = np.max(np.abs(ref), initial=ref_max)
@@ -288,8 +310,9 @@ def spatial_convergence(p: DimensionlessParams, config: SolverConfig,
     for n in cells:
         if ref_cells % n:
             raise ValueError(f"reference cell count {ref_cells} must be a multiple of {n}")
-    ref = simulate(p, make_grid(p, ref_cells, ref_cells), config)
-    return _refinement(cells, (simulate(p, make_grid(p, n, n), config) for n in cells), ref)
+    ref, *runs = simulate_all(prepare(p, make_grid(p, n, n), config)
+                              for n in (ref_cells, *cells))
+    return _refinement(cells, runs, ref)
 
 
 def temporal_convergence(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
@@ -365,8 +388,9 @@ def check_mass(spec: RunSpec, audit=mass_audit) -> dict:
                    solver=replace(spec.solver, dt=0.01, t_end=5.0, sample_every=5,
                                   outer_bc=ZERO_FLUX))
     closed = replace(base, tissue=replace(base.tissue, kid=0.0))
-    defect_closed = audit(run_spec(closed)).max_rel_defect
-    defect_sink = audit(run_spec(base)).max_rel_defect
+    runs = simulate_all(prepare(p, make_grid(p, base.nx0, base.nx1), base.solver)
+                        for p in map(RunSpec.dimensionless, (closed, base)))
+    defect_closed, defect_sink = (audit(ts).max_rel_defect for ts in runs)
     passed = defect_closed <= MASS_CLOSED_TOL and defect_sink <= MASS_SINK_TOL
     return {"name": "mass", "passed": passed,
             "closed_system_defect": defect_closed, "closed_tolerance": MASS_CLOSED_TOL,

@@ -11,7 +11,7 @@ import releasesim
 # SciPy subpackages that each cost hundreds of milliseconds to import and
 # that the package does not need: a command that solves loads scipy.sparse
 # and scipy.linalg (the solver's SuperLU and CSR kernel, the oracle's
-# dgtsv), and none of these.
+# dgttrs), and none of these.
 HEAVY = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.optimize",
          "scipy.special", "scipy.interpolate")
 

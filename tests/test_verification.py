@@ -7,9 +7,10 @@ import pytest
 import releasesim as rs
 from releasesim.analytic import KINETIC_BALANCES
 from releasesim.errors import NumericalError
-from releasesim.solver import FIELD_TABLE, MATRIX
+from releasesim.solver import FIELD_TABLE, MATRIX, SINK, ZERO_FLUX
 from releasesim.verification import (ORACLE_BLOCK, ORACLE_GRID_CAP, _cumulative_trapezoid,
-                                     _field_deviations, _rk4_linear, check_oracle)
+                                     _field_deviations, _rk4_growth, _rk4_linear, _rk4_lu,
+                                     check_mass, check_oracle)
 
 from conftest import make_rng, sample_mode, sample_params
 
@@ -125,6 +126,23 @@ def _rk4_lfilter_reference(decay, forcing_half, dt, y0):
     return np.concatenate([[y0], y])
 
 
+def _rk4_dgtsv_reference(decay, forcing_half, dt, y0):
+    """The oracle's RK4 step as it solved its recurrence before the LU was
+    written down: s formed by whole-array expressions, then LAPACK's dgtsv,
+    which factorizes the unit lower-bidiagonal matrix again on every call."""
+    from scipy.linalg.lapack import dgtsv
+
+    z = -decay * dt
+    k1 = forcing_half[0:-1:2]
+    k2 = 0.5 * z * k1 + forcing_half[1::2]
+    k3 = 0.5 * z * k2 + forcing_half[1::2]
+    k4 = z * k3 + forcing_half[2::2]
+    s = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    b = np.concatenate([[y0], s])
+    m = len(b)
+    return dgtsv(np.full(m - 1, -_rk4_growth(z)), np.ones(m), np.zeros(m - 1), b)[3]
+
+
 class TestOracleArithmetic:
     @pytest.mark.parametrize("decay, dt", [
         (0.0, 0.01),      # kid = 0: rho = 1
@@ -140,8 +158,44 @@ class TestOracleArithmetic:
         # forcing of both signs: a decaying oscillation plus noise
         f = magnitude * (np.exp(-0.1 * tt) * np.cos(3.0 * tt) + 0.3 * rng.standard_normal(2 * n + 1))
         for y0 in (0.0, magnitude, -0.5 * magnitude):
-            np.testing.assert_array_equal(_rk4_linear(decay, f, dt, y0),
+            np.testing.assert_array_equal(_rk4_linear(decay, f, dt, y0, _rk4_lu(decay, dt, n + 1)),
                                           _rk4_lfilter_reference(decay, f, dt, y0))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, ORACLE_BLOCK - 1, ORACLE_BLOCK + 1])
+    @pytest.mark.parametrize("decay, dt", [(0.0, 0.01), (0.37, 0.02), (40.0, 0.04)],
+                             ids=["rho-1", "mild", "stiff"])
+    def test_the_lu_solve_is_the_dgtsv_solve_bit_for_bit(self, m, decay, dt):
+        # every value, NaN and the sign of every zero and NaN included; m = 2
+        # takes the written-out sweeps, and an LU built for a longer block
+        # (as ode_oracle builds it once per step) must give the same bits
+        rng = make_rng(24)
+        base = rng.standard_normal(2 * m - 1)
+        cases = [base, np.full(2 * m - 1, -0.0), -base]
+        for special in (np.inf, -np.inf, np.nan, -0.0, 1e308):
+            for at in (0, 1, 2, m - 1, 2 * m - 2):
+                f = base.copy()
+                f[at] = special
+                cases.append(f)
+        longer = _rk4_lu(decay, dt, m + 5)
+        with np.errstate(all="ignore"):
+            for f in cases:
+                for y0 in (0.0, -0.0, 1.0, -0.5, 1e308):
+                    want = _rk4_dgtsv_reference(decay, f, dt, y0)
+                    for got in (_rk4_linear(decay, f, dt, y0, _rk4_lu(decay, dt, m)),
+                                _rk4_linear(decay, f, dt, y0, longer)):
+                        assert np.array_equal(got, want, equal_nan=True), (f, y0)
+                        assert np.array_equal(np.signbit(got), np.signbit(want)), (f, y0)
+
+    def test_the_written_down_lu_is_what_dgttrf_returns(self):
+        from scipy.linalg.lapack import dgttrf
+
+        for decay, dt, m in ((0.0, 0.01, 3), (0.37, 0.02, 7), (40.0, 0.04, 64)):
+            dl, d, du, du2, ipiv = _rk4_lu(decay, dt, m)
+            rho = _rk4_growth(-decay * dt)
+            *factors, info = dgttrf(np.full(m - 1, -rho), np.ones(m), np.zeros(m - 1))
+            assert info == 0
+            for mine, lapack in zip((dl, d, du, du2, ipiv), factors):
+                assert mine.dtype == lapack.dtype and np.array_equal(mine, lapack)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1601])
     def test_trapezoid_helper_matches_scipy_bit_for_bit(self, n):
@@ -195,8 +249,9 @@ def _all_fields_oracle(which, p, ap, x, t_grid):
     dt = float(np.diff(t)[0])
     n = len(t) - 1
     f_quarter = forcing[which](closed(float(x), t[0] + 0.25 * dt * np.arange(4 * n + 1), p, ap))
-    y = _rk4_linear(decay[which], f_quarter[::2], dt, y0[which])
-    y_fine = _rk4_linear(decay[which], f_quarter, 0.5 * dt, y0[which])[::2]
+    lu, lu_fine = _rk4_lu(decay[which], dt, n + 1), _rk4_lu(decay[which], 0.5 * dt, 2 * n + 1)
+    y = _rk4_linear(decay[which], f_quarter[::2], dt, y0[which], lu)
+    y_fine = _rk4_linear(decay[which], f_quarter, 0.5 * dt, y0[which], lu_fine)[::2]
     ref = closed(float(x), t, p, ap)[index]
     scale = max(float(np.max(np.abs(ref))), 1e-30)
     est = float(np.max(np.abs(y - y_fine))) / 15.0
@@ -492,6 +547,117 @@ class TestConvergence:
         report = rs.temporal_convergence(ref_params, grid, cfg,
                                          dts=(0.2, 0.1, 0.05), ref_dt=0.003125)
         assert 0.8 <= report.observed_order <= 1.3
+
+
+def _lone_spatial(p, config, cells, ref_cells):
+    """spatial_convergence's errors with each run stepped alone, in turn."""
+    ref = rs.simulate(p, rs.make_grid(p, ref_cells, ref_cells), config)
+    return tuple(_field_deviations(rs.simulate(p, rs.make_grid(p, n, n), config), ref)
+                 for n in cells)
+
+
+def _lone_mass(spec):
+    """check_mass's two defects with each run stepped alone, in turn."""
+    base = replace(spec, nx0=32, nx1=32,
+                   solver=replace(spec.solver, dt=0.01, t_end=5.0, sample_every=5,
+                                  outer_bc=ZERO_FLUX))
+    closed = replace(base, tissue=replace(base.tissue, kid=0.0))
+    return (rs.mass_audit(rs.run_spec(closed)).max_rel_defect,
+            rs.mass_audit(rs.run_spec(base)).max_rel_defect)
+
+
+def _outcome(call):
+    """What ``call`` returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _membrane_spec(**solver):
+    return rs.RunSpec(interface=rs.InterfaceParams(pm=3.0, sigma=1.4),
+                      solver=rs.SolverConfig(**solver))
+
+
+class TestBatchedVerifyRuns:
+    """The spatial study's runs, and the mass check's, step as one batch; each
+    number, and each failure, is the one the runs give stepped alone."""
+
+    @pytest.mark.parametrize("spec, config", [
+        (rs.RunSpec(), dict(outer_bc=ZERO_FLUX)),
+        (rs.RunSpec(), dict(outer_bc=SINK)),
+        (_membrane_spec(), dict(outer_bc=ZERO_FLUX)),
+        (_membrane_spec(), dict(outer_bc=SINK, theta=1.0)),
+        (rs.RunSpec(), dict(outer_bc=ZERO_FLUX, theta=1.0)),
+    ], ids=["zero-flux", "sink", "pm-3-sigma-1.4", "pm-sink-implicit", "implicit"])
+    def test_spatial_errors_are_the_lone_runs(self, spec, config):
+        p = spec.dimensionless()
+        cfg = rs.SolverConfig(dt=2e-3, t_end=0.1, sample_every=10 ** 9, **config)
+        for cells, ref_cells in (((8, 16, 32), 64), ((8, 16, 32, 64), 256)):
+            report = rs.spatial_convergence(p, cfg, cells=cells, ref_cells=ref_cells)
+            assert report.errors == _lone_spatial(p, cfg, cells, ref_cells)
+
+    @pytest.mark.parametrize("spec", [
+        rs.RunSpec(), _membrane_spec(), _membrane_spec(theta=1.0),
+        rs.RunSpec(solver=rs.SolverConfig(theta=1.0, outer_bc=SINK)),
+    ], ids=["default", "pm-3-sigma-1.4", "pm-implicit", "implicit"])
+    def test_mass_defects_are_the_lone_runs(self, spec):
+        check = check_mass(spec)
+        defects = check["closed_system_defect"], check["with_degradation_defect"]
+        assert defects == _lone_mass(spec)
+
+    def test_an_unstable_explicit_level_fails_as_alone(self, ref_params):
+        cfg = rs.SolverConfig(dt=2e-3, t_end=0.1, theta=0.25, sample_every=10 ** 9)
+        spec = rs.RunSpec(solver=rs.SolverConfig(theta=0.25))
+        # the 64-cell reference is past the explicit limit, the 16-cell one is not
+        for cells, ref_cells in (((8, 16, 32), 64), ((4, 8), 16)):
+            lone = _outcome(lambda: _lone_spatial(ref_params, cfg, cells, ref_cells))
+            assert _outcome(lambda: rs.spatial_convergence(ref_params, cfg, cells,
+                                                           ref_cells).errors) == lone
+        assert "unstable" in _outcome(lambda: _lone_spatial(ref_params, cfg, (8, 16, 32), 64))[1]
+        lone = _outcome(lambda: _lone_mass(spec))
+        assert "unstable" in lone[1] and _outcome(lambda: check_mass(spec)) == lone
+
+    @staticmethod
+    def _poison(monkeypatch, factors, fail_to_build=()):
+        """Runs whose (cells, kid) is in ``factors`` have their step scaled by
+        its factor, so they overflow some steps in; those in ``fail_to_build``
+        fail to prepare."""
+        from releasesim import solver
+
+        class Poisoned(solver.ThetaStepper):
+            def __init__(self, grid, p, config):
+                if (grid.nx0, p.kid) in fail_to_build:
+                    raise rs.NumericalError(f"cannot build {grid.nx0}, {p.kid}")
+                super().__init__(grid, p, config)
+                if (grid.nx0, p.kid) in factors:
+                    self._rhs_mat.data *= factors[grid.nx0, p.kid]
+        monkeypatch.setattr(solver, "ThetaStepper", Poisoned)
+
+    def test_the_first_failing_level_in_run_order_is_raised(self, ref_params, monkeypatch):
+        # the 32-cell level overflows steps before the 16-cell one; alone, the
+        # 16-cell level runs first, so its failure is the one raised
+        kid = ref_params.kid
+        cfg = rs.SolverConfig(dt=2e-3, t_end=0.1, sample_every=10 ** 9)
+        self._poison(monkeypatch, {(16, kid): 1e30, (32, kid): 1e300})
+        lone = _outcome(lambda: _lone_spatial(ref_params, cfg, (8, 16, 32), 64))
+        assert lone[0] == "NumericalError" and "advancing to t=0.02" in lone[1], lone
+        assert _outcome(lambda: rs.spatial_convergence(ref_params, cfg, (8, 16, 32), 64)) == lone
+
+    @pytest.mark.parametrize("closed, sink, fails_to_build", [
+        (1e30, None, False), (None, 1e30, False), (1e30, 1e300, False), (1e30, None, True),
+    ], ids=["closed", "degrading", "both", "closed-then-unbuildable"])
+    def test_the_mass_checks_first_failing_run_is_raised(self, monkeypatch, closed, sink,
+                                                         fails_to_build):
+        # a run that fails to prepare after one that overflows: alone, the
+        # overflow comes first, so it must in the batch too
+        spec = rs.RunSpec()
+        kid = spec.dimensionless().kid
+        factors = {key: f for key, f in (((32, 0.0), closed), ((32, kid), sink)) if f}
+        self._poison(monkeypatch, factors, {(32, kid)} if fails_to_build else ())
+        lone = _outcome(lambda: _lone_mass(spec))
+        assert lone[0] == "NumericalError" and "advancing to t=" in lone[1], lone
+        assert _outcome(lambda: check_mass(spec)) == lone
 
 
 class TestAnalyticNumericComparison:
