@@ -16,21 +16,17 @@ stderr with the error class and message.
 forked worker processes through :func:`releasesim.scenario.parallel_map`,
 the points in batches of at most ``scenario.BATCH_CAP``, at least one per
 worker, each batch's runs stepped as one system (``scenario.map_param``).
-``simulate`` writes its two trajectory files (``matrix.csv``, ``tissue.csv``)
-in two forked workers started before its time loop, at lowered priority,
-through :func:`releasesim.scenario.stream_map`: the loop stores its samples
-in a shared mapping, and each worker formats those already stored while the
-loop keeps stepping.  Each worker writes a temp file; both are renamed onto
-their names only once both workers have returned, both or neither, so a run
-that fails (in the loop, in a writer, by a worker's death or in a rename)
-leaves both files as they were.
+``simulate`` runs in this process: its time loop, then the writers of its
+two trajectory files (``matrix.csv``, ``tissue.csv``).  Each writer writes a
+temp file; both are renamed onto their names only once both have returned,
+both or neither, so a run that fails (in the loop, in a writer or in a
+rename) leaves both files as they were.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import mmap
 import sys
 from dataclasses import asdict, astuple, replace
 from datetime import datetime, timezone
@@ -48,8 +44,8 @@ from .params import DimensionlessParams
 from .runio import (hash_file, load_config, replacing, spec_to_config, spell_infinite_pm,
                     write_analytic_csv, write_flux_mismatch_csv, write_json,
                     write_matrix_csv, write_sweep_csv, write_tissue_csv)
-from .scenario import CONFIG_FIELDS, RunSpec, parallel_map, run_spec, stream_map
-from .solver import SINK, ZERO_FLUX, TimeSeries, make_grid, sample_times
+from .scenario import CONFIG_FIELDS, RunSpec, parallel_map, run_spec
+from .solver import SINK, ZERO_FLUX, make_grid, sample_times
 from .verification import (check_convergence, check_mass, check_oracle,
                            check_residuals, convergence_study, mass_audit,
                            ode_oracle)
@@ -167,15 +163,10 @@ def _finish(out: Path, args, spec: RunSpec, p, started: str,
 
 def _cmd_simulate(args) -> int:
     started, spec, _, out, p = _begin(args)
-    grid, times = make_grid(p, spec.nx0, spec.nx1), sample_times(spec.solver)
-    # the samples live in a shared mapping, which the writer workers read
-    u = np.frombuffer(mmap.mmap(-1, 8 * len(times) * grid.n)).reshape(len(times), grid.n)
-    ts = TimeSeries(times, u, grid, p, spec.solver)
-    with replacing(out / "matrix.csv", out / "tissue.csv") as temps:
-        # each worker writes one file, sample by sample as the run stores them
-        jobs = list(zip([write_matrix_csv, write_tissue_csv], temps))
-        stream_map(lambda job, ready: job[0](job[1], ts, ready), jobs,
-                   lambda publish: run_spec(spec, ts.u, publish))
+    with replacing(out / "matrix.csv", out / "tissue.csv") as (matrix_tmp, tissue_tmp):
+        ts = run_spec(spec)
+        write_matrix_csv(matrix_tmp, ts)
+        write_tissue_csv(tissue_tmp, ts)
     ledger = mass_audit(ts)
     metrics = release_metrics(ts, ledger=ledger)
     write_json(out / "metrics.json", metrics)

@@ -25,7 +25,6 @@ import json
 import math
 import os
 from dataclasses import MISSING, Field, fields, is_dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -146,8 +145,8 @@ def replacing(*paths):
 _SLOT = 32
 _SEP = 31
 # Values formatted by one kernel call: its float arrays (64 KiB) stay in the
-# CPU caches, and below malloc's mmap threshold, so that each call reuses heap
-# memory rather than faulting in fresh pages.
+# CPU caches, and below the size from which malloc maps each block afresh, so
+# that each call reuses heap memory rather than faulting in fresh pages.
 _CHUNK = 1 << 13
 _VELTKAMP = 134217729.0   # 2**27 + 1: splits a double into two halves of 26 bits
 # A scaled value whose fraction is this close to 1/2 is a tie, or too close to
@@ -382,49 +381,39 @@ def _lines(t: np.ndarray, mid: np.ndarray, per_line: int, rows) -> bytearray:
 
 
 def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
-                  times, rows, ready=()) -> None:
+                  times, rows) -> None:
     """Long-format answer file, one block of lines per time: line i is t,
     ``cells[i]``, then the next ``per_line`` values of the time's row.
     ``rows(a, b)`` gives the rows of samples a to b as a 2-D float array;
-    they are asked for in chunks of about _CHUNK values, each chunk once its
-    samples are among the first count ``ready`` yields, or at its end.
+    they are asked for in chunks of about _CHUNK values.
     """
     t = _padded(_texts(times))
-    total = len(t)
     mid = _padded(f",{cell}," for cell in cells)
     step = max(1, _CHUNK // (len(cells) * per_line))
-
-    def chunks():
-        done = 0
-        for count in chain(ready, [total]):
-            while count - done >= step or done < count == total:
-                end = min(count, done + step)
-                yield _lines(t[done:end], mid, per_line, rows(done, end))
-                done = end
-    _write_text(path, ",".join(header) + "\n", chunks())
+    _write_text(path, ",".join(header) + "\n",
+                (_lines(t[a:a + step], mid, per_line, rows(a, min(a + step, len(t))))
+                 for a in range(0, len(t), step)))
 
 
-def _write_layer(path, ts: TimeSeries, layer: str, ready=None) -> None:
-    """Long-format trajectory of one layer: t, x, then its fields' labels.
-    Samples are written once each count ``ready`` yields covers them, then
-    all of them."""
+def _write_layer(path, ts: TimeSeries, layer: str) -> None:
+    """Long-format trajectory of one layer: t, x, then its fields' labels."""
     names = LAYER_FIELDS[layer]
     # a file row's columns of the packed state: the fields interleaved by node
     cols = (np.arange(ts.grid.layer_nodes(layer))[:, None]
             + [ts.grid.field_slice(name).start for name, _ in names]).ravel()
     _write_blocks(path, ["t", "x", *(label for _, label in names)],
                   _texts(ts.grid.layer_x(layer)), len(names), ts.times,
-                  lambda a, b: ts.u[a:b, cols], ready or ())
+                  lambda a, b: ts.u[a:b, cols])
 
 
-def write_matrix_csv(path, ts: TimeSeries, ready=None) -> None:
+def write_matrix_csv(path, ts: TimeSeries) -> None:
     """Long-format matrix-layer trajectory: t, x, C0_star, C0."""
-    _write_layer(path, ts, MATRIX, ready)
+    _write_layer(path, ts, MATRIX)
 
 
-def write_tissue_csv(path, ts: TimeSeries, ready=None) -> None:
+def write_tissue_csv(path, ts: TimeSeries) -> None:
     """Long-format tissue-layer trajectory: t, x, C1_star, C1, Ci."""
-    _write_layer(path, ts, TISSUE, ready)
+    _write_layer(path, ts, TISSUE)
 
 
 def write_analytic_csv(path, times, grid: CompositeGrid, p, ap: AnalyticParams) -> None:

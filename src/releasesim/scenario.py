@@ -3,21 +3,19 @@
 A :class:`RunSpec` is the unit the CLI, the sweeps, and the sensitivity
 probes all operate on.  Parameter edits go through :func:`replace_param`,
 which addresses any physical parameter by its flat field name.
-Independent runs go to worker processes through :func:`parallel_map`, and
-jobs that consume a run's results as it stores them through
-:func:`stream_map`.  :func:`map_param` runs a spec over a parameter's values
-in contiguous batches, at least one per worker and at most ``BATCH_CAP``
-values each; a worker steps a batch's runs as one block-diagonal system
+Independent runs go to worker processes through :func:`parallel_map`.
+:func:`map_param` runs a spec over a parameter's values in contiguous
+batches, at least one per worker and at most ``BATCH_CAP`` values each; a
+worker steps a batch's runs as one block-diagonal system
 (:func:`~releasesim.solver.march`), bit for bit as each alone.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 from dataclasses import Field, dataclass, field, fields, replace
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .analytic import AnalyticParams
 from .errors import NumericalError, WorkerError
@@ -86,23 +84,19 @@ def get_param(spec: RunSpec, name: str) -> float:
     return getattr(getattr(spec, _section(name)), name)
 
 
-def run_spec(spec: RunSpec, samples=None, on_sample=lambda k: None) -> TimeSeries:
-    """Nondimensionalize, mesh, and integrate one spec (``samples`` and
-    ``on_sample`` as for :func:`~releasesim.solver.simulate`)."""
+def run_spec(spec: RunSpec) -> TimeSeries:
+    """Nondimensionalize, mesh, and integrate one spec."""
     p = spec.dimensionless()
-    grid = make_grid(p, spec.nx0, spec.nx1)
-    return simulate(p, grid, spec.solver, samples=samples, on_sample=on_sample)
+    return simulate(p, make_grid(p, spec.nx0, spec.nx1), spec.solver)
 
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-# The (fn, items) of the parallel_map or stream_map call in progress.  Forked
-# workers inherit it, so only item indices cross to them, and a worker that
-# finds it set is inside a call already: its own calls run in-process.
+# The (fn, items) of the parallel_map call in progress.  Forked workers
+# inherit it, so only item indices cross to them, and a worker that finds it
+# set is inside a call already: its own calls run in-process.
 _TASK: tuple[Callable, list] | None = None
-# stream_map tells its workers every STREAM_BLOCK-th count.
-STREAM_BLOCK = 64
 
 
 def _usable_cpus() -> int:
@@ -127,22 +121,6 @@ def _fork_context(workers: int):
     return None
 
 
-def _in_workers(context, workers: int, fn: Callable, items, alongside=lambda: None) -> list:
-    """``[fn(x) for x in items]`` on forked workers, ``alongside()`` run here meanwhile."""
-    global _TASK
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    _TASK = fn, items
-    try:
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            outcomes = pool.map(_run_item, range(len(items)))
-            alongside()
-            return list(outcomes)
-    except BrokenProcessPool as exc:
-        raise WorkerError(f"a worker process died: {exc}") from exc
-    finally:
-        _TASK = None
-
-
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """``[fn(x) for x in items]``, with each call in a forked worker process.
 
@@ -157,55 +135,22 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     steps the solver, so SciPy is loaded before the fork and the workers
     inherit it.
     """
+    global _TASK
     items = list(items)
     workers = min(len(items), _usable_cpus())
     context = _fork_context(workers)
     if context is None:
         return [fn(x) for x in items]
     load_scipy()
-    return _in_workers(context, workers, fn, items)
-
-
-def stream_map(fn: Callable[[T, Iterator[int] | None], R], items: Iterable[T],
-               produce: Callable[[Callable[[int], None]], object]) -> list[R]:
-    """``[fn(x, ready) for x in items]``, one forked worker per item started
-    first, while this process runs ``produce(publish)``.
-
-    ``produce`` calls ``publish(k)`` for k = 1, 2, ... as its first k results
-    land in shared memory.  ``ready`` yields every ``STREAM_BLOCK``-th k and
-    ends when ``produce`` returns (``EOFError`` if it raises).  The workers
-    lower their priority, so ``produce`` keeps a CPU.  Otherwise
-    :func:`parallel_map`'s rules hold, this process counting as a worker; run
-    in-process, ``produce`` goes first and ``ready`` is None.
-    """
-    items = list(items)
-    context = _fork_context(min(len(items) + 1, _usable_cpus()))
-    if context is None:
-        produce(lambda k: None)
-        return [fn(x, None) for x in items]
-    pipes = [context.Pipe(duplex=False) for _ in items]
-
-    def send(message) -> None:
-        for _, sender in pipes:
-            with contextlib.suppress(BrokenPipeError):  # a stopped worker's outcome says why
-                sender.send(message)
-
-    def in_worker(i: int):
-        os.nice(10)  # this process keeps its CPU; the workers share the rest
-        for _, sender in pipes:
-            sender.close()
-        return fn(items[i], iter(pipes[i][0].recv, None))
-
-    def alongside() -> None:
-        for receiver, _ in pipes:
-            receiver.close()
-        try:
-            produce(lambda k: k % STREAM_BLOCK or send(k))
-            send(None)
-        finally:
-            for _, sender in pipes:
-                sender.close()
-    return _in_workers(context, len(items), in_worker, range(len(items)), alongside)
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    _TASK = fn, items
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return list(pool.map(_run_item, range(len(items))))
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a worker process died: {exc}") from exc
+    finally:
+        _TASK = None
 
 
 #: Most runs one worker steps together: it bounds a batch's samples in

@@ -447,27 +447,27 @@ class TimeSeries:
 
 
 def prepare(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
-            u0: np.ndarray | None = None, t0: float = 0.0, samples: np.ndarray | None = None):
+            u0: np.ndarray | None = None, t0: float = 0.0):
     """The run :func:`simulate` steps, checked, up to its first step: its
     series, its stepper (None if it takes no step) and its initial state."""
     u = initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
     if u.shape != (grid.n,):
         raise ValueError(f"u0 must have shape ({grid.n},), got {u.shape}")
     times = sample_times(config, t0)
-    samples = np.empty((len(times), grid.n)) if samples is None else samples
-    series = TimeSeries(times, samples, grid=grid, params=p, config=config)
+    series = TimeSeries(times, np.empty((len(times), grid.n)), grid=grid, params=p,
+                        config=config)
     stepper = ThetaStepper(grid, p, config) if len(times) > 1 else None
     if not np.isfinite(u).all():
         raise NumericalError(f"non-finite initial state at t={t0:.6g}")
     return series, stepper, u
 
 
-def march(runs: list, t0: float = 0.0, on_sample=lambda k: None) -> list[NumericalError | None]:
+def march(runs: list, t0: float = 0.0) -> list[NumericalError | None]:
     """Step ``runs`` (each from :func:`prepare`, all on one config) from the
-    clock ``t0`` as one system, bit for bit as each alone, into their series;
-    ``on_sample(k)`` follows the k-th sample.  Each run's failure, or None: a
-    run whose state turns non-finite fails at its step's clock and is zeroed,
-    its samples unfinished; the loop stops once all have failed."""
+    clock ``t0`` as one system, bit for bit as each alone, into their series.
+    Each run's failure, or None: a run whose state turns non-finite fails at
+    its step's clock and is zeroed, its samples unfinished; the loop stops
+    once all have failed."""
     series, steppers, states = zip(*runs)
     config = series[0].config
     if any(ts.config != config for ts in series):
@@ -494,14 +494,13 @@ def march(runs: list, t0: float = 0.0, on_sample=lambda k: None) -> list[Numeric
                         return errors
             for ts, block in zip(series, blocks):
                 ts.u[k] = u[block]
-            on_sample(k + 1)
     for ts, perm in zip(series, perms):
         if perm is not None:
             ts.u[:] = ts.u[:, perm]
     return errors
 
 
-def simulate_all(runs, t0: float = 0.0, on_sample=lambda k: None) -> list[TimeSeries]:
+def simulate_all(runs, t0: float = 0.0) -> list[TimeSeries]:
     """The series of ``runs`` (each from :func:`prepare`, all on one config),
     stepped as one system by :func:`march`.  It raises the first failure in
     run order, as :func:`simulate` of each in turn would: ``runs`` may be a
@@ -512,7 +511,7 @@ def simulate_all(runs, t0: float = 0.0, on_sample=lambda k: None) -> list[TimeSe
         prepared.extend(runs)
     except Exception as exc:
         failure = exc
-    for error in march(prepared, t0, on_sample) if prepared else ():
+    for error in march(prepared, t0) if prepared else ():
         if error:
             raise error
     if failure:
@@ -521,8 +520,7 @@ def simulate_all(runs, t0: float = 0.0, on_sample=lambda k: None) -> list[TimeSe
 
 
 def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
-             u0: np.ndarray | None = None, t0: float = 0.0,
-             samples: np.ndarray | None = None, on_sample=lambda k: None) -> TimeSeries:
+             u0: np.ndarray | None = None, t0: float = 0.0) -> TimeSeries:
     """Run the theta scheme from the clock ``t0`` over the horizon ``config.t_end``.
 
     The number of steps is t_end / dt, a whole number; the first and last
@@ -530,10 +528,8 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     :func:`initialize`); it is copied, never modified.  With ``t0`` it lets
     a run continue another from its last sample, or start from the closed
     forms' state at some time.  The samples are preallocated, samples x
-    unknowns x 8 bytes, or are the caller's float64 ``samples`` of that shape.
-    ``on_sample(k)`` is called each time the first ``k`` samples are stored.
-    Every state the run holds is finite, or it raises :class:`NumericalError`,
-    as the initial state at ``t0`` for ``u0``, else at the clock of its step:
-    this is :func:`simulate_all` of a batch of one.
+    unknowns x 8 bytes.  Every state the run holds is finite, or it raises
+    :class:`NumericalError`, as the initial state at ``t0`` for ``u0``, else
+    at the clock of its step: this is :func:`simulate_all` of a batch of one.
     """
-    return simulate_all([prepare(p, grid, config, u0, t0, samples)], t0, on_sample)[0]
+    return simulate_all([prepare(p, grid, config, u0, t0)], t0)[0]

@@ -5,7 +5,6 @@ import json
 import re
 import shlex
 import sys
-import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -178,33 +177,38 @@ class TestDataFiles:
         rng = np.random.default_rng(7)
         specials = np.array([-1.25, -0.0, 0.0, 5e-324, 1e-300, 1.5e300, -1.5e300,
                              1.0 / 3.0, -2.0 / 3.0, 12345.678])
-        times = np.array([0.0, 0.1, 0.1 * 3, 1e-300, 160.0])
+        # a few special times; then 2,000 samples, which span several of the
+        # writers' chunks of either file (runio._CHUNK values over 5 nodes of 2
+        # or 3 fields), and a whole number of neither
+        long = 0.01 * np.arange(2000)
+        assert all(len(long) > 2 * step and len(long) % step
+                   for step in (runio._CHUNK // 10, runio._CHUNK // 15))
+        for i, times in enumerate([np.array([0.0, 0.1, 0.1 * 3, 1e-300, 160.0]), long]):
+            def field(nodes):
+                n = len(times) * nodes
+                values = np.concatenate([specials, rng.standard_normal(n - len(specials))])
+                return rng.permutation(values).reshape(len(times), nodes)
 
-        def field(nodes):
-            n = len(times) * nodes
-            values = np.concatenate([specials, rng.standard_normal(n - len(specials))])
-            return rng.permutation(values).reshape(len(times), nodes)
+            # one block of columns per field, in the packed order
+            u = np.hstack([field(grid.nm), field(grid.nm), field(grid.nt), field(grid.nt),
+                           field(grid.nt)])
+            ts = rs.TimeSeries(times=times, u=u, grid=grid, params=rs.reference_params(),
+                               config=rs.SolverConfig())
 
-        # one block of columns per field, in the packed order
-        u = np.hstack([field(grid.nm), field(grid.nm), field(grid.nt), field(grid.nt),
-                       field(grid.nt)])
-        ts = rs.TimeSeries(times=times, u=u, grid=grid, params=rs.reference_params(),
-                           config=rs.SolverConfig())
+            def per_cell(header, x, fields):
+                lines = [",".join(header)]
+                for it, t in enumerate(ts.times):
+                    for ix, xv in enumerate(x):
+                        cells = [t, xv] + [f[it, ix] for f in fields]
+                        lines.append(",".join(format(float(v), ".17g") for v in cells))
+                return ("\n".join(lines) + "\n").encode("utf-8")
 
-        def per_cell(header, x, fields):
-            lines = [",".join(header)]
-            for it, t in enumerate(ts.times):
-                for ix, xv in enumerate(x):
-                    cells = [t, xv] + [f[it, ix] for f in fields]
-                    lines.append(",".join(format(float(v), ".17g") for v in cells))
-            return ("\n".join(lines) + "\n").encode("utf-8")
-
-        write_matrix_csv(tmp_path / "m.csv", ts)
-        write_tissue_csv(tmp_path / "t.csv", ts)
-        assert (tmp_path / "m.csv").read_bytes() == per_cell(
-            ["t", "x", "C0_star", "C0"], grid.x_matrix, (ts.c0s, ts.c0))
-        assert (tmp_path / "t.csv").read_bytes() == per_cell(
-            ["t", "x", "C1_star", "C1", "Ci"], grid.x_tissue, (ts.c1s, ts.c1, ts.ci))
+            write_matrix_csv(tmp_path / f"m{i}.csv", ts)
+            write_tissue_csv(tmp_path / f"t{i}.csv", ts)
+            assert (tmp_path / f"m{i}.csv").read_bytes() == per_cell(
+                ["t", "x", "C0_star", "C0"], grid.x_matrix, (ts.c0s, ts.c0))
+            assert (tmp_path / f"t{i}.csv").read_bytes() == per_cell(
+                ["t", "x", "C1_star", "C1", "Ci"], grid.x_tissue, (ts.c1s, ts.c1, ts.ci))
 
 
 class TestReplacing:
@@ -480,40 +484,8 @@ class TestCliSimulate:
         assert len(calls) == 1
         assert json.loads((out / "ledger.json").read_text()) == _jsonable(audit(calls[0]))
 
-    # 4+4 cells, 999 steps sampled at each: 1,000 samples, more than one
-    # publishing block and more than one formatting chunk of either file, and
-    # a whole number of none of them
-    STREAMED = {"grid": {"nx0": 4, "nx1": 4},
-                "solver": {"dt": 0.01, "t_end": 9.99, "sample_every": 1}}
-
-    def test_streamed_files_equal_the_in_process_ones(self, tmp_path, capsys, monkeypatch):
-        # a chunk's samples: runio._CHUNK values over 5 nodes of 2 or 3 fields
-        blocks = [scenario.STREAM_BLOCK, runio._CHUNK // 10, runio._CHUNK // 15]
-        assert all(1000 > block and 1000 % block for block in blocks)
-        cfg = small_config(tmp_path, **self.STREAMED)
-        names = ("matrix.csv", "tissue.csv", "metrics.json", "ledger.json",
-                 "config.resolved.json")
-        contexts = []
-        fork_context = scenario._fork_context
-        monkeypatch.setattr(scenario, "_fork_context",
-                            lambda workers: contexts.append(fork_context(workers)) or contexts[-1])
-        files, stdouts = [], []
-        for n in (1, 2):
-            monkeypatch.setattr(scenario, "_usable_cpus", lambda: n)
-            out = tmp_path / f"s{n}"
-            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-            files.append([(out / name).read_bytes() for name in names])
-            stdouts.append(capsys.readouterr().out.replace(str(out), "OUT"))
-            assert sorted(p.name for p in out.iterdir()) == sorted([*names, "run.json"])
-        assert [c is None for c in contexts] == [True, False]  # in-process, then streamed
-        assert files[0] == files[1]
-        assert stdouts[0] == stdouts[1]
-        assert files[0][0].count(b"\n") == 1 + 1000 * 5
-
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_mid_run_leaves_trajectory_files_as_they_were(self, tmp_path, capsys,
-                                                                  monkeypatch, workers):
-        monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
+                                                                  monkeypatch):
         init = rs.ThetaStepper.__init__
 
         def init_failing(self, *args):
@@ -523,7 +495,7 @@ class TestCliSimulate:
 
             def failing(u):
                 u_new = step(u)
-                if next(steps) > 100:   # after 100 samples: the writers have had whole blocks
+                if next(steps) > 100:
                     u_new[0] = np.nan
                 return u_new
             self._step = failing
@@ -533,18 +505,16 @@ class TestCliSimulate:
         before = {"matrix.csv": b"old matrix\n", "tissue.csv": b"old tissue\n"}
         for name, data in before.items():
             (out / name).write_bytes(data)
-        cfg = small_config(tmp_path, **self.STREAMED)
-        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        code = main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "2",
+                     "--out", str(out)])
         lines = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "NumericalError"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_writer_failure_leaves_both_trajectory_files_as_they_were(
-            self, tmp_path, capsys, monkeypatch, workers):
-        # the tissue writer fails only once the matrix writer has returned
-        monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
+            self, tmp_path, capsys, monkeypatch):
+        # the tissue writer fails once the matrix writer has returned
         done = tmp_path / "matrix-writer-returned"
         write_matrix = cli.write_matrix_csv
 
@@ -553,11 +523,6 @@ class TestCliSimulate:
             done.touch()
 
         def fail_after_matrix(path, *args):
-            deadline = time.monotonic() + 60.0
-            while not done.exists():
-                if time.monotonic() > deadline:
-                    raise AssertionError("the matrix writer never returned")
-                time.sleep(0.001)
             raise OSError(f"injected failure writing {path}")
         monkeypatch.setattr(cli, "write_matrix_csv", matrix_then_mark)
         monkeypatch.setattr(cli, "write_tissue_csv", fail_after_matrix)
@@ -888,56 +853,6 @@ sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys
         assert err["error"] == "WorkerError"
         assert err["exit_code"] == 4
 
-    def test_dead_writer_exits_four(self, tmp_path, run_fresh):
-        # the tissue writer dies once the matrix writer has begun its temp file
-        self.check_dead_tissue_writer(tmp_path, run_fresh, "begun")
-
-    def test_dead_writer_after_its_partner_returned_exits_four(self, tmp_path, run_fresh):
-        self.check_dead_tissue_writer(tmp_path, run_fresh, "returned")
-        assert (tmp_path / "returned").exists()
-
-    @staticmethod
-    def check_dead_tissue_writer(tmp_path, run_fresh, partner):
-        """Kill the tissue writer once its partner has ``partner`` ("begun" or
-        "returned"): exit 4, one JSON line, both files as they were.  In a
-        fresh interpreter, so a pool that waited forever would meet a timeout."""
-        out = tmp_path / "o"
-        out.mkdir()
-        for name in ("matrix.csv", "tissue.csv"):
-            (out / name).write_bytes(b"OLD\n")
-        proc = run_fresh("""
-import os, sys, time
-from pathlib import Path
-import releasesim.cli as cli
-from releasesim import scenario
-scenario._usable_cpus = lambda: 2
-out, partner = Path(sys.argv[1]), sys.argv[2]
-marker = out / "matrix.csv.tmp" if partner == "begun" else out.parent / "returned"
-write_matrix = cli.write_matrix_csv
-
-def write_then_mark(path, *args):
-    write_matrix(path, *args)
-    (out.parent / "returned").touch()
-
-def die(path, *args):
-    deadline = time.monotonic() + 60.0
-    while not marker.exists() and time.monotonic() < deadline:
-        time.sleep(0.001)
-    os._exit(1)
-
-cli.write_matrix_csv, cli.write_tissue_csv = write_then_mark, die
-sys.exit(cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "40",
-                   "--out", str(out)]))
-""", str(out), partner)
-        lines = proc.stderr.strip().splitlines()
-        assert proc.returncode == 4
-        assert len(lines) == 1, proc.stderr
-        err = json.loads(lines[0])
-        assert err["error"] == "WorkerError"
-        assert err["exit_code"] == 4
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
-            "matrix.csv": b"OLD\n", "tissue.csv": b"OLD\n"}
-
     def test_unstable_theta_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["simulate", "--theta", "0", "--dt", "0.4", "--t-end", "8",
@@ -957,9 +872,7 @@ sys.exit(cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "40",
         # sha256 of the answer files from before the stability check existed
         assert {name: hash_file(out / name) for name in STABLE_EXPLICIT} == STABLE_EXPLICIT
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_writer_failure_exits_three(self, tmp_path, capsys, monkeypatch, workers):
-        monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
+    def test_writer_failure_exits_three(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         out = tmp_path / "o"
         (out / "tissue.csv").mkdir(parents=True)

@@ -216,6 +216,13 @@ class TestPackedState:
             rs.TimeSeries(times=np.zeros(n_times), u=np.zeros(u_shape), grid=grid,
                           params=rs.reference_params(), config=rs.SolverConfig())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_time_series_rejects_a_state_not_float64(self, dtype):
+        grid = rs.CompositeGrid(8, 8)
+        with pytest.raises(ValueError, match=r"float64 u of shape \(len\(times\), 45\)"):
+            rs.TimeSeries(times=np.zeros(3), u=np.zeros((3, grid.n), dtype), grid=grid,
+                          params=rs.reference_params(), config=rs.SolverConfig())
+
 
 class NonFinite(Exception):
     """A state of the reference run is not all finite; ``args[0]`` is the
@@ -526,11 +533,9 @@ class TestNonFiniteStates:
         cfg = rs.SolverConfig(dt=0.05, t_end=t_end, theta=theta, outer_bc=outer_bc)
         u0 = uniform_state(grid, 0.5)
         u0[grid.field_slice(name)][node] = bad
-        stored = []
         with pytest.raises(NumericalError) as err:
-            rs.simulate(p, grid, cfg, u0=u0, t0=2.0, on_sample=stored.append)
+            rs.simulate(p, grid, cfg, u0=u0, t0=2.0)
         assert str(err.value) == "non-finite initial state at t=2"
-        assert stored == []
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_a_state_gone_non_finite_between_samples_fails_at_its_step(
@@ -562,36 +567,6 @@ class TestNonFiniteStates:
             rs.simulate(ref_params, grid, cfg, t0=3.0)
         assert str(err.value) == "non-finite solution while advancing to t=3.5; reduce dt"
         assert len(solves) == 10
-
-
-class TestCallerSamples:
-    """``simulate(samples=...)`` stores into the caller's array, which must be
-    float64 of the run's shape; anything else is refused before any step."""
-
-    CFG = rs.SolverConfig(dt=0.1, t_end=1.0, sample_every=2)   # 6 samples
-
-    @pytest.mark.parametrize("make", [
-        lambda shape: np.zeros(shape, dtype=np.int64),
-        lambda shape: np.zeros(shape, dtype=np.float32),
-        lambda shape: np.zeros((shape[0] + 1, shape[1])),
-        lambda shape: np.zeros((shape[0] - 1, shape[1])),
-        lambda shape: np.zeros(shape).tolist(),
-    ], ids=["int", "float32", "extra-row", "missing-row", "list"])
-    def test_anything_else_is_refused_before_the_first_step(self, ref_params, monkeypatch,
-                                                             make):
-        def no_stepper(*args):
-            raise AssertionError("the run stepped before its samples were checked")
-        monkeypatch.setattr(solver, "ThetaStepper", no_stepper)
-        grid = rs.make_grid(ref_params, 8, 8)
-        with pytest.raises(ValueError, match=r"float64 u of shape \(len\(times\), 45\)"):
-            rs.simulate(ref_params, grid, self.CFG, samples=make((6, grid.n)))
-
-    def test_a_float64_array_of_the_run_shape_holds_the_run(self, ref_params):
-        grid = rs.make_grid(ref_params, 8, 8)
-        samples = np.full((6, grid.n), np.nan)
-        ts = rs.simulate(ref_params, grid, self.CFG, samples=samples)
-        assert ts.u is samples
-        np.testing.assert_array_equal(samples, rs.simulate(ref_params, grid, self.CFG).u)
 
 
 class TestThetaStability:

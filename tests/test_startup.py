@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import releasesim
 
 # SciPy subpackages that each cost hundreds of milliseconds to import and
@@ -40,8 +42,7 @@ def test_verify_all_runs_without_heavy_scipy_subpackages(tmp_path):
 
 
 # Process-pool modules that importing releasesim.cli must not load:
-# parallel_map and stream_map import their pool and pipes only when they
-# start workers.
+# parallel_map imports its pool only when it starts workers.
 POOL = ("multiprocessing.pool", "multiprocessing.context", "multiprocessing.connection",
         "concurrent.futures.process")
 
@@ -58,21 +59,22 @@ def test_importing_the_cli_loads_no_process_pool(run_fresh):
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
-SIMULATE_ONE_CPU = """
+SIMULATE_ON_CPUS = """
 import contextlib, io, json, sys
 import releasesim.cli as cli
 from releasesim import scenario
-scenario._usable_cpus = lambda: 1
+scenario._usable_cpus = lambda: int(sys.argv[2])
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "2",
                      "--out", sys.argv[1]])
-print(json.dumps({"code": code, "loaded": [m for m in sys.argv[2:] if m in sys.modules]}))
+print(json.dumps({"code": code, "loaded": [m for m in sys.argv[3:] if m in sys.modules]}))
 """
 
 
-def test_simulate_on_one_cpu_loads_no_process_pool(run_fresh, tmp_path):
-    # one usable CPU: the run and then the writers, all in-process
-    proc = run_fresh(SIMULATE_ONE_CPU, str(tmp_path / "out"), *POOL)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_loads_no_process_pool(run_fresh, tmp_path, cpus):
+    # on any CPU count, the run and then the writers, all in-process
+    proc = run_fresh(SIMULATE_ON_CPUS, str(tmp_path / "out"), str(cpus), *POOL)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"code": 0, "loaded": []}
 
