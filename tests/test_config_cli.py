@@ -484,8 +484,44 @@ class TestCliSimulate:
         assert len(calls) == 1
         assert json.loads((out / "ledger.json").read_text()) == _jsonable(audit(calls[0]))
 
+    # 4+4 cells, 999 steps sampled at each: 1,000 samples, more than one
+    # formatting chunk of either file, and a whole number of neither
+    STREAMED = {"grid": {"nx0": 4, "nx1": 4},
+                "solver": {"dt": 0.01, "t_end": 9.99, "sample_every": 1}}
+
+    def test_streamed_files_equal_the_in_process_ones(self, tmp_path, capsys, monkeypatch):
+        # on 1 or 2 usable CPUs, simulate forks nothing, and its trajectory
+        # files are the writers' output for run_spec's series, byte for byte
+        # a chunk's samples: runio._CHUNK values over 5 nodes of 2 or 3 fields
+        blocks = [runio._CHUNK // 10, runio._CHUNK // 15]
+        assert all(1000 > block and 1000 % block for block in blocks)
+        cfg = small_config(tmp_path, **self.STREAMED)
+        names = ("matrix.csv", "tissue.csv", "metrics.json", "ledger.json",
+                 "config.resolved.json")
+        contexts = []
+        monkeypatch.setattr(scenario, "_fork_context", contexts.append)
+        files, stdouts = [], []
+        for n in (1, 2):
+            monkeypatch.setattr(scenario, "_usable_cpus", lambda: n)
+            out = tmp_path / f"s{n}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            files.append([(out / name).read_bytes() for name in names])
+            stdouts.append(capsys.readouterr().out.replace(str(out), "OUT"))
+            assert sorted(p.name for p in out.iterdir()) == sorted([*names, "run.json"])
+        assert contexts == []
+        assert files[0] == files[1]
+        assert stdouts[0] == stdouts[1]
+        assert files[0][0].count(b"\n") == 1 + 1000 * 5
+        ts = scenario.run_spec(load_config(cfg)[0])
+        write_matrix_csv(tmp_path / "m.csv", ts)
+        write_tissue_csv(tmp_path / "t.csv", ts)
+        assert files[0][:2] == [(tmp_path / "m.csv").read_bytes(),
+                                (tmp_path / "t.csv").read_bytes()]
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_mid_run_leaves_trajectory_files_as_they_were(self, tmp_path, capsys,
-                                                                  monkeypatch):
+                                                                  monkeypatch, workers):
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
         init = rs.ThetaStepper.__init__
 
         def init_failing(self, *args):
@@ -512,9 +548,11 @@ class TestCliSimulate:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "NumericalError"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_writer_failure_leaves_both_trajectory_files_as_they_were(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, workers):
         # the tissue writer fails once the matrix writer has returned
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
         done = tmp_path / "matrix-writer-returned"
         write_matrix = cli.write_matrix_csv
 
@@ -872,7 +910,9 @@ sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys
         # sha256 of the answer files from before the stability check existed
         assert {name: hash_file(out / name) for name in STABLE_EXPLICIT} == STABLE_EXPLICIT
 
-    def test_writer_failure_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_writer_failure_exits_three(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
         cfg = small_config(tmp_path)
         out = tmp_path / "o"
         (out / "tissue.csv").mkdir(parents=True)
@@ -884,6 +924,28 @@ sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys
         assert err["error"] == "IsADirectoryError"
         assert err["exit_code"] == 3
         assert str(out / "tissue.csv") in err["message"]
+
+    def test_matrix_writer_failure_leaves_the_tissue_writer_uncalled(
+            self, tmp_path, capsys, monkeypatch):
+        # the writers run in turn after the loop: the first to fail ends the run
+        def fail(path, *args):
+            raise OSError(f"injected failure writing {path}")
+        calls = []
+        monkeypatch.setattr(cli, "write_matrix_csv", fail)
+        monkeypatch.setattr(cli, "write_tissue_csv", lambda *args: calls.append(args))
+        out = tmp_path / "o"
+        out.mkdir()
+        before = {"matrix.csv": b"OLD\n", "tissue.csv": b"OLD\n"}
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+        code = main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "2",
+                     "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 3 and calls == []
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "OSError" and str(out / "matrix.csv") in err["message"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_failed_rename_leaves_both_trajectory_files_as_they_were(self, tmp_path, capsys):
         # matrix.csv is renamed first, then tissue.csv cannot be: matrix.csv

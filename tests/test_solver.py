@@ -216,13 +216,6 @@ class TestPackedState:
             rs.TimeSeries(times=np.zeros(n_times), u=np.zeros(u_shape), grid=grid,
                           params=rs.reference_params(), config=rs.SolverConfig())
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
-    def test_time_series_rejects_a_state_not_float64(self, dtype):
-        grid = rs.CompositeGrid(8, 8)
-        with pytest.raises(ValueError, match=r"float64 u of shape \(len\(times\), 45\)"):
-            rs.TimeSeries(times=np.zeros(3), u=np.zeros((3, grid.n), dtype), grid=grid,
-                          params=rs.reference_params(), config=rs.SolverConfig())
-
 
 class NonFinite(Exception):
     """A state of the reference run is not all finite; ``args[0]`` is the
@@ -567,6 +560,41 @@ class TestNonFiniteStates:
             rs.simulate(ref_params, grid, cfg, t0=3.0)
         assert str(err.value) == "non-finite solution while advancing to t=3.5; reduce dt"
         assert len(solves) == 10
+
+
+class TestCallerSamples:
+    """A caller's array holds a run when it is the ``u`` of the run's series
+    from :func:`solver.prepare`, stepped by :func:`solver.simulate_all`.  It
+    must be float64 of the run's shape: anything else is refused as the
+    series is built, so before any step."""
+
+    CFG = rs.SolverConfig(dt=0.1, t_end=1.0, sample_every=2)   # 6 samples
+
+    @pytest.mark.parametrize("make", [
+        lambda shape: np.zeros(shape, dtype=np.int64),
+        lambda shape: np.zeros(shape, dtype=np.float32),
+        lambda shape: np.zeros((shape[0] + 1, shape[1])),
+        lambda shape: np.zeros((shape[0] - 1, shape[1])),
+        lambda shape: np.zeros(shape).tolist(),
+    ], ids=["int", "float32", "extra-row", "missing-row", "list"])
+    def test_anything_else_is_refused_before_the_first_step(self, ref_params, monkeypatch,
+                                                             make):
+        def no_march(*args):
+            raise AssertionError("the run stepped before its samples were checked")
+        monkeypatch.setattr(solver, "march", no_march)
+        grid = rs.make_grid(ref_params, 8, 8)
+        series, stepper, u = solver.prepare(ref_params, grid, self.CFG)
+        with pytest.raises(ValueError, match=r"float64 u of shape \(len\(times\), 45\)"):
+            solver.simulate_all((replace(series, u=make((6, grid.n))), stepper, u)
+                                for _ in range(1))
+
+    def test_a_float64_array_of_the_run_shape_holds_the_run(self, ref_params):
+        grid = rs.make_grid(ref_params, 8, 8)
+        series, stepper, u = solver.prepare(ref_params, grid, self.CFG)
+        samples = np.full((6, grid.n), np.nan)
+        [ts] = solver.simulate_all([(replace(series, u=samples), stepper, u)])
+        assert ts.u is samples
+        np.testing.assert_array_equal(samples, rs.simulate(ref_params, grid, self.CFG).u)
 
 
 class TestThetaStability:

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import releasesim
 
 # SciPy subpackages that each cost hundreds of milliseconds to import and
@@ -71,12 +69,19 @@ print(json.dumps({"code": code, "loaded": [m for m in sys.argv[3:] if m in sys.m
 """
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_simulate_loads_no_process_pool(run_fresh, tmp_path, cpus):
+def check_simulate_loads_no_process_pool(run_fresh, tmp_path, cpus):
     # on any CPU count, the run and then the writers, all in-process
     proc = run_fresh(SIMULATE_ON_CPUS, str(tmp_path / "out"), str(cpus), *POOL)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"code": 0, "loaded": []}
+
+
+def test_simulate_on_one_cpu_loads_no_process_pool(run_fresh, tmp_path):
+    check_simulate_loads_no_process_pool(run_fresh, tmp_path, 1)
+
+
+def test_simulate_on_two_cpus_loads_no_process_pool(run_fresh, tmp_path):
+    check_simulate_loads_no_process_pool(run_fresh, tmp_path, 2)
 
 
 NO_SCIPY = """
