@@ -9,13 +9,17 @@ sweep        rerun a scenario across one parameter's values
 
 Exit codes: 0 success, 1 invalid config/parameters or a run too large to
 allocate (``MemoryError``), 2 numerical failure or failed verification, 3 I/O
-failure, 4 a worker process died.  Fatal errors also emit one JSON line on
-stderr with the error class and message.
+failure, 4 a worker process of ``sweep`` or ``verify`` died before it sent
+back its jobs' results (no answer file is written).  Fatal errors also emit
+one JSON line on stderr with the error class and message.
 
 ``sweep`` points and ``verify`` checks are independent jobs; they go to
 forked worker processes through :func:`releasesim.scenario.parallel_map`,
 the points in batches of at most ``scenario.BATCH_CAP``, at least one per
 worker, each batch's runs stepped as one system (``scenario.map_param``).
+``verify``'s jobs go out longest first: the convergence study, the oracle's
+three balances, one job each on the one grid the command builds, the mass
+check, then the residuals.
 ``simulate`` runs in this process: its time loop, then the writers of its
 two trajectory files (``matrix.csv``, ``tissue.csv``).  Each writer writes a
 temp file; both are renamed onto their names only once both have returned,
@@ -31,7 +35,9 @@ import sys
 from dataclasses import asdict, astuple, replace
 from datetime import datetime, timezone
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -46,9 +52,9 @@ from .runio import (hash_file, load_config, replacing, spec_to_config, spell_inf
                     write_matrix_csv, write_sweep_csv, write_tissue_csv)
 from .scenario import CONFIG_FIELDS, RunSpec, parallel_map, run_spec
 from .solver import SINK, ZERO_FLUX, make_grid, sample_times
-from .verification import (check_convergence, check_mass, check_oracle,
-                           check_residuals, convergence_study, mass_audit,
-                           ode_oracle)
+from .verification import (check_convergence, check_mass, check_residuals,
+                           convergence_study, mass_audit, ode_oracle, oracle_calls,
+                           oracle_report)
 
 
 def _now() -> str:
@@ -206,21 +212,42 @@ def _check_mass(spec: RunSpec) -> dict:
     return check_mass(spec, mass_audit)
 
 
-# verify's checks, by name in run order, each called as (p, mode, spec).  The
-# instruments are looked up as this module's names at call time, where
-# perfbench wraps them.
+def _oracle_jobs(p, mode, spec) -> tuple[list, Callable]:
+    # one job per balance, all on the grid built here
+    calls = oracle_calls(p, mode)
+    return ([lambda which=which, x=x, t_grid=t_grid: ode_oracle(which, p, mode, x, t_grid)
+             for which, x, t_grid in calls],
+            lambda devs: oracle_report({which: dev for (which, _, _), dev in zip(calls, devs)}))
+
+
+# verify's checks, by name in run order.  Each, called as (p, mode, spec),
+# gives its jobs (calls of no argument) and the function that makes the check
+# from their results.  The instruments are looked up as this module's names
+# at call time, where perfbench wraps them.
 _CHECKS = {
-    "residuals": lambda p, mode, spec: check_residuals(p, mode, residuals),
-    "oracle": lambda p, mode, spec: check_oracle(p, mode, ode_oracle),
-    "mass": lambda p, mode, spec: _check_mass(spec),
-    "convergence": lambda p, mode, spec: check_convergence(p, convergence_study),
+    "residuals": lambda p, mode, spec: ([lambda: check_residuals(p, mode, residuals)],
+                                        itemgetter(0)),
+    "oracle": _oracle_jobs,
+    "mass": lambda p, mode, spec: ([lambda: _check_mass(spec)], itemgetter(0)),
+    "convergence": lambda p, mode, spec: ([lambda: check_convergence(p, convergence_study)],
+                                          itemgetter(0)),
 }
+# The order the checks' jobs go out to the workers in, longest first, so that
+# the short ones fill in behind the long ones.  The first failure in this
+# order is raised.
+_JOB_ORDER = ("convergence", "oracle", "mass", "residuals")
 
 
 def _cmd_verify(args) -> int:
     started, spec, mode, out, p = _begin(args)
     names = list(_CHECKS) if args.check == "all" else [args.check]
-    checks = parallel_map(lambda name: _CHECKS[name](p, mode, spec), names)
+    jobs, reports = {}, {}
+    for name in names:
+        jobs[name], reports[name] = _CHECKS[name](p, mode, spec)
+    order = [name for name in _JOB_ORDER if name in jobs]
+    results = iter(parallel_map(lambda job: job(), [job for name in order for job in jobs[name]]))
+    done = {name: [next(results) for _ in jobs[name]] for name in order}
+    checks = [reports[name](done[name]) for name in names]
     all_passed = all(c["passed"] for c in checks)
     write_json(out / "verify.json", {"checks": checks, "passed": all_passed})
     _finish(out, args, spec, p, started, ["verify.json"], extra={"analytic": mode})

@@ -3,7 +3,8 @@
 A :class:`RunSpec` is the unit the CLI, the sweeps, and the sensitivity
 probes all operate on.  Parameter edits go through :func:`replace_param`,
 which addresses any physical parameter by its flat field name.
-Independent runs go to worker processes through :func:`parallel_map`.
+Independent runs go to worker processes through :func:`parallel_map`, which
+forks them itself and hands them the items one at a time.
 :func:`map_param` runs a spec over a parameter's values in contiguous
 batches, at least one per worker and at most ``BATCH_CAP`` values each; a
 worker steps a batch's runs as one block-diagonal system
@@ -12,7 +13,10 @@ worker steps a batch's runs as one block-diagonal system
 
 from __future__ import annotations
 
+import io
 import os
+import pickle
+import sys
 import threading
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Callable, Iterable, TypeVar
@@ -106,12 +110,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_item(i: int):
-    """Item ``i`` of the task, in a worker: its result."""
-    fn, items = _TASK
-    return fn(items[i])
-
-
 def _fork_context(workers: int):
     """The fork context for ``workers`` workers, or None: run in-process."""
     if workers > 1 and _TASK is None and threading.active_count() == 1:
@@ -121,17 +119,109 @@ def _fork_context(workers: int):
     return None
 
 
+def _flush_std_streams() -> None:
+    """Flush stdout and stderr, so that a fork copies no unwritten output."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError, OSError):
+            pass    # absent, closed or broken: nothing to copy
+
+
+def _work(next_item, fd: int) -> None:
+    """A forked worker's jobs: it takes the task's item indices from the
+    shared counter ``next_item`` until none is left, and writes each
+    ``(index, ok, result or exception)`` to the pipe ``fd`` as one pickle."""
+    fn, items = _TASK
+    with open(fd, "wb") as out:
+        while True:
+            with next_item.get_lock():
+                i = next_item.value
+                next_item.value = i + 1
+            if i >= len(items):
+                return
+            try:
+                outcome = i, True, fn(items[i])
+            except Exception as exc:        # it goes back to the caller, as itself
+                outcome = i, False, exc
+            try:
+                data = pickle.dumps(outcome)
+            except Exception as exc:        # a result or exception that does not pickle
+                data = pickle.dumps((i, False, exc))
+            out.write(data)
+            out.flush()
+
+
+def _fork_worker(next_item) -> tuple[int, int]:
+    """(read end of its pipe, pid) of a forked child that runs :func:`_work`."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            _work(next_item, w)
+            code = 0
+        finally:
+            try:
+                _flush_std_streams()
+            finally:
+                os._exit(code)      # never back into the caller's code
+    os.close(w)
+    return r, pid
+
+
+def _collect(running: dict[int, int], n: int) -> list[tuple[bool, object]]:
+    """The ``(ok, result or exception)`` of each of ``n`` items, in item
+    order, from the workers of ``running`` (read end of its pipe -> pid).
+    Each worker is reaped, its pipe closed and its entry removed as its pipe
+    reaches its end; one that did not exit 0 raises WorkerError."""
+    import selectors
+    received = {fd: [] for fd in running}
+    outcomes = [None] * n
+    with selectors.DefaultSelector() as selector:
+        for fd in running:
+            selector.register(fd, selectors.EVENT_READ)
+        while selector.get_map():
+            for key, _ in selector.select():
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    received[key.fd].append(chunk)
+                    continue
+                selector.unregister(key.fd)
+                status = os.waitpid(running[key.fd], 0)[1]
+                del running[key.fd]
+                os.close(key.fd)
+                code = os.waitstatus_to_exitcode(status)
+                if code:
+                    raise WorkerError(f"a worker process died with exit code {code}")
+                data = b"".join(received.pop(key.fd))
+                stream = io.BytesIO(data)
+                while stream.tell() < len(data):
+                    i, ok, value = pickle.load(stream)
+                    outcomes[i] = ok, value
+    return outcomes
+
+
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """``[fn(x) for x in items]``, with each call in a forked worker process.
 
-    One worker per usable CPU, at most one per item.  Results come back in
-    item order, as a serial run gives them.  ``fn`` and ``items`` reach the
-    workers by fork inheritance and need not pickle; the results must.  The
-    calls run in-process with one worker, inside a worker (a nested call),
-    where the platform cannot fork, and while this process runs other
-    threads (a fork copies their locks in whatever state they are in).  An
-    exception ``fn`` raises comes back as itself; a worker that dies raises
-    :class:`~releasesim.errors.WorkerError`.  Every job the package maps
+    One worker per usable CPU, at most one per item.  The items go out one
+    at a time, in item order, to whichever worker is free; the results come
+    back in item order, as a serial run gives them.  ``fn`` and ``items``
+    reach the workers by fork inheritance and need not pickle; the results
+    must.  The calls run in-process with one worker, inside a worker (a
+    nested call), where the platform cannot fork, and while this process
+    runs other threads (a fork copies their locks in whatever state they are
+    in).  An exception ``fn`` raises comes back as itself, the first one in
+    item order once every item has run; a worker that dies raises
+    :class:`~releasesim.errors.WorkerError`.  Every worker is reaped before
+    this returns or raises, whatever it raises.  Every job the package maps
     steps the solver, so SciPy is loaded before the fork and the workers
     inherit it.
     """
@@ -142,15 +232,27 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     if context is None:
         return [fn(x) for x in items]
     load_scipy()
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    import signal
+    next_item = context.Value("q", 0)
+    running: dict[int, int] = {}    # read end of an unreaped worker's pipe -> its pid
     _TASK = fn, items
     try:
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return list(pool.map(_run_item, range(len(items))))
-    except BrokenProcessPool as exc:
-        raise WorkerError(f"a worker process died: {exc}") from exc
+        _flush_std_streams()
+        for _ in range(workers):
+            fd, pid = _fork_worker(next_item)
+            running[fd] = pid
+        outcomes = _collect(running, len(items))
     finally:
         _TASK = None
+        for pid in running.values():
+            os.kill(pid, signal.SIGKILL)    # unreaped, so this pid is still the worker's
+        for fd, pid in running.items():
+            os.waitpid(pid, 0)
+            os.close(fd)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
 #: Most runs one worker steps together: it bounds a batch's samples in

@@ -450,25 +450,6 @@ class TestCliSimulate:
             f"warning: {pr['species']} at x={pr['x']:g} is still rising at the end of the run; "
             "its peak metrics are lower bounds" for pr in rising]
 
-    def test_answer_files_are_the_same_with_one_and_two_workers(self, tmp_path, capsys,
-                                                                monkeypatch):
-        # 1.05 / 0.05 = 21 steps, sampled every 4th: the last sample is off-stride
-        cfg = small_config(tmp_path, solver={"dt": 0.05, "t_end": 1.05,
-                                             "sample_every": 4})
-        names = ("matrix.csv", "tissue.csv", "metrics.json", "ledger.json",
-                 "config.resolved.json")
-        files, outputs, stdouts = [], [], []
-        for n in (1, 2):
-            monkeypatch.setattr(scenario, "_usable_cpus", lambda: n)
-            out = tmp_path / f"s{n}"
-            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-            files.append([(out / name).read_bytes() for name in names])
-            outputs.append(json.loads((out / "run.json").read_text())["outputs"])
-            stdouts.append(capsys.readouterr().out.replace(str(out), "OUT"))
-        assert files[0] == files[1]
-        assert outputs[0] == outputs[1]
-        assert stdouts[0] == stdouts[1]
-
     def test_the_mass_ledger_is_computed_once(self, tmp_path, monkeypatch):
         calls = []
         audit = rs.mass_audit
@@ -874,22 +855,37 @@ class TestCliErrors:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [*ANSWERS[command], "config.resolved.json", "run.json"])
 
-    def test_dead_worker_exits_four(self, tmp_path, run_fresh):
-        # in a fresh interpreter, so a pool that waited forever would meet a timeout
-        proc = run_fresh("""
+    # in a fresh interpreter, so a pool that waited forever would meet a timeout
+    DEAD_WORKER = """
 import os, sys
 import releasesim.cli as cli
 from releasesim import metrics, scenario
 scenario._usable_cpus = lambda: 2
-metrics.release_metrics = lambda ts: os._exit(1)
-sys.exit(cli.main(["sweep", "--param", "ka", "--values", "0.3,0.6", "--out", sys.argv[1]]))
-""", str(tmp_path / "o"))
+{kill}
+sys.exit(cli.main([*sys.argv[2:], "--out", sys.argv[1]]))
+"""
+
+    def check_dead_worker_exits_four(self, run_fresh, tmp_path, kill: str, *argv: str):
+        proc = run_fresh(self.DEAD_WORKER.format(kill=kill), str(tmp_path / "o"), *argv)
         lines = proc.stderr.strip().splitlines()
         assert proc.returncode == 4
         assert len(lines) == 1, proc.stderr
         err = json.loads(lines[0])
         assert err["error"] == "WorkerError"
         assert err["exit_code"] == 4
+        assert list((tmp_path / "o").iterdir()) == []   # no answer file
+
+    def test_dead_worker_exits_four(self, tmp_path, run_fresh):
+        self.check_dead_worker_exits_four(
+            run_fresh, tmp_path, "metrics.release_metrics = lambda ts: os._exit(1)",
+            "sweep", "--param", "ka", "--values", "0.3,0.6")
+
+    def test_dead_worker_in_verify_all_exits_four(self, tmp_path, run_fresh):
+        # the worker that runs the first balance's oracle dies
+        self.check_dead_worker_exits_four(
+            run_fresh, tmp_path,
+            "cli.ode_oracle = lambda which, *args: os._exit(1) if which == 'matrix_solid' else 0.0",
+            "verify", "all")
 
     def test_unstable_theta_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"

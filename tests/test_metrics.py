@@ -1,6 +1,7 @@
 import json
 import os
 import threading
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -425,6 +426,34 @@ except WorkerError as exc:
     print("WorkerError:", exc)
 """
 
+# The caller raises while it waits for the workers' results: a SIGALRM
+# handler raises in it, as a Ctrl-C would, while the workers sleep.
+INTERRUPTED_CALLER = """
+import json, os, signal, threading, time
+from releasesim import scenario
+scenario._usable_cpus = lambda: 2
+after = {}
+for kind in (RuntimeError, KeyboardInterrupt):
+    def interrupt(signum, frame):
+        raise kind("interrupted")
+    signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    start = time.monotonic()
+    try:
+        scenario.parallel_map(lambda x: time.sleep(20), range(4))
+        raised = False
+    except kind:
+        raised = True
+    try:
+        children = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        children = None
+    after[kind.__name__] = {"raised": raised, "children": children,
+                            "threads": threading.active_count(),
+                            "quick": time.monotonic() - start < 10}
+print(json.dumps(after))
+"""
+
 
 class TestParallelMap:
     def test_calls_go_to_one_worker_per_cpu_up_to_one_per_item(self, cpus):
@@ -450,12 +479,36 @@ class TestParallelMap:
         assert not thread.is_alive()
         assert pids == [os.getpid()] * 4
 
-    def test_results_keep_item_order_and_closures_need_not_pickle(self, cpus):
-        cpus(2)
+    def test_results_keep_item_order_and_closures_need_not_pickle(self, cpus, tmp_path):
+        # with more workers than CPUs as well: each item runs exactly once, so
+        # a worker that took an index another one took fails to mark it
         offset = 0.5
-        items = (x for x in range(7))   # any iterable
-        assert scenario.parallel_map(lambda x: x * x + offset, items) == [
-            x * x + offset for x in range(7)]
+        for workers in (2, 6):
+            cpus(workers)
+            marks = tmp_path / str(workers)
+            marks.mkdir()
+
+            def fn(x):
+                os.close(os.open(marks / str(x), os.O_CREAT | os.O_EXCL))
+                return x * x + offset
+
+            items = (x for x in range(40))  # any iterable
+            assert scenario.parallel_map(fn, items) == [x * x + offset for x in range(40)]
+            assert len(list(marks.iterdir())) == 40
+
+    def test_items_go_one_at_a_time_to_whichever_worker_is_free(self, cpus):
+        cpus(2)
+
+        def fn(x):
+            if x == "slow":   # long enough for the other worker to start
+                time.sleep(1.0)
+            return x, os.getpid()
+
+        results = scenario.parallel_map(fn, ["slow", "fast", "fast", "fast"])
+        assert [x for x, _ in results] == ["slow", "fast", "fast", "fast"]
+        slow, *fast = (pid for _, pid in results)
+        assert len(set(fast)) == 1
+        assert slow not in fast
 
     def test_nested_call_runs_in_the_worker(self, cpus):
         cpus(2)
@@ -481,6 +534,13 @@ class TestParallelMap:
         proc = run_fresh(DEAD_WORKER)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("WorkerError: a worker process died")
+
+    def test_an_exception_while_collecting_kills_and_reaps_every_worker(self, run_fresh):
+        proc = run_fresh(INTERRUPTED_CALLER)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+            name: {"raised": True, "children": None, "threads": 1, "quick": True}
+            for name in ("RuntimeError", "KeyboardInterrupt")}
 
 
 class TestParallelRuns:

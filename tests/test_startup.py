@@ -39,10 +39,11 @@ def test_verify_all_runs_without_heavy_scipy_subpackages(tmp_path):
     assert result["loaded"] == []
 
 
-# Process-pool modules that importing releasesim.cli must not load:
-# parallel_map imports its pool only when it starts workers.
-POOL = ("multiprocessing.pool", "multiprocessing.context", "multiprocessing.connection",
-        "concurrent.futures.process")
+# The modules of parallel_map's pool, which importing releasesim.cli must not
+# load: parallel_map imports them only when it starts workers, for the fork
+# context and the shared counter that hands out the items.
+POOL = ("multiprocessing.context", "multiprocessing.sharedctypes",
+        "multiprocessing.synchronize", "multiprocessing.heap")
 
 IMPORT_ONLY = """
 import json, sys
@@ -52,7 +53,9 @@ print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))
 
 
 def test_importing_the_cli_loads_no_process_pool(run_fresh):
-    proc = run_fresh(IMPORT_ONLY, *POOL)
+    # nor the modules parallel_map waits on its workers with, which the first
+    # solve loads anyway (SciPy imports them)
+    proc = run_fresh(IMPORT_ONLY, *POOL, "selectors", "signal")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
