@@ -37,6 +37,24 @@ from .params import DimensionlessParams
 #: forms replace the difference quotients.
 _RES_TOL = 1e-9
 
+#: Exponents below which the double exp is exactly +0.0: exp(-745.14) is
+#: already under half the smallest subnormal, 2**-1075.
+_EXP_ZERO_BELOW = -746.0
+
+
+def _exp(z):
+    """``np.exp(z)``, bit for bit, without evaluating arguments below
+    ``_EXP_ZERO_BELOW``: their exp is +0.0, but NumPy's exp leaves its vector
+    path on them and takes about ten times as long.  The first and last
+    arguments decide: the closed forms' exponents -rate*t run monotone in
+    t, so their least is at an end.  An input with neither end below takes
+    ``np.exp`` itself; a NaN is evaluated, so it stays NaN."""
+    z = np.asarray(z)
+    # a scan of every argument would add about a fifth to each exp
+    if not (z.size and (z.flat[0] < _EXP_ZERO_BELOW or z.flat[-1] < _EXP_ZERO_BELOW)):
+        return np.exp(z)
+    return np.exp(z, out=np.zeros(z.shape), where=~(z < _EXP_ZERO_BELOW))[()]
+
 
 def _ediff(p: float, q: float, t):
     """(exp(-p*t) - exp(-q*t)) / (q - p), continuous across p == q.
@@ -49,8 +67,8 @@ def _ediff(p: float, q: float, t):
     t = np.asarray(t, dtype=float)
     if q - p <= _RES_TOL * max(abs(p), abs(q), 1e-300):
         mid = 0.5 * (p + q)
-        return t * np.exp(-mid * t)
-    return -np.expm1(-(q - p) * t) * np.exp(-p * t) / (q - p)
+        return t * _exp(-mid * t)
+    return -np.expm1(-(q - p) * t) * _exp(-p * t) / (q - p)
 
 
 def _ediff_dt(p: float, q: float, t):
@@ -60,8 +78,8 @@ def _ediff_dt(p: float, q: float, t):
     t = np.asarray(t, dtype=float)
     if q - p <= _RES_TOL * max(abs(p), abs(q), 1e-300):
         mid = 0.5 * (p + q)
-        return (1.0 - mid * t) * np.exp(-mid * t)
-    return np.exp(-p * t) - q * _ediff(p, q, t)
+        return (1.0 - mid * t) * _exp(-mid * t)
+    return _exp(-p * t) - q * _ediff(p, q, t)
 
 
 def _ediff2(u: float, v: float, w: float, t):
@@ -75,14 +93,14 @@ def _ediff2(u: float, v: float, w: float, t):
     tol = _RES_TOL * max(abs(z0), abs(z2), 1e-300)
     if z2 - z0 <= tol:
         mid = (z0 + z1 + z2) / 3.0
-        return 0.5 * t * t * np.exp(-mid * t)
+        return 0.5 * t * t * _exp(-mid * t)
     if z1 - z0 <= z2 - z1:
         if z1 - z0 <= tol:
             a, c = 0.5 * (z0 + z1), z2
-            return (t * np.exp(-a * t) - _ediff(a, c, t)) / (c - a)
+            return (t * _exp(-a * t) - _ediff(a, c, t)) / (c - a)
     elif z2 - z1 <= tol:
         a, c = 0.5 * (z1 + z2), z0
-        return (t * np.exp(-a * t) - _ediff(a, c, t)) / (c - a)
+        return (t * _exp(-a * t) - _ediff(a, c, t)) / (c - a)
     # distinct nodes: recurse on the widest gap for the best conditioning
     return (_ediff(z0, z1, t) - _ediff(z1, z2, t)) / (z2 - z0)
 
@@ -195,7 +213,7 @@ def matrix_free(x, t, p: DimensionlessParams, ap: AnalyticParams):
     x = _layer_positions(x, p, "matrix")
     t = np.asarray(t, dtype=float)
     mr = matrix_rates(p, ap.a)
-    mode = np.exp(-mr.slow * t) - np.exp(-mr.fast * t)
+    mode = _exp(-mr.slow * t) - _exp(-mr.fast * t)
     return ap.e1 * mode * np.cos(ap.a * x)
 
 
@@ -208,7 +226,7 @@ def matrix_solid(x, t, p: DimensionlessParams, ap: AnalyticParams):
     mr = matrix_rates(p, ap.a)
     r, q = p.solid_rate, p.free_rate
     kin = _ediff(mr.slow, r, t) - _ediff(mr.fast, r, t)
-    return np.exp(-r * t) - p.km * p.c_lim * _ediff(r, 0.0, t) + q * ap.e1 * np.cos(ap.a * x) * kin
+    return _exp(-r * t) - p.km * p.c_lim * _ediff(r, 0.0, t) + q * ap.e1 * np.cos(ap.a * x) * kin
 
 
 def tissue_free(x, t, p: DimensionlessParams, ap: AnalyticParams):
@@ -216,7 +234,7 @@ def tissue_free(x, t, p: DimensionlessParams, ap: AnalyticParams):
     x = _layer_positions(x, p, "tissue")
     t = np.asarray(t, dtype=float)
     tr = tissue_rates(p, ap.b)
-    mode = np.exp(-tr.slow * t) - np.exp(-tr.fast * t)
+    mode = _exp(-tr.slow * t) - _exp(-tr.fast * t)
     return ap.e2 * mode * np.cos(ap.b * x)
 
 
@@ -267,8 +285,8 @@ def interface_fluxes(p: DimensionlessParams, ap: AnalyticParams, t):
     t = np.asarray(t, dtype=float)
     mr = matrix_rates(p, ap.a)
     tr = tissue_rates(p, ap.b)
-    slope0 = -ap.e1 * ap.a * math.sin(ap.a * p.l0) * (np.exp(-mr.slow * t) - np.exp(-mr.fast * t))
-    slope1 = -ap.e2 * ap.b * math.sin(ap.b * p.l0) * (np.exp(-tr.slow * t) - np.exp(-tr.fast * t))
+    slope0 = -ap.e1 * ap.a * math.sin(ap.a * p.l0) * (_exp(-mr.slow * t) - _exp(-mr.fast * t))
+    slope1 = -ap.e2 * ap.b * math.sin(ap.b * p.l0) * (_exp(-tr.slow * t) - _exp(-tr.fast * t))
     return slope0, p.d1 * slope1
 
 
@@ -322,8 +340,8 @@ def residuals(p: DimensionlessParams, ap: AnalyticParams,
 
     c0, c0s = eval_matrix(X0, T, p, ap)
     shape0 = np.cos(ap.a * X0)
-    dc0 = ap.e1 * shape0 * (-mr.slow * np.exp(-mr.slow * T) + mr.fast * np.exp(-mr.fast * T))
-    dc0s = (-r * np.exp(-r * T)
+    dc0 = ap.e1 * shape0 * (-mr.slow * _exp(-mr.slow * T) + mr.fast * _exp(-mr.fast * T))
+    dc0s = (-r * _exp(-r * T)
             - src * _ediff_dt(r, 0.0, T)
             + q * ap.e1 * shape0 * (_ediff_dt(mr.slow, r, T) - _ediff_dt(mr.fast, r, T)))
     res_solid = dc0s - (-r * c0s + q * c0 - src)
@@ -331,7 +349,7 @@ def residuals(p: DimensionlessParams, ap: AnalyticParams,
 
     c1, c1s, ci = eval_tissue(X1, T, p, ap)
     shape1 = np.cos(ap.b * X1)
-    dc1 = ap.e2 * shape1 * (-tr.slow * np.exp(-tr.slow * T) + tr.fast * np.exp(-tr.fast * T))
+    dc1 = ap.e2 * shape1 * (-tr.slow * _exp(-tr.slow * T) + tr.fast * _exp(-tr.fast * T))
     dc1s = p.ka * ap.e2 * shape1 * (_ediff_dt(tr.slow, s, T) - _ediff_dt(tr.fast, s, T))
     dci = p.ki * p.ka * ap.e2 * shape1 * (
         _ediff2_dt(tr.slow, s, p.kid, T) - _ediff2_dt(tr.fast, s, p.kid, T)

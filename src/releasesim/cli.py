@@ -34,6 +34,7 @@ import json
 import sys
 from dataclasses import asdict, astuple, replace
 from datetime import datetime, timezone
+from functools import cache
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
@@ -61,6 +62,7 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+@cache  # built once per process; each parse_args starts from its defaults
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="releasesim",

@@ -63,9 +63,11 @@ def _rk4_linear(decay: float, forcing_half: np.ndarray, dt: float, y0: float,
     half-step grid (2N+1 points).  The update is the exact linear recurrence
     y[n+1] = rho*y[n] + s[n], solved as one unit lower-bidiagonal system by
     ``lu``, its :func:`_rk4_lu` of at least N+1 rows."""
-    f_start = forcing_half[0:-1:2]
-    f_mid = forcing_half[1::2]
-    f_end = forcing_half[2::2]
+    # contiguous copies, as the stage sums read f_start and f_mid twice each;
+    # f_start and f_end share one copy of the whole-step points
+    f_whole = forcing_half[::2].copy()
+    f_start, f_end = f_whole[:-1], f_whole[1:]
+    f_mid = forcing_half[1::2].copy()
     z = -decay * dt
     m = len(f_mid) + 1
     dl, d, du, du2, ipiv = lu

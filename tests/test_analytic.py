@@ -1,5 +1,7 @@
 import decimal
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import releasesim as rs
-from releasesim.analytic import _ediff, _ediff2, _ediff2_dt, _ediff_dt
+from releasesim import analytic
+from releasesim.analytic import _ediff, _ediff2, _ediff2_dt, _ediff_dt, _exp
+from releasesim.verification import oracle_time_grid
 
 from conftest import make_rng, sample_mode, sample_params
 
@@ -72,6 +76,97 @@ class TestRateQuadratics:
             rs.matrix_rates(ref_params, -1.0)
         with pytest.raises(ValueError):
             rs.tissue_rates(ref_params, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms' exp, which skips arguments whose exp underflows to +0.0
+
+
+def bits(a) -> np.ndarray:
+    """The float64 bit patterns of ``a``: -0.0, subnormals and NaN payloads
+    compare as themselves."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_same_exp(z):
+    got, want = _exp(z), np.exp(z)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def stiff_params() -> rs.DimensionlessParams:
+    """A stiff tissue draw: its fast tissue mode underflows over most of
+    its oracle grid."""
+    spec = rs.RunSpec()
+    return replace(spec, tissue=replace(spec.tissue, ka=4.0, kd=1.0, kid=0.02)).dimensionless()
+
+
+class TestUnderflowSkippingExp:
+    def test_bit_for_bit_across_the_underflow(self):
+        rng = make_rng(11)
+        dense = [c + np.linspace(-0.5, 0.5, 20_001) for c in (-708.4, -745.13)]
+        for z in (np.linspace(-800.0, 0.0, 100_001), *dense, -np.geomspace(1e-300, 800.0, 4001)):
+            unsorted = rng.permutation(z)
+            # an end at -800 sends the unsorted rest down the skipping path
+            for view in (z, z[::-1], unsorted, np.append(unsorted, -800.0),
+                         z[::3], z[::-3], z.reshape(-1, 1)[::7]):
+                assert_same_exp(view)
+        assert (np.exp(dense[1]) == 0.0).any() and (np.exp(dense[1]) > 0.0).any()
+
+    def test_special_values(self):
+        special = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, -746.0,
+                            np.nextafter(-746.0, 0.0), np.nextafter(-746.0, -np.inf),
+                            -1e308, 5e-324, -5e-324, 709.0, 710.0])
+        with np.errstate(over="ignore"):
+            for z in (special, special[::-1], special[::2], -special,
+                      np.append(special, -np.inf), np.append(-1e308, special)):
+                assert_same_exp(z)
+            for x in special:
+                assert_same_exp(np.array(x))          # 0-d
+                assert_same_exp(np.float64(x))
+        assert_same_exp(np.array([]))
+        assert_same_exp(np.empty((0, 3)))
+
+    def test_an_end_below_the_cutoff_skips_and_none_takes_np_exp(self):
+        inputs = [np.linspace(-800.0, 0.0, 9), np.linspace(0.0, -800.0, 9),
+                  np.linspace(-700.0, 0.0, 9), np.array(-800.0), np.array([])]
+        with mock.patch.object(np, "exp", wraps=np.exp) as spy:
+            for z in inputs:
+                _exp(z)
+        assert ["where" in call.kwargs for call in spy.call_args_list] == [
+            True, True, False, True, False]
+
+    def test_closed_forms_on_a_stiff_draw_equal_plain_exp(self, monkeypatch):
+        p = stiff_params()
+        ap = rs.default_mode(p)
+        t = oracle_time_grid(p, ap)[::16]
+        fast = rs.tissue_rates(p, ap.b).fast
+        assert (-fast * t < analytic._EXP_ZERO_BELOW).mean() > 0.5
+        x0 = np.linspace(0.0, p.l0, 5)[None, :]
+        x1 = np.linspace(p.l0, p.l1, 5)[None, :]
+        # unsorted times, the last kept last so that they skip the underflows
+        shuffled = np.append(make_rng(12).permutation(t[:-1]), t[-1])
+
+        def evaluate():
+            out = []
+            for times in (t[:, None], shuffled[:, None], t[-1]):
+                out += [field(x0, times, p, ap) for field in (rs.matrix_free, rs.matrix_solid)]
+                out += [field(x1, times, p, ap) for field in
+                        (rs.tissue_free, rs.tissue_bound, rs.tissue_internalized)]
+            out += [*rs.interface_fluxes(p, ap, t)]
+            out += [np.array(list(rs.residuals(p, ap, t=t).values()))]
+            for nodes in ((0.6, 1.3), (7.0, 7.0)):
+                out += [_ediff(*nodes, t), _ediff_dt(*nodes, t)]
+            for nodes in ((fast, 1.3, 0.02), (fast, fast, 1.3), (fast, fast, fast)):
+                out += [_ediff2(*nodes, t), _ediff2_dt(*nodes, t)]
+            return out
+
+        skipping = evaluate()
+        monkeypatch.setattr(analytic, "_exp", np.exp)
+        plain = evaluate()
+        for got, want in zip(skipping, plain):
+            np.testing.assert_array_equal(bits(got), bits(want))
 
 
 # ---------------------------------------------------------------------------

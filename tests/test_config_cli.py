@@ -584,6 +584,18 @@ class TestCliAnalytic:
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["analytic"]["a"] == pytest.approx(np.pi / 2)
 
+    def test_a_flag_of_one_call_does_not_carry_into_the_next(self, tmp_path):
+        # the parser is built once per process: a second call must start
+        # from its defaults, not from the first call's flags
+        small = ["--nx0", "4", "--nx1", "4"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["analytic", *small, "--t-end", "2", "--out", str(first)]) == 0
+        assert main(["analytic", *small, "--out", str(second)]) == 0
+        assert _build_parser() is _build_parser()
+        t_end = [json.loads((out / "config.resolved.json").read_text())["solver"]["t_end"]
+                 for out in (first, second)]
+        assert t_end == [2.0, rs.RunSpec().solver.t_end]
+
 
 class TestCliVerify:
     def test_residual_check_passes(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
-"""Golden fingerprints: the sha256 of every answer file of six small runs.
+"""Golden fingerprints: the sha256 of every answer file of seven small runs.
 
-``releasesim`` runs six commands through ``cli.main``.  Five run on 16+16
+``releasesim`` runs seven commands through ``cli.main``.  Five run on 16+16
 cells to t = 4: ``simulate`` with the zero-flux wall, ``simulate --outer-bc
 sink``, ``simulate`` with a finite membrane (pm = 3, sigma = 1.4),
-``analytic`` and ``sweep --param ka --range 0.2 1.8 3``.  The sixth is
-``verify all``, which takes no grid or solver flags: its checks pin their own.
+``analytic`` and ``sweep --param ka --range 0.2 1.8 3``.  The other two take
+no grid or solver flags, as the checks pin their own: ``verify all`` on the
+default parameters and ``verify oracle`` on one stiff tissue draw (ka 4,
+kd 1, kid 0.02), where the fast tissue mode's exp(-fast*t) underflows to 0
+over most of the oracle's grid.
 Every file each command writes is hashed, except ``run.json``, which holds
 timestamps.  A refactor that keeps the numbers keeps these hashes, so
 byte-identity of the answer files is checked by the suite itself.
@@ -83,6 +86,12 @@ GOLDEN = {
         "verify.json":
             "e111ce2ecad42b363cb0fa36bafc7f0b900759e01c27b4630b917a566e7c594e",
     },
+    "verify_oracle": {
+        "config.resolved.json":
+            "6814d60b16fe5103012348be33204f7a14cc9ffe364c91d42c95227d2467dd4b",
+        "verify.json":
+            "831f5e4b587bd74ab75f643db31f27467851b53c168fb028be04553f040034cf",
+    },
 }
 
 
@@ -99,6 +108,10 @@ def _argv(case: str, tmp_path) -> list[str]:
         return ["sweep", *SMALL, "--param", "ka", "--range", "0.2", "1.8", "3"]
     if case == "verify":
         return ["verify", "all"]
+    if case == "verify_oracle":
+        config = tmp_path / "stiff.json"
+        config.write_text(json.dumps({"tissue": {"ka": 4.0, "kd": 1.0, "kid": 0.02}}))
+        return ["verify", "oracle", "--config", str(config)]
     return ["analytic", *SMALL]
 
 
