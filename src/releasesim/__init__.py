@@ -15,7 +15,7 @@ from .metrics import (NAMED_METRICS, ProbeSeriesMetrics, ReleaseMetrics,
 from .params import (INFINITE, DimensionlessParams, InterfaceParams,
                      MatrixParams, TissueParams, nondimensionalize, phi0,
                      redimensionalize, reference_params, validate_params)
-from .runio import (load_config, save_config, spec_to_config, write_json,
+from .runio import (load_config, spec_to_config, write_json,
                     write_matrix_csv, write_sweep_csv, write_tissue_csv)
 from .scenario import RunSpec, get_param, param_names, replace_param, run_spec
 from .solver import (FIELDS, SINK, ZERO_FLUX, CompositeGrid, SolverConfig,
@@ -39,7 +39,7 @@ __all__ = [
     "INFINITE", "DimensionlessParams", "InterfaceParams", "MatrixParams",
     "TissueParams", "nondimensionalize", "phi0", "redimensionalize",
     "reference_params", "validate_params",
-    "load_config", "save_config", "spec_to_config", "write_json",
+    "load_config", "spec_to_config", "write_json",
     "write_matrix_csv", "write_sweep_csv", "write_tissue_csv",
     "RunSpec", "get_param", "param_names", "replace_param", "run_spec",
     "FIELDS", "SINK", "ZERO_FLUX", "CompositeGrid", "SolverConfig",

@@ -38,7 +38,6 @@ from functools import cache
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -54,8 +53,7 @@ from .runio import (hash_file, load_config, replacing, spec_to_config, spell_inf
 from .scenario import CONFIG_FIELDS, RunSpec, parallel_map, run_spec
 from .solver import SINK, ZERO_FLUX, make_grid, sample_times
 from .verification import (check_convergence, check_mass, check_residuals,
-                           convergence_study, mass_audit, ode_oracle, oracle_calls,
-                           oracle_report)
+                           convergence_study, mass_audit, ode_oracle, oracle_jobs)
 
 
 def _now() -> str:
@@ -214,14 +212,6 @@ def _check_mass(spec: RunSpec) -> dict:
     return check_mass(spec, mass_audit)
 
 
-def _oracle_jobs(p, mode, spec) -> tuple[list, Callable]:
-    # one job per balance, all on the grid built here
-    calls = oracle_calls(p, mode)
-    return ([lambda which=which, x=x, t_grid=t_grid: ode_oracle(which, p, mode, x, t_grid)
-             for which, x, t_grid in calls],
-            lambda devs: oracle_report({which: dev for (which, _, _), dev in zip(calls, devs)}))
-
-
 # verify's checks, by name in run order.  Each, called as (p, mode, spec),
 # gives its jobs (calls of no argument) and the function that makes the check
 # from their results.  The instruments are looked up as this module's names
@@ -229,7 +219,7 @@ def _oracle_jobs(p, mode, spec) -> tuple[list, Callable]:
 _CHECKS = {
     "residuals": lambda p, mode, spec: ([lambda: check_residuals(p, mode, residuals)],
                                         itemgetter(0)),
-    "oracle": _oracle_jobs,
+    "oracle": lambda p, mode, spec: oracle_jobs(p, mode, ode_oracle),
     "mass": lambda p, mode, spec: ([lambda: _check_mass(spec)], itemgetter(0)),
     "convergence": lambda p, mode, spec: ([lambda: check_convergence(p, convergence_study)],
                                           itemgetter(0)),

@@ -131,9 +131,9 @@ class ReleaseMetrics:
     mass_defect: float
     probes: tuple[ProbeSeriesMetrics, ...]
 
-    def probe(self, species: str, x: float, tol: float = 1e-9) -> ProbeSeriesMetrics:
+    def probe(self, species: str, x: float) -> ProbeSeriesMetrics:
         for pr in self.probes:
-            if pr.species == species and abs(pr.x - x) <= tol:
+            if pr.species == species and abs(pr.x - x) <= 1e-9:
                 return pr
         raise KeyError(f"no probe for {species} at x={x:g}")
 

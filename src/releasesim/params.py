@@ -64,10 +64,6 @@ class MatrixParams:
     l0: float = 1.0        # matrix thickness
     m0: float = 1.0        # initial solid-drug loading
 
-    @property
-    def phi0(self) -> float:
-        return phi0(self.k, self.eps0)
-
 
 @dataclass(frozen=True)
 class TissueParams:

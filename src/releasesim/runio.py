@@ -562,7 +562,3 @@ def spec_to_config(spec: RunSpec, analytic: AnalyticParams | None = None) -> dic
             cfg[section] = {f.name: getattr(owner, f.name) for f in section_fields}
     cfg["interface"] = spell_infinite_pm(cfg["interface"])
     return cfg
-
-
-def save_config(path, spec: RunSpec, analytic: AnalyticParams | None = None) -> None:
-    write_json(path, spec_to_config(spec, analytic))

@@ -131,7 +131,9 @@ class CompositeGrid:
 
     def layer_x(self, layer: str) -> np.ndarray:
         """Node positions of ``layer``, and so of each field on it."""
-        return self.x_matrix if layer == MATRIX else self.x_tissue
+        if layer == MATRIX:
+            return np.linspace(0.0, self.l0, self.nm)
+        return np.linspace(self.l0, self.l1, self.nt)
 
     @property
     def n(self) -> int:
@@ -152,14 +154,6 @@ class CompositeGrid:
     @property
     def h1(self) -> float:
         return (self.l1 - self.l0) / self.nx1
-
-    @property
-    def x_matrix(self) -> np.ndarray:
-        return np.linspace(0.0, self.l0, self.nm)
-
-    @property
-    def x_tissue(self) -> np.ndarray:
-        return np.linspace(self.l0, self.l1, self.nt)
 
     def layer_weights(self, layer: str) -> np.ndarray:
         """Trapezoid quadrature weights on the nodes of ``layer``."""
@@ -436,10 +430,6 @@ class TimeSeries:
     c1s = property(lambda self: self._view("c1s"), doc="bound drug, tissue nodes")
     c1 = property(lambda self: self._view("c1"), doc="free drug, tissue nodes")
     ci = property(lambda self: self._view("ci"), doc="internalized drug, tissue nodes")
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
 
     def min_values(self) -> dict[str, float]:
         """Most negative entry per field over the whole trajectory."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import pairwise
+from typing import Callable
 
 import numpy as np
 
@@ -375,24 +376,27 @@ def check_residuals(p: DimensionlessParams, mode: AnalyticParams,
             "note": "free balances keep their startup transients by design"}
 
 
-def oracle_calls(p: DimensionlessParams, mode: AnalyticParams) -> list[tuple]:
-    """The oracle check's ``(balance, station, t_grid)`` calls, one per
-    balance in ``KINETIC_BALANCES`` order, all on one grid."""
+def oracle_jobs(p: DimensionlessParams, mode: AnalyticParams,
+                oracle=ode_oracle) -> tuple[list, Callable]:
+    """The oracle check's jobs, one ``oracle`` call per balance in
+    ``KINETIC_BALANCES`` order, all on one grid, and the function that makes
+    the check from their deviations in that order."""
     t_grid = oracle_time_grid(p, mode)
     # mid-layer stations keep clear of the mode's spatial nodes
     x_t = 0.5 * (p.l0 + p.l1)
-    return [(name, 0.0 if name == "matrix_solid" else x_t, t_grid) for name in KINETIC_BALANCES]
+    jobs = [lambda name=name: oracle(name, p, mode, 0.0 if name == "matrix_solid" else x_t, t_grid)
+            for name in KINETIC_BALANCES]
 
-
-def oracle_report(devs: dict) -> dict:
-    """The oracle check of its balances' deviations, by name."""
-    passed = all(v <= ORACLE_TOL for v in devs.values())
-    return {"name": "oracle", "passed": passed, "deviations": devs, "tolerance": ORACLE_TOL}
+    def report(deviations) -> dict:
+        devs = dict(zip(KINETIC_BALANCES, deviations))
+        passed = all(v <= ORACLE_TOL for v in devs.values())
+        return {"name": "oracle", "passed": passed, "deviations": devs, "tolerance": ORACLE_TOL}
+    return jobs, report
 
 
 def check_oracle(p: DimensionlessParams, mode: AnalyticParams, oracle=ode_oracle) -> dict:
-    return oracle_report({name: oracle(name, p, mode, x, t_grid)
-                          for name, x, t_grid in oracle_calls(p, mode)})
+    jobs, report = oracle_jobs(p, mode, oracle)
+    return report([job() for job in jobs])
 
 
 def check_mass(spec: RunSpec, audit=mass_audit) -> dict:

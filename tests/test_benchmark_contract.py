@@ -62,29 +62,35 @@ def test_every_counted_argument_is_a_parameter(module, attribute):
             if name not in parameters] == []
 
 
-def test_the_oracle_check_hands_the_whole_grid_to_three_calls():
+def test_the_oracle_check_hands_the_whole_grid_to_three_calls(monkeypatch, tmp_path):
     # the traced run counts len(t_grid) per oracle call, so one call per
     # balance makes verification.oracle_points balances x points; a check
     # that split its grid into several calls would change it without
-    # changing the work
+    # changing the work.  The command's jobs make the check's calls.
     import numpy as np
 
     import releasesim as rs
+    from releasesim import cli, scenario
     from releasesim.analytic import KINETIC_BALANCES
     from releasesim.verification import check_oracle, oracle_time_grid
 
-    p = rs.reference_params()
+    p = rs.RunSpec().dimensionless()    # the command's parameters without a config
     mode = rs.default_mode(p)
-    calls = []
+    calls = {"check": [], "command": []}
 
-    def recording(which, p, ap, x, t_grid):
-        calls.append((which, t_grid))
-        return rs.ode_oracle(which, p, ap, x, t_grid)
+    def recording(made):
+        def oracle(which, p, ap, x, t_grid):
+            calls[made].append(((which, p, ap, x), t_grid))
+            return rs.ode_oracle(which, p, ap, x, t_grid)
+        return oracle
 
-    assert check_oracle(p, mode, oracle=recording)["passed"]
-    assert [which for which, _ in calls] == list(KINETIC_BALANCES)
-    for which, t_grid in calls:
-        assert isinstance(which, str)
+    assert check_oracle(p, mode, oracle=recording("check"))["passed"]
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "ode_oracle", recording("command"))
+    assert cli.main(["verify", "oracle", "--out", str(tmp_path)]) == 0
+    assert [which for (which, *_), _ in calls["check"]] == list(KINETIC_BALANCES)
+    assert [call for call, _ in calls["command"]] == [call for call, _ in calls["check"]]
+    for _, t_grid in calls["check"] + calls["command"]:
         np.testing.assert_array_equal(t_grid, oracle_time_grid(p, mode))
 
 

@@ -16,7 +16,7 @@ from releasesim import cli, metrics, runio, scenario, solver
 from releasesim.cli import _build_parser, main
 from releasesim.errors import ConfigError, ValidationError
 from releasesim.runio import (_jsonable, config_to_spec, hash_file,
-                              load_config, replacing, save_config, spec_to_config,
+                              load_config, replacing, spec_to_config,
                               write_analytic_csv, write_flux_mismatch_csv,
                               write_json, write_matrix_csv, write_sweep_csv,
                               write_tissue_csv)
@@ -118,7 +118,7 @@ class TestDataFiles:
         assert {row[0] for row in first} == {"0"}
         assert [row[2] for row in first] == (["C0_star"] * nm + ["C0"] * nm + ["C1_star"] * nt
                                              + ["C1"] * nt + ["Ci"] * nt)
-        x = np.concatenate([grid.x_matrix] * 2 + [grid.x_tissue] * 3)
+        x = np.concatenate([grid.layer_x("matrix")] * 2 + [grid.layer_x("tissue")] * 3)
         assert [row[1] for row in first] == [format(v, ".17g") for v in x.tolist()]
         assert [ln.split(",")[1:3] for ln in lines[1 + block:]] == [row[1:3] for row in first]
 
@@ -206,9 +206,9 @@ class TestDataFiles:
             write_matrix_csv(tmp_path / f"m{i}.csv", ts)
             write_tissue_csv(tmp_path / f"t{i}.csv", ts)
             assert (tmp_path / f"m{i}.csv").read_bytes() == per_cell(
-                ["t", "x", "C0_star", "C0"], grid.x_matrix, (ts.c0s, ts.c0))
+                ["t", "x", "C0_star", "C0"], grid.layer_x("matrix"), (ts.c0s, ts.c0))
             assert (tmp_path / f"t{i}.csv").read_bytes() == per_cell(
-                ["t", "x", "C1_star", "C1", "Ci"], grid.x_tissue, (ts.c1s, ts.c1, ts.ci))
+                ["t", "x", "C1_star", "C1", "Ci"], grid.layer_x("tissue"), (ts.c1s, ts.c1, ts.ci))
 
 
 class TestReplacing:
@@ -311,7 +311,7 @@ class TestConfig:
         spec = rs.replace_param(spec, "ka", 0.77)
         spec = rs.replace_param(spec, "pm", float("inf"))
         path = tmp_path / "config.json"
-        save_config(path, spec)
+        write_json(path, spec_to_config(spec))
         loaded, overrides = load_config(path)
         assert loaded == spec
         assert overrides == {}
@@ -319,7 +319,7 @@ class TestConfig:
     def test_round_trip_preserves_analytic_overrides(self, tmp_path):
         spec = rs.RunSpec()
         path = tmp_path / "config.json"
-        save_config(path, spec, analytic=rs.AnalyticParams(a=2.0, b=1.5, e1=0.5, e2=0.25))
+        write_json(path, spec_to_config(spec, rs.AnalyticParams(a=2.0, b=1.5, e1=0.5, e2=0.25)))
         loaded, overrides = load_config(path)
         assert loaded == spec
         assert overrides == {"a": 2.0, "b": 1.5, "e1": 0.5, "e2": 0.25}
@@ -349,7 +349,7 @@ class TestConfig:
         assert value != f.default
         assert (spec, mode) != (SMALL, rs.default_mode(SMALL.dimensionless()))
         path = tmp_path / "config.json"
-        save_config(path, spec, mode)
+        write_json(path, spec_to_config(spec, mode))
         assert load_config(path) == (spec, asdict(mode))
         # and through a command, which writes back what it ran
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: 1)

@@ -53,12 +53,12 @@ class TestParabolicPeak:
 
 class TestProbeSeries:
     def test_node_station_returns_the_column(self, short_run):
-        gx = short_run.grid.x_matrix
+        gx = short_run.grid.layer_x("matrix")
         series = rs.probe_series(short_run, "C0", float(gx[5]))
         np.testing.assert_array_equal(series, short_run.c0[:, 5])
 
     def test_midpoint_station_averages_the_neighbours(self, short_run):
-        gx = short_run.grid.x_tissue
+        gx = short_run.grid.layer_x("tissue")
         x = 0.5 * (gx[3] + gx[4])
         series = rs.probe_series(short_run, "Ci", x)
         np.testing.assert_allclose(series, 0.5 * (short_run.ci[:, 3] + short_run.ci[:, 4]),

@@ -85,7 +85,7 @@ def test_the_suite_profile_draws_fixed_examples_and_keeps_no_database():
 def test_simulate_keeps_the_run_contract(spec, cpus):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "run.json", Path(tmp) / "out"
-        rs.save_config(config, spec)
+        rs.write_json(config, rs.spec_to_config(spec))
         out.mkdir()
         for name in TRAJECTORIES:
             (out / name).write_text("earlier run\n")

@@ -68,8 +68,8 @@ class TestGridAndConfigValidation:
         assert g.nm == 11 and g.nt == 21
         assert g.h0 == pytest.approx(0.1)
         assert g.h1 == pytest.approx(0.1)
-        assert g.x_matrix[0] == 0.0 and g.x_matrix[-1] == 1.0
-        assert g.x_tissue[0] == 1.0 and g.x_tissue[-1] == 3.0
+        assert g.layer_x("matrix")[0] == 0.0 and g.layer_x("matrix")[-1] == 1.0
+        assert g.layer_x("tissue")[0] == 1.0 and g.layer_x("tissue")[-1] == 3.0
         assert g.layer_weights("matrix").sum() == pytest.approx(1.0, rel=1e-14)
         assert g.layer_weights("tissue").sum() == pytest.approx(2.0, rel=1e-14)
 
@@ -112,7 +112,7 @@ class TestTrajectoryBookkeeping:
     def test_zero_horizon_returns_single_sample(self, ref_params):
         grid = rs.make_grid(ref_params, 8, 8)
         ts = rs.simulate(ref_params, grid, rs.SolverConfig(dt=0.1, t_end=0.0))
-        assert ts.n_samples == 1
+        assert len(ts.times) == 1
         assert ts.times[0] == 0.0
         np.testing.assert_array_equal(ts.c0s[0], 1.0)
 
@@ -127,7 +127,7 @@ class TestTrajectoryBookkeeping:
         grid = rs.make_grid(ref_params, 8, 8)
         cfg = rs.SolverConfig(dt=0.1, t_end=0.6, sample_every=1000)
         ts = rs.simulate(ref_params, grid, cfg)
-        assert ts.n_samples == 2
+        assert len(ts.times) == 2
         assert ts.times[-1] == pytest.approx(0.6)
 
     def test_doubling_sample_every_roughly_halves_samples(self, ref_params):
@@ -135,7 +135,7 @@ class TestTrajectoryBookkeeping:
         n = []
         for se in (10, 20):
             cfg = rs.SolverConfig(dt=0.01, t_end=10.0, sample_every=se)
-            n.append(rs.simulate(ref_params, grid, cfg).n_samples)
+            n.append(len(rs.simulate(ref_params, grid, cfg).times))
         assert n[0] == 101 and n[1] == 51
 
     def test_determinism_is_bitwise(self, ref_params):
@@ -197,13 +197,13 @@ class TestPackedState:
 
     def test_fields_are_read_only_views_of_u(self, short_run):
         grid = short_run.grid
-        assert short_run.u.shape == (short_run.n_samples, grid.n)
+        assert short_run.u.shape == (len(short_run.times), grid.n)
         assert short_run.u.flags.c_contiguous
         for name in FIELDS:
             field = getattr(short_run, name)
             assert np.shares_memory(field, short_run.u)
             np.testing.assert_array_equal(field, short_run.u[:, grid.field_slice(name)])
-            assert field.shape == (short_run.n_samples, grid.nm if name in ("c0s", "c0")
+            assert field.shape == (len(short_run.times), grid.nm if name in ("c0s", "c0")
                                    else grid.nt)
             with pytest.raises(ValueError, match="read-only"):
                 field[0, 0] = 0.0

@@ -684,8 +684,8 @@ class TestAnalyticNumericComparison:
         grid = rs.make_grid(ref_params, 8, 8)
         u = rs.analytic_state(ref_params, ref_mode, grid, 1.25)
         assert u.shape == (grid.n,)
-        c0, c0s = rs.eval_matrix(grid.x_matrix, 1.25, ref_params, ref_mode)
-        c1, c1s, ci = rs.eval_tissue(grid.x_tissue, 1.25, ref_params, ref_mode)
+        c0, c0s = rs.eval_matrix(grid.layer_x("matrix"), 1.25, ref_params, ref_mode)
+        c1, c1s, ci = rs.eval_tissue(grid.layer_x("tissue"), 1.25, ref_params, ref_mode)
         np.testing.assert_array_equal(u[grid.field_slice("c0")], c0)
         np.testing.assert_array_equal(u[grid.field_slice("c0s")], c0s)
         np.testing.assert_array_equal(u[grid.field_slice("c1")], c1)
