@@ -14,7 +14,7 @@ from .metrics import (NAMED_METRICS, ProbeSeriesMetrics, ReleaseMetrics,
                       release_metrics, sweep)
 from .params import (INFINITE, DimensionlessParams, InterfaceParams,
                      MatrixParams, TissueParams, nondimensionalize, phi0,
-                     redimensionalize, reference_params, validate_params)
+                     redimensionalize, validate_params)
 from .runio import (load_config, spec_to_config, write_json,
                     write_matrix_csv, write_sweep_csv, write_tissue_csv)
 from .scenario import RunSpec, get_param, param_names, replace_param, run_spec
@@ -38,7 +38,7 @@ __all__ = [
     "probe_metrics", "probe_series", "release_metrics", "sweep",
     "INFINITE", "DimensionlessParams", "InterfaceParams", "MatrixParams",
     "TissueParams", "nondimensionalize", "phi0", "redimensionalize",
-    "reference_params", "validate_params",
+    "validate_params",
     "load_config", "spec_to_config", "write_json",
     "write_matrix_csv", "write_sweep_csv", "write_tissue_csv",
     "RunSpec", "get_param", "param_names", "replace_param", "run_spec",

@@ -138,16 +138,15 @@ class ReleaseMetrics:
         raise KeyError(f"no probe for {species} at x={x:g}")
 
 
-def release_metrics(ts: TimeSeries, matrix_probes=None, tissue_probes=None,
-                    ledger: MassLedger | None = None) -> ReleaseMetrics:
+def release_metrics(ts: TimeSeries, ledger: MassLedger | None = None) -> ReleaseMetrics:
     """Summarize a trajectory.
 
     Fractions are of the initial drug load; exposure is the time integral of
-    the internalized pool's spatial total.  Default probes are four evenly
-    spaced stations per layer, endpoints included.  Probes come per layer,
-    per station, one per field of the layer in packed order.  ``ledger`` is
-    the trajectory's :func:`~releasesim.verification.mass_audit`, taken here
-    when not given.
+    the internalized pool's spatial total.  Probes sit at four evenly spaced
+    stations per layer, endpoints included, one per field of the layer in
+    packed order (:func:`probe_series` and :func:`probe_metrics` probe any
+    other station).  ``ledger`` is the trajectory's
+    :func:`~releasesim.verification.mass_audit`, taken here when not given.
     """
     grid = ts.grid
     if ledger is None:
@@ -156,11 +155,9 @@ def release_metrics(ts: TimeSeries, matrix_probes=None, tissue_probes=None,
     ci_total = ts.ci @ grid.layer_weights(TISSUE)
     exposure = float(_cumulative_trapezoid(ci_total, ts.times)[-1])
     probes = []
-    for layer, stations in ((MATRIX, matrix_probes), (TISSUE, tissue_probes)):
-        if stations is None:
-            gx = grid.layer_x(layer)
-            stations = np.linspace(gx[0], gx[-1], 4)
-        for x in np.asarray(stations, float).tolist():
+    for layer in (MATRIX, TISSUE):
+        gx = grid.layer_x(layer)
+        for x in np.linspace(gx[0], gx[-1], 4).tolist():
             for _, label in LAYER_FIELDS[layer]:
                 probes.append(probe_metrics(ts.times, probe_series(ts, label, x), label, x))
     return ReleaseMetrics(

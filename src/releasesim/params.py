@@ -245,8 +245,3 @@ def validate_params(matrix=None, tissue=None, interface=None) -> list[str]:
         if math.isfinite(interface.sigma) and interface.sigma <= 0:
             out.append(f"interface.sigma: must be > 0, got {interface.sigma}")
     return out
-
-
-def reference_params() -> DimensionlessParams:
-    """Dimensionless reference scenario (the defaults, which have unit scales)."""
-    return nondimensionalize(MatrixParams(), TissueParams(), InterfaceParams())

@@ -452,12 +452,12 @@ def prepare(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     return series, stepper, u
 
 
-def march(runs: list, t0: float = 0.0) -> list[NumericalError | None]:
-    """Step ``runs`` (each from :func:`prepare`, all on one config) from the
-    clock ``t0`` as one system, bit for bit as each alone, into their series.
-    Each run's failure, or None: a run whose state turns non-finite fails at
-    its step's clock and is zeroed, its samples unfinished; the loop stops
-    once all have failed."""
+def march(runs: list) -> list[NumericalError | None]:
+    """Step ``runs`` (each from :func:`prepare`, all on one config) as one
+    system, bit for bit as each alone, into their series.  Each run's
+    failure, or None: a run whose state turns non-finite fails at its step's
+    clock, read from its own series, and is zeroed, its samples unfinished;
+    the loop stops once all have failed."""
     series, steppers, states = zip(*runs)
     config = series[0].config
     if any(ts.config != config for ts in series):
@@ -478,7 +478,7 @@ def march(runs: list, t0: float = 0.0) -> list[NumericalError | None]:
                         if not np.isfinite(u[block]).all():
                             errors[i] = errors[i] or NumericalError(
                                 "non-finite solution while advancing to "
-                                f"t={t0 + j * config.dt:.6g}; reduce dt")
+                                f"t={series[i].times[0] + j * config.dt:.6g}; reduce dt")
                             u[block] = 0.0
                     if all(errors):
                         return errors
@@ -490,7 +490,7 @@ def march(runs: list, t0: float = 0.0) -> list[NumericalError | None]:
     return errors
 
 
-def simulate_all(runs, t0: float = 0.0) -> list[TimeSeries]:
+def simulate_all(runs) -> list[TimeSeries]:
     """The series of ``runs`` (each from :func:`prepare`, all on one config),
     stepped as one system by :func:`march`.  It raises the first failure in
     run order, as :func:`simulate` of each in turn would: ``runs`` may be a
@@ -501,7 +501,7 @@ def simulate_all(runs, t0: float = 0.0) -> list[TimeSeries]:
         prepared.extend(runs)
     except Exception as exc:
         failure = exc
-    for error in march(prepared, t0) if prepared else ():
+    for error in march(prepared) if prepared else ():
         if error:
             raise error
     if failure:
@@ -522,4 +522,4 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     :class:`NumericalError`, as the initial state at ``t0`` for ``u0``, else
     at the clock of its step: this is :func:`simulate_all` of a batch of one.
     """
-    return simulate_all([prepare(p, grid, config, u0, t0)], t0)[0]
+    return simulate_all([prepare(p, grid, config, u0, t0)])[0]

@@ -21,7 +21,7 @@ settings.load_profile("releasesim")
 
 @pytest.fixture(scope="session")
 def ref_params() -> rs.DimensionlessParams:
-    return rs.reference_params()
+    return rs.RunSpec().dimensionless()
 
 
 @pytest.fixture(scope="session")

@@ -41,6 +41,21 @@ class TestRateQuadratics:
         assert slow == pytest.approx(0.08377223398316208, rel=1e-12)
         assert fast == pytest.approx(0.7162277660168379, rel=1e-12)
 
+    def test_a_negative_discriminant_is_refused(self, ref_params):
+        # rate_sum 0.1, rate_prod 1: only a negative rate constant, which
+        # nondimensionalize refuses, reaches it
+        p = replace(ref_params, ka=1.0, ki=1.0, kd=-1.9)
+        with pytest.raises(ValueError, match="negative mode discriminant"):
+            rs.tissue_rates(p, 0.0)
+
+    def test_without_a_decay_rate_the_oracle_grid_spans_ten_time_units(self, ref_params):
+        p = replace(ref_params, alpha0=0.0, km=0.0, beta0=0.0, delta0=0.0,
+                    ka=0.0, kd=0.0, ki=0.0, kid=0.0)
+        ap = rs.AnalyticParams(a=0.0, b=0.0)
+        assert (rs.matrix_rates(p, 0.0).slow, rs.tissue_rates(p, 0.0).fast) == (0.0, 0.0)
+        np.testing.assert_array_equal(oracle_time_grid(p, ap, n_min=50),
+                                      np.linspace(0.0, 10.0, 51))
+
     def test_matrix_rates_against_polynomial_solver(self, ref_params):
         mr = rs.matrix_rates(ref_params, math.pi / 2.0)
         roots = np.sort(np.roots([1.0, -mr.rate_sum, mr.rate_prod]))

@@ -144,8 +144,9 @@ print(json.dumps(after))
 
 
 def test_commands_on_two_cpus_leave_no_child_or_thread(run_fresh, tmp_path):
-    # two usable CPUs: simulate forks its writers, sweep and verify their jobs;
-    # each command has reaped its workers and joined its threads when it returns
+    # two usable CPUs: simulate runs in-process, sweep and verify fork their
+    # jobs; each command has reaped its workers and joined its threads when it
+    # returns
     proc = run_fresh(COMMANDS_LEAVE_NOTHING_RUNNING, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     after = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -173,7 +173,7 @@ class TestDataFiles:
 
 
     def test_trajectory_writers_match_per_cell_formatting(self, tmp_path):
-        grid = rs.make_grid(rs.reference_params(), 4, 4)
+        grid = rs.make_grid(rs.RunSpec().dimensionless(), 4, 4)
         rng = np.random.default_rng(7)
         specials = np.array([-1.25, -0.0, 0.0, 5e-324, 1e-300, 1.5e300, -1.5e300,
                              1.0 / 3.0, -2.0 / 3.0, 12345.678])
@@ -192,7 +192,7 @@ class TestDataFiles:
             # one block of columns per field, in the packed order
             u = np.hstack([field(grid.nm), field(grid.nm), field(grid.nt), field(grid.nt),
                            field(grid.nt)])
-            ts = rs.TimeSeries(times=times, u=u, grid=grid, params=rs.reference_params(),
+            ts = rs.TimeSeries(times=times, u=u, grid=grid, params=rs.RunSpec().dimensionless(),
                                config=rs.SolverConfig())
 
             def per_cell(header, x, fields):

@@ -162,11 +162,12 @@ class TestReleaseMetrics:
             if pr.t_extinct is not None and pr.peak > 0:
                 assert pr.t_peak <= pr.t_extinct + 1e-12, pr.species
 
-    def test_custom_probe_stations(self, short_run):
-        m = rs.release_metrics(short_run, matrix_probes=[0.0], tissue_probes=[1.7])
-        assert len(m.probes) == 5
+    def test_probe_stations_are_four_per_layer(self, short_run):
+        # 4 stations x 2 matrix fields, then 4 x 3 tissue fields; ends included
+        m = rs.release_metrics(short_run)
+        assert len(m.probes) == 20
         assert m.probe("C0", 0.0).peak > 0
-        assert m.probe("Ci", 1.7).peak > 0
+        assert m.probe("Ci", 2.0).peak > 0
         with pytest.raises(KeyError):
             m.probe("C0", 0.9)
 
@@ -328,6 +329,17 @@ class TestBatchedSweep:
         assert [r.status for r in rows] == [r.status for r in lone]
         assert [row_bytes(tmp_path, r) for r in rows] == [row_bytes(tmp_path, r) for r in lone]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_value_error_of_fn_takes_its_values_slot(self, cpus, workers):
+        def fn(ts):
+            if ts.params.ka > 1.5:
+                raise ValueError("no metric above ka = 1.5")
+            return ts.params.ka
+        cpus(workers)
+        outcomes = scenario.map_param(fn, small_spec(t_end=2.0), "ka", [0.5, 2.0, 1.0])
+        assert [o if isinstance(o, float) else (type(o), str(o)) for o in outcomes] == [
+            0.5, (ValueError, "no metric above ka = 1.5"), 1.0]
+
     def test_local_sensitivity_raises_its_points_own_failure(self, faults):
         spec = small_spec()
         faults(spec, unfactorable=0.9, poisoned=0.6 * 1.05)
@@ -376,6 +388,11 @@ class TestLocalSensitivity:
         drift_central = abs(coarse.central - fine.central)
         drift_forward = abs(coarse.forward - fine.forward)
         assert drift_central <= drift_forward + 1e-9
+
+    def test_a_zero_base_metric_gives_nan_elasticities(self):
+        rec = rs.local_sensitivity(small_spec(t_end=2.0), "alpha0", metric=lambda ts: 0.0)
+        assert rec.base_metric == 0.0
+        assert np.isnan([rec.forward, rec.backward, rec.central]).all()
 
     def test_rel_step_domain(self):
         with pytest.raises(ValueError, match="rel_step"):

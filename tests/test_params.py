@@ -40,7 +40,7 @@ class TestPhi0:
 
 class TestNondimensionalize:
     def test_reference_scales_are_unit(self):
-        p = rs.reference_params()
+        p = rs.RunSpec().dimensionless()
         assert p.length_scale == 1.0 and p.time_scale == 1.0 and p.conc_scale == 1.0
         assert p.phi0 == 0.5
         assert p.solid_rate == pytest.approx(0.6, rel=1e-15)
@@ -69,7 +69,7 @@ class TestNondimensionalize:
         assert p.c_lim == pytest.approx(0.15, rel=1e-14)
 
     def test_infinite_permeability_survives(self):
-        p = rs.reference_params()
+        p = rs.RunSpec().dimensionless()
         assert math.isinf(p.pm)
 
     @settings(max_examples=200, deadline=None)
@@ -133,6 +133,16 @@ class TestValidate:
                 "interface": rs.InterfaceParams()}
         sets[section] = dataclasses.replace(sets[section], **{name: value})
         assert rs.validate_params(**sets) == [f"{section}.{name}: must be finite, got {value}"]
+
+    @pytest.mark.parametrize("section, name", [
+        ("tissue", "d1"), ("tissue", "l1"), ("interface", "sigma")])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_a_non_positive_d1_l1_or_sigma_is_reported(self, section, name, value):
+        sets = {"matrix": rs.MatrixParams(), "tissue": rs.TissueParams(),
+                "interface": rs.InterfaceParams()}
+        report = rs.validate_params(**{section: dataclasses.replace(sets[section],
+                                                                    **{name: value})})
+        assert report == [f"{section}.{name}: must be > 0, got {value}"]
 
     def test_nondimensionalize_collects_all_violations(self):
         with pytest.raises(rs.ValidationError) as err:

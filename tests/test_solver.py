@@ -214,7 +214,7 @@ class TestPackedState:
         assert grid.n == 45
         with pytest.raises(ValueError, match="shape"):
             rs.TimeSeries(times=np.zeros(n_times), u=np.zeros(u_shape), grid=grid,
-                          params=rs.reference_params(), config=rs.SolverConfig())
+                          params=rs.RunSpec().dimensionless(), config=rs.SolverConfig())
 
 
 class NonFinite(Exception):
@@ -361,6 +361,29 @@ class TestBatchedMarch:
         monkeypatch.setattr(solver, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
         rs.simulate(ref_params, rs.make_grid(ref_params, 8, 8), rs.SolverConfig(t_end=1.0))
         assert calls == [{}]
+
+    def test_the_runs_of_a_batch_share_one_config(self, ref_params):
+        grid = rs.make_grid(ref_params, 8, 8)
+        runs = [solver.prepare(ref_params, grid, rs.SolverConfig(dt=dt, t_end=1.0))
+                for dt in (0.1, 0.05)]
+        with pytest.raises(ValueError, match="the runs of a batch must share one SolverConfig"):
+            solver.march(runs)
+
+    def test_each_run_fails_at_its_own_clock(self, ref_params):
+        grid = rs.make_grid(ref_params, 8, 8)
+        cfg = rs.SolverConfig(dt=0.1, t_end=1.0, sample_every=1)
+
+        def run(t0, poisoned=False):
+            series, stepper, u = solver.prepare(ref_params, grid, cfg, t0=t0)
+            if poisoned:
+                stepper._rhs_mat.data *= 1e300   # in place: the bound step sees it
+            return series, stepper, u
+        message = "non-finite solution while advancing to t=3.2; reduce dt"
+        errors = solver.march([run(0.0), run(3.0, poisoned=True)])
+        assert [e and (type(e), str(e)) for e in errors] == [None, (NumericalError, message)]
+        with pytest.raises(NumericalError) as err:
+            solver.simulate_all([run(3.0, poisoned=True)])
+        assert str(err.value) == message
 
 
 class TestPhysicalInvariants:
