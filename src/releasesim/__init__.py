@@ -3,10 +3,9 @@ matrix and the tissue it feeds, with closed-form single-mode solutions, a
 conservative composite-grid solver, and the verification glue between them.
 """
 
-from .analytic import (AnalyticParams, RatePair, default_mode, eval_matrix,
-                       eval_tissue, interface_fluxes, matrix_free, matrix_rates,
-                       matrix_solid, residuals, tissue_bound, tissue_free,
-                       tissue_internalized, tissue_rates)
+from .analytic import (AnalyticParams, RatePair, default_mode, interface_fluxes,
+                       matrix_free, matrix_rates, matrix_solid, residuals,
+                       tissue_bound, tissue_free, tissue_internalized, tissue_rates)
 from .errors import ConfigError, NumericalError, ValidationError
 from .metrics import (NAMED_METRICS, ProbeSeriesMetrics, ReleaseMetrics,
                       SensitivityRecord, SweepRow, local_sensitivity,
@@ -28,10 +27,9 @@ from .verification import (ConvergenceReport, MassLedger, analytic_state,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticParams", "RatePair", "default_mode",
-    "eval_matrix", "eval_tissue", "interface_fluxes", "matrix_free",
-    "matrix_rates", "matrix_solid", "residuals", "tissue_bound", "tissue_free",
-    "tissue_internalized", "tissue_rates",
+    "AnalyticParams", "RatePair", "default_mode", "interface_fluxes",
+    "matrix_free", "matrix_rates", "matrix_solid", "residuals", "tissue_bound",
+    "tissue_free", "tissue_internalized", "tissue_rates",
     "ConfigError", "NumericalError", "ValidationError",
     "NAMED_METRICS", "ProbeSeriesMetrics", "ReleaseMetrics",
     "SensitivityRecord", "SweepRow", "local_sensitivity", "parabolic_peak",

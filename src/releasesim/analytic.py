@@ -260,20 +260,6 @@ def tissue_internalized(x, t, p: DimensionlessParams, ap: AnalyticParams):
     )
 
 
-def eval_matrix(x, t, p: DimensionlessParams, ap: AnalyticParams):
-    """Closed-form matrix fields at positions x and times t, which broadcast
-    against each other.  Returns (c0, c0s): :func:`matrix_free` and
-    :func:`matrix_solid`."""
-    return tuple(field(x, t, p, ap) for field in (matrix_free, matrix_solid))
-
-
-def eval_tissue(x, t, p: DimensionlessParams, ap: AnalyticParams):
-    """Closed-form tissue fields at x and t.  Returns (c1, c1s, ci):
-    :func:`tissue_free`, :func:`tissue_bound` and :func:`tissue_internalized`."""
-    return tuple(field(x, t, p, ap)
-                 for field in (tissue_free, tissue_bound, tissue_internalized))
-
-
 def interface_fluxes(p: DimensionlessParams, ap: AnalyticParams, t):
     """Diffusive flux each layer's mode carries at the interface x = l0.
 
@@ -338,7 +324,7 @@ def residuals(p: DimensionlessParams, ap: AnalyticParams,
     r, q, s = p.solid_rate, p.free_rate, p.bound_rate
     src = p.km * p.c_lim
 
-    c0, c0s = eval_matrix(X0, T, p, ap)
+    c0, c0s = matrix_free(X0, T, p, ap), matrix_solid(X0, T, p, ap)
     shape0 = np.cos(ap.a * X0)
     dc0 = ap.e1 * shape0 * (-mr.slow * _exp(-mr.slow * T) + mr.fast * _exp(-mr.fast * T))
     dc0s = (-r * _exp(-r * T)
@@ -347,7 +333,8 @@ def residuals(p: DimensionlessParams, ap: AnalyticParams,
     res_solid = dc0s - (-r * c0s + q * c0 - src)
     res_mfree = dc0 - (-ap.a * ap.a * c0 + r * c0s - q * c0 + src)
 
-    c1, c1s, ci = eval_tissue(X1, T, p, ap)
+    c1, c1s, ci = (field(X1, T, p, ap)
+                   for field in (tissue_free, tissue_bound, tissue_internalized))
     shape1 = np.cos(ap.b * X1)
     dc1 = ap.e2 * shape1 * (-tr.slow * _exp(-tr.slow * T) + tr.fast * _exp(-tr.fast * T))
     dc1s = p.ka * ap.e2 * shape1 * (_ediff_dt(tr.slow, s, T) - _ediff_dt(tr.fast, s, T))

@@ -8,10 +8,11 @@ verify       run built-in cross-checks (residuals, oracle, mass, convergence)
 sweep        rerun a scenario across one parameter's values
 
 Exit codes: 0 success, 1 invalid config/parameters or a run too large to
-allocate (``MemoryError``), 2 numerical failure or failed verification, 3 I/O
-failure, 4 a worker process of ``sweep`` or ``verify`` died before it sent
-back its jobs' results (no answer file is written).  Fatal errors also emit
-one JSON line on stderr with the error class and message.
+allocate (``MemoryError``), 2 numerical failure (an ``ArithmeticError`` too,
+such as an overflow) or failed verification, 3 I/O failure, 4 a worker
+process of ``sweep`` or ``verify`` died before it sent back its jobs'
+results (no answer file is written).  Fatal errors also emit one JSON line
+on stderr with the error class and message.
 
 ``sweep`` points and ``verify`` checks are independent jobs; they go to
 forked worker processes through :func:`releasesim.scenario.parallel_map`,
@@ -73,19 +74,21 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file (defaults apply when omitted)")
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")
 
-    def run_overrides(sp):
+    def run_overrides(sp, scheme=True):
         sp.add_argument("--t-end", type=float, dest="t_end", help="override solver.t_end")
         sp.add_argument("--dt", type=float, help="override solver.dt")
         sp.add_argument("--nx0", type=int, help="override matrix-layer cell count")
         sp.add_argument("--nx1", type=int, help="override tissue-layer cell count")
-        sp.add_argument("--theta", type=float, help="override time-stepping theta")
-        sp.add_argument("--outer-bc", dest="outer_bc", choices=[ZERO_FLUX, SINK],
-                        help="override the outer tissue boundary condition")
+        if scheme:  # the closed forms read only the sample times and the grid
+            sp.add_argument("--theta", type=float, help="override time-stepping theta")
+            sp.add_argument("--outer-bc", dest="outer_bc", choices=[ZERO_FLUX, SINK],
+                            help="override the outer tissue boundary condition")
 
-    for sp in (sub.add_parser("simulate", help="integrate the scenario"),
-               sub.add_parser("analytic", help="evaluate the closed-form mode")):
+    for name, summary in (("simulate", "integrate the scenario"),
+                          ("analytic", "evaluate the closed-form mode")):
+        sp = sub.add_parser(name, help=summary)
         files(sp)
-        run_overrides(sp)
+        run_overrides(sp, scheme=name == "simulate")
 
     # the checks pin their own grids, steps and horizons: no run overrides
     sp_verify = sub.add_parser("verify", help="run built-in cross-checks")
@@ -115,7 +118,7 @@ def _begin(args) -> tuple[str, RunSpec, AnalyticParams, Path, DimensionlessParam
     are not finite is a ConfigError."""
     started = _now()
     spec, analytic_overrides = load_config(args.config) if args.config else (RunSpec(), {})
-    flags = vars(args)  # verify has no run overrides
+    flags = vars(args)  # verify has no run overrides, analytic no scheme ones
     grid, solver = ({f.name: flags[f.name] for f in CONFIG_FIELDS[section]
                      if flags.get(f.name) is not None} for section in ("grid", "solver"))
     spec = replace(spec, **grid, solver=replace(spec.solver, **solver))
@@ -315,7 +318,8 @@ def main(argv=None) -> int:
 
 
 # Exit code of each fatal error class (see the module docstring).
-_EXIT_CODES = {ValueError: 1, MemoryError: 1, NumericalError: 2, OSError: 3, WorkerError: 4}
+_EXIT_CODES = {ValueError: 1, MemoryError: 1, NumericalError: 2, ArithmeticError: 2, OSError: 3,
+               WorkerError: 4}
 
 
 if __name__ == "__main__":

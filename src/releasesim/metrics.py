@@ -80,9 +80,11 @@ def probe_metrics(times: np.ndarray, values: np.ndarray, species: str,
                   x: float) -> ProbeSeriesMetrics:
     """Summarize one probe series: refined peak, refined time of peak, and
     the first time the series falls to ``EXTINCTION_FRACTION`` of the peak
-    after it."""
+    after it.  A non-finite value is refused with a ValueError."""
     times = np.asarray(times, float)
     values = np.asarray(values, float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"probe series of {species} at x={x:g} is not finite")
     i = int(np.argmax(values))
     peak = float(values[i])
     t_peak = float(times[i])
@@ -97,13 +99,11 @@ def probe_metrics(times: np.ndarray, values: np.ndarray, species: str,
     thr = EXTINCTION_FRACTION * peak
     t_extinct = None
     below = np.nonzero(values[i:] <= thr)[0]
-    if below.size and not (below[0] == 0 and i == 0):
+    if below.size:  # j >= 1: at i = 0 the peak is values[0] itself, above thr
         j = i + int(below[0])
         # linear crossing inside the bracketing sample interval
         y_hi, y_lo = values[j - 1], values[j]
         t_extinct = float(times[j - 1] + (y_hi - thr) * (times[j] - times[j - 1]) / (y_hi - y_lo))
-    elif below.size:
-        t_extinct = float(times[i])
     return ProbeSeriesMetrics(species, float(x), float(peak), float(t_peak),
                               t_extinct, peak_at_end)
 
@@ -266,8 +266,8 @@ def local_sensitivity(spec: RunSpec, name: str,
         metric_fn = metric
         metric_name = getattr(metric, "__name__", "custom")
     base_value = get_param(spec, name)
-    if base_value == 0.0:
-        raise ValueError(f"cannot take a relative step from {name} = 0")
+    if base_value == 0.0 or not np.isfinite(base_value):  # inf * (1 + rel_step) is inf
+        raise ValueError(f"cannot take a relative step from {name} = {base_value:g}")
     outcomes = map_param(lambda ts: float(metric_fn(ts)), spec, name,
                          [base_value, base_value * (1.0 + rel_step), base_value * (1.0 - rel_step)])
     for failure in (m for m in outcomes if isinstance(m, Exception)):

@@ -118,8 +118,8 @@ class DimensionlessParams:
     time_scale: float = 1.0
     conc_scale: float = 1.0
 
-    #: matrix thickness in its own units
-    l0: float = 1.0
+    #: matrix thickness, the unit of length: a class constant, not a field
+    l0 = 1.0
 
     @property
     def phi0(self) -> float:

@@ -107,7 +107,7 @@ class CompositeGrid:
     nx0: int
     nx1: int
     l1: float = 2.0
-    l0: float = 1.0
+    l0 = 1.0  # a class constant, not a field: the matrix is the unit of length
 
     def __post_init__(self):
         _require_int("nx0", self.nx0)
@@ -218,7 +218,7 @@ def sample_times(config: SolverConfig, t0: float = 0.0) -> np.ndarray:
 
 
 def make_grid(p: DimensionlessParams, nx0: int, nx1: int) -> CompositeGrid:
-    return CompositeGrid(nx0=nx0, nx1=nx1, l1=p.l1, l0=p.l0)
+    return CompositeGrid(nx0=nx0, nx1=nx1, l1=p.l1)
 
 
 def initialize(grid: CompositeGrid) -> np.ndarray:

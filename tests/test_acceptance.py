@@ -34,8 +34,9 @@ def test_criterion_1_initial_condition_exactness():
         ap = sample_mode(rng)
         x0 = np.linspace(0.0, p.l0, 7)
         x1 = np.linspace(p.l0, p.l1, 7)
-        c0, c0s = rs.eval_matrix(x0, 0.0, p, ap)
-        c1, c1s, ci = rs.eval_tissue(x1, 0.0, p, ap)
+        c0, c0s = (f(x0, 0.0, p, ap) for f in (rs.matrix_free, rs.matrix_solid))
+        c1, c1s, ci = (f(x1, 0.0, p, ap)
+                       for f in (rs.tissue_free, rs.tissue_bound, rs.tissue_internalized))
         worst = max(worst,
                     float(np.max(np.abs(c0s - 1.0))),
                     float(np.max(np.abs(c0))),

@@ -311,8 +311,9 @@ class TestClosedForms:
     def test_initial_conditions_on_reference(self, ref_params, ref_mode):
         x0 = np.linspace(0.0, 1.0, 9)
         x1 = np.linspace(1.0, 2.0, 9)
-        c0, c0s = rs.eval_matrix(x0, 0.0, ref_params, ref_mode)
-        c1, c1s, ci = rs.eval_tissue(x1, 0.0, ref_params, ref_mode)
+        c0, c0s = (f(x0, 0.0, ref_params, ref_mode) for f in (rs.matrix_free, rs.matrix_solid))
+        c1, c1s, ci = (f(x1, 0.0, ref_params, ref_mode)
+                       for f in (rs.tissue_free, rs.tissue_bound, rs.tissue_internalized))
         np.testing.assert_allclose(c0s, 1.0, atol=1e-12)
         for f in (c0, c1, c1s, ci):
             np.testing.assert_allclose(f, 0.0, atol=1e-12)
@@ -323,10 +324,10 @@ class TestClosedForms:
         x0 = np.linspace(0.0, 1.0, 5)[None, :]
         x1 = np.linspace(1.0, 2.0, 5)[None, :]
         t = np.linspace(0.0, 25.0, 11)[:, None]
-        _, c0s = rs.eval_matrix(x0, t, p, ap)
+        c0s = rs.matrix_solid(x0, t, p, ap)
         np.testing.assert_allclose(c0s, solid_partial_fraction(x0, t, p, ap),
                                    rtol=1e-10, atol=1e-12)
-        _, c1s, ci = rs.eval_tissue(x1, t, p, ap)
+        c1s, ci = rs.tissue_bound(x1, t, p, ap), rs.tissue_internalized(x1, t, p, ap)
         np.testing.assert_allclose(c1s, bound_partial_fraction(x1, t, p, ap),
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(ci, internalized_partial_fraction(x1, t, p, ap),
@@ -350,10 +351,10 @@ class TestClosedForms:
             x0 = np.linspace(0.0, p.l0, 4)[None, :]
             x1 = np.linspace(p.l0, p.l1, 4)[None, :]
             t = np.linspace(0.0, 3.0 / mr.slow if mr.slow > 0 else 3.0, 9)[:, None]
-            _, c0s = rs.eval_matrix(x0, t, p, ap)
+            c0s = rs.matrix_solid(x0, t, p, ap)
             np.testing.assert_allclose(c0s, solid_partial_fraction(x0, t, p, ap),
                                        rtol=1e-8, atol=1e-10)
-            _, c1s, ci = rs.eval_tissue(x1, t, p, ap)
+            c1s, ci = rs.tissue_bound(x1, t, p, ap), rs.tissue_internalized(x1, t, p, ap)
             np.testing.assert_allclose(c1s, bound_partial_fraction(x1, t, p, ap),
                                        rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(ci, internalized_partial_fraction(x1, t, p, ap),
@@ -362,21 +363,21 @@ class TestClosedForms:
     def test_solid_long_time_limit(self, ref_params, ref_mode):
         p = ref_params
         t = 400.0  # hundreds of e-folds of every rate
-        _, c0s = rs.eval_matrix(0.3, t, p, ref_mode)
+        c0s = rs.matrix_solid(0.3, t, p, ref_mode)
         assert float(c0s) == pytest.approx(-p.km * p.c_lim / p.solid_rate, rel=1e-10)
 
     def test_no_internalization_means_no_internalized_drug(self, ref_params, ref_mode):
         from dataclasses import replace
         p = replace(ref_params, ki=0.0)
         x = np.linspace(1.0, 2.0, 5)
-        _, _, ci = rs.eval_tissue(x, 7.3, p, ref_mode)
+        ci = rs.tissue_internalized(x, 7.3, p, ref_mode)
         np.testing.assert_array_equal(ci, 0.0)
 
     def test_no_association_means_no_bound_drug(self, ref_params, ref_mode):
         from dataclasses import replace
         p = replace(ref_params, ka=0.0)
         x = np.linspace(1.0, 2.0, 5)
-        _, c1s, ci = rs.eval_tissue(x, 7.3, p, ref_mode)
+        c1s, ci = rs.tissue_bound(x, 7.3, p, ref_mode), rs.tissue_internalized(x, 7.3, p, ref_mode)
         np.testing.assert_array_equal(c1s, 0.0)
         np.testing.assert_array_equal(ci, 0.0)
 
@@ -387,24 +388,25 @@ class TestClosedForms:
         p_eps = replace(ref_params, kd=1e-13)
         x = np.linspace(1.0, 2.0, 5)
         t = np.linspace(0.0, 10.0, 7)[:, None]
-        for a, b in zip(rs.eval_tissue(x, t, p0, ref_mode),
-                        rs.eval_tissue(x, t, p_eps, ref_mode)):
+        for field in (rs.tissue_free, rs.tissue_bound, rs.tissue_internalized):
+            a, b = field(x, t, p0, ref_mode), field(x, t, p_eps, ref_mode)
             np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-12)
 
     def test_positions_outside_layer_rejected(self, ref_params, ref_mode):
-        with pytest.raises(ValueError):
-            rs.eval_matrix(1.5, 1.0, ref_params, ref_mode)
-        with pytest.raises(ValueError):
-            rs.eval_tissue(0.5, 1.0, ref_params, ref_mode)
+        for field in (rs.matrix_free, rs.matrix_solid):
+            with pytest.raises(ValueError):
+                field(1.5, 1.0, ref_params, ref_mode)
+        for field in (rs.tissue_free, rs.tissue_bound, rs.tissue_internalized):
+            with pytest.raises(ValueError):
+                field(0.5, 1.0, ref_params, ref_mode)
 
     def test_amplitude_scaling_is_linear(self, ref_params, ref_mode):
         from dataclasses import replace
         ap2 = replace(ref_mode, e2=2.0 * ref_mode.e2)
         x = np.linspace(1.0, 2.0, 5)
         t = 3.0
-        base = rs.eval_tissue(x, t, ref_params, ref_mode)
-        doubled = rs.eval_tissue(x, t, ref_params, ap2)
-        for a, b in zip(base, doubled):
+        for field in (rs.tissue_free, rs.tissue_bound, rs.tissue_internalized):
+            a, b = field(x, t, ref_params, ref_mode), field(x, t, ref_params, ap2)
             np.testing.assert_allclose(b, 2.0 * a, rtol=1e-14)
 
 
@@ -433,13 +435,16 @@ class TestPerFieldEvaluators:
                 (np.linspace(0.0, p.l0, 41), np.linspace(p.l0, p.l1, 41), t),
                 (np.linspace(0.0, p.l0, 17), np.linspace(p.l0, p.l1, 17), 2.5)]
 
-    def test_each_field_is_its_combined_component_bit_for_bit(self, ref_params, ref_mode):
+    def test_each_field_is_the_same_point_by_point_bit_for_bit(self, ref_params, ref_mode):
+        # residuals evaluate a field over a broadcast, analytic.csv one time at a time
         for p, ap in self._cases(ref_params, ref_mode):
             for x0, x1, t in self._points(p):
-                for field, combined in zip(self.MATRIX, rs.eval_matrix(x0, t, p, ap)):
-                    np.testing.assert_array_equal(field(x0, t, p, ap), combined)
-                for field, combined in zip(self.TISSUE, rs.eval_tissue(x1, t, p, ap)):
-                    np.testing.assert_array_equal(field(x1, t, p, ap), combined)
+                for fields, x in ((self.MATRIX, x0), (self.TISSUE, x1)):
+                    xs, ts = np.broadcast_arrays(x, t)
+                    for field in fields:
+                        whole = field(x, t, p, ap)
+                        pointwise = [field(xs[i], ts[i], p, ap) for i in np.ndindex(xs.shape)]
+                        np.testing.assert_array_equal(whole, np.reshape(pointwise, xs.shape))
 
     def test_positions_outside_the_layer_rejected_by_every_field(self, ref_params, ref_mode):
         p = ref_params

@@ -596,6 +596,13 @@ class TestCliAnalytic:
                  for out in (first, second)]
         assert t_end == [2.0, rs.RunSpec().solver.t_end]
 
+    @pytest.mark.parametrize("flag", [["--theta", "1"], ["--outer-bc", "sink"]])
+    def test_scheme_overrides_are_rejected(self, tmp_path, flag):
+        # the closed forms read only the sample times and the grid
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", *flag, "--out", str(tmp_path / "a")])
+        assert exc.value.code == 2
+
 
 class TestCliVerify:
     def test_residual_check_passes(self, tmp_path, capsys):
@@ -752,6 +759,20 @@ ANSWERS = {
 }
 
 
+@pytest.mark.parametrize("command, scheme", [
+    (["simulate"], True), (["sweep", "--param", "ka", "--values", "1"], True),
+    (["analytic"], False),  # the closed forms step no scheme
+])
+def test_each_command_takes_its_run_overrides(command, scheme):
+    flags = ["--t-end", "2", "--dt", "0.5", "--nx0", "4", "--nx1", "6"]
+    expected = {"t_end": 2.0, "dt": 0.5, "nx0": 4, "nx1": 6, "theta": None, "outer_bc": None}
+    if scheme:
+        flags += ["--theta", "1", "--outer-bc", "sink"]
+        expected.update(theta=1.0, outer_bc="sink")
+    args = vars(_build_parser().parse_args([*command, *flags]))
+    assert {name: args.get(name) for name in expected} == expected
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_resolved_config_reproduces_the_run(tmp_path, command):
     cfg = small_config(tmp_path, solver={"dt": 0.05, "t_end": 2.0},
@@ -841,6 +862,22 @@ class TestCliErrors:
         err = json.loads(lines[0])
         assert err["error"] == "MemoryError"
         assert err["exit_code"] == 1
+
+    @pytest.mark.parametrize("config", [
+        '{"tissue": {"l1": 1e300}}',                          # h1 ** 2 in the assembly
+        '{"matrix": {"l0": 1e200}, "tissue": {"l1": 1e201}}',  # l0 ** 2 in the scaling
+    ], ids=["assembly", "scaling"])
+    def test_an_overflowing_input_exits_two(self, tmp_path, capsys, config):
+        path = tmp_path / "huge.json"
+        path.write_text(config)
+        code = main(["simulate", "--config", str(path), "--t-end", "1",
+                     "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "OverflowError"
+        assert err["exit_code"] == 2
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-end", "inf"), ("--dt", "inf"), ("--t-end", "nan"), ("--dt", "nan"),
@@ -996,6 +1033,16 @@ class TestReadme:
         assert analytic == {"a": mode.a, "b": mode.b, "e1": mode.e1, "e2": mode.e2}
         sections = {k: v for k, v in example.items() if k != "analytic"}
         assert spec_to_config(rs.RunSpec()) == sections
+
+    def test_python_example_runs(self, capsys):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        exec(blocks[0], {})
+        lines = capsys.readouterr().out.splitlines()
+        # 64+64 cells: 325 unknowns, 65 tissue nodes; 16,000 steps sampled every 10th
+        assert lines[:2] == ["(1601, 325)", "(1601, 65)"]
+        degraded, t_peak, defect = map(float, lines[2:])
+        assert degraded > 0.0 and 0.0 < t_peak <= 160.0 and 0.0 <= defect < 1e-4
 
     def test_shell_examples_parse(self):
         blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

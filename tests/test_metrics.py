@@ -114,6 +114,14 @@ class TestProbeMetrics:
         assert pr.t_extinct == 0.0
         assert not pr.peak_at_end
 
+    @pytest.mark.parametrize("values", [[np.inf, 1.0, 0.0], [np.nan, 1.0, 0.0],
+                                        [0.0, np.inf, 0.0]], ids=["inf-first", "nan", "inf-peak"])
+    def test_a_non_finite_series_is_refused(self, values):
+        # before, these gave peak=inf and t_extinct=0, a NaN peak, and a NaN
+        # peak with a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^probe series of C1 at x=1.5 is not finite$"):
+            rs.probe_metrics(np.array([0.0, 1.0, 2.0]), np.array(values), "C1", 1.5)
+
     def test_serialization_keys(self):
         pr = rs.probe_metrics(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]),
                               "C1", 1.5)
@@ -405,6 +413,12 @@ class TestLocalSensitivity:
         spec = rs.replace_param(spec, "beta0", 0.0)
         with pytest.raises(ValueError, match="beta0 = 0"):
             rs.local_sensitivity(spec, "beta0")
+
+    def test_infinite_base_value_rejected(self):
+        # inf * (1 +/- rel_step) is inf: all three points would be the same run
+        assert rs.RunSpec().interface.pm == rs.INFINITE
+        with pytest.raises(ValueError, match="cannot take a relative step from pm = inf"):
+            rs.local_sensitivity(small_spec(), "pm")
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):

@@ -55,6 +55,17 @@ class TestNondimensionalize:
         assert p.d1 == pytest.approx(1.1e-6 / 3.7e-6, rel=1e-14)
         assert p.l1 == pytest.approx(2.5, rel=1e-14)
 
+    def test_the_matrix_thickness_is_the_unit_of_length_not_a_setting(self):
+        # l0 scales out: both the parameters and the grid hold it as a constant
+        m = rs.MatrixParams(d0=3.7e-6, l0=0.02, m0=5.0)
+        p = rs.nondimensionalize(m, rs.TissueParams(d1=1.1e-6, l1=0.05), rs.InterfaceParams())
+        grid = rs.make_grid(p, 4, 4)
+        for obj in (p, grid):
+            assert "l0" not in {f.name for f in dataclasses.fields(obj)}
+            with pytest.raises(TypeError, match="l0"):
+                dataclasses.replace(obj, l0=2.0)
+        assert p.l0 == grid.l0 == 1.0
+
     def test_rates_scale_with_diffusion_time(self):
         # tau = l0^2/d0 = 4 here, so every 1/time field is multiplied by 4
         m = rs.MatrixParams(alpha0=1.0, km=0.2, beta0=0.1, delta0=0.05, d0=0.5, l0=math.sqrt(2.0))

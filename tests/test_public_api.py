@@ -13,3 +13,10 @@ def test_all_lists_each_public_name_once_and_only_names_that_resolve():
     bound = {name for name, value in vars(releasesim).items()
              if not name.startswith("_") and not inspect.ismodule(value)}
     assert sorted(bound - set(names)) == []
+
+
+def test_the_layer_evaluators_are_retired_for_the_per_field_ones():
+    for name in ("eval_matrix", "eval_tissue"):
+        assert not hasattr(releasesim, name) and name not in releasesim.__all__
+    assert {"matrix_free", "matrix_solid", "tissue_free", "tissue_bound",
+            "tissue_internalized"} <= set(releasesim.__all__)

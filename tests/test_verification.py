@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import releasesim as rs
+from releasesim import analytic
 from releasesim.analytic import KINETIC_BALANCES
 from releasesim.errors import NumericalError
 from releasesim.solver import FIELD_TABLE, MATRIX, SINK, ZERO_FLUX
@@ -238,13 +239,18 @@ def _all_fields_oracle(which, p, ap, x, t_grid):
     the layer on the quarter-step grid, then every field again on t_grid.
     The reference the oracle must equal exactly on a grid within RK4's
     stability limit."""
-    closed_forms = {"matrix_solid": (rs.eval_matrix, 1), "tissue_bound": (rs.eval_tissue, 1),
-                    "internalized": (rs.eval_tissue, 2)}
+    tissue = ("tissue_free", "tissue_bound", "tissue_internalized")
+    layers = {"matrix_solid": (("matrix_free", "matrix_solid"), 1),
+              "tissue_bound": (tissue, 1), "internalized": (tissue, 2)}
     forcing = {"matrix_solid": lambda f: p.free_rate * f[0] - p.km * p.c_lim,
                "tissue_bound": lambda f: p.ka * f[0], "internalized": lambda f: p.ki * f[1]}
     decay = {"matrix_solid": p.solid_rate, "tissue_bound": p.bound_rate, "internalized": p.kid}
     y0 = {"matrix_solid": 1.0, "tissue_bound": 0.0, "internalized": 0.0}
-    closed, index = closed_forms[which]
+    names, index = layers[which]
+
+    def closed(x, t, p, ap):  # every field of the layer, looked up when called
+        return [getattr(analytic, name)(x, t, p, ap) for name in names]
+
     t = np.asarray(t_grid, dtype=float)
     dt = float(np.diff(t)[0])
     n = len(t) - 1
@@ -326,7 +332,7 @@ class TestFieldwiseOracle:
                                                 which, poisoned):
         # a running maximum must keep a NaN as one max over the whole grid
         # does; Python's max(0.0, nan) is 0.0, which would certify the run
-        from releasesim import analytic, verification
+        from releasesim import verification
 
         monkeypatch.setattr(verification, "ORACLE_BLOCK", 64)
         t = np.linspace(0.0, 25.0, 1001)          # last block: steps 960 to 1000
@@ -348,7 +354,7 @@ class TestFieldwiseOracle:
         # the oracle's cost is the closed form on the 4n+1 quarter grid: a
         # balance may evaluate its forcing there, its own field only on the
         # n+1 output points, and no other field at all, one block at a time
-        from releasesim import analytic, verification
+        from releasesim import verification
 
         calls = []
         for name in ("matrix_free", "matrix_solid", "tissue_free", "tissue_bound",
@@ -684,8 +690,10 @@ class TestAnalyticNumericComparison:
         grid = rs.make_grid(ref_params, 8, 8)
         u = rs.analytic_state(ref_params, ref_mode, grid, 1.25)
         assert u.shape == (grid.n,)
-        c0, c0s = rs.eval_matrix(grid.layer_x("matrix"), 1.25, ref_params, ref_mode)
-        c1, c1s, ci = rs.eval_tissue(grid.layer_x("tissue"), 1.25, ref_params, ref_mode)
+        x0, x1 = grid.layer_x("matrix"), grid.layer_x("tissue")
+        c0, c0s = (f(x0, 1.25, ref_params, ref_mode) for f in (rs.matrix_free, rs.matrix_solid))
+        c1, c1s, ci = (f(x1, 1.25, ref_params, ref_mode)
+                       for f in (rs.tissue_free, rs.tissue_bound, rs.tissue_internalized))
         np.testing.assert_array_equal(u[grid.field_slice("c0")], c0)
         np.testing.assert_array_equal(u[grid.field_slice("c0s")], c0s)
         np.testing.assert_array_equal(u[grid.field_slice("c1")], c1)
