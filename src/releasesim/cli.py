@@ -8,11 +8,11 @@ verify       run built-in cross-checks (residuals, oracle, mass, convergence)
 sweep        rerun a scenario across one parameter's values
 
 Exit codes: 0 success, 1 invalid config/parameters or a run too large to
-allocate (``MemoryError``), 2 numerical failure (an ``ArithmeticError`` too,
-such as an overflow) or failed verification, 3 I/O failure, 4 a worker
-process of ``sweep`` or ``verify`` died before it sent back its jobs'
-results (no answer file is written).  Fatal errors also emit one JSON line
-on stderr with the error class and message.
+allocate (``MemoryError``), 2 numerical failure (``OverflowError`` and
+``ZeroDivisionError`` too) or failed verification, 3 I/O failure, 4 a
+worker process of ``sweep`` or ``verify`` died before it sent back its
+jobs' results (no answer file is written).  Fatal errors also emit one JSON
+line on stderr with the error class and message.
 
 ``sweep`` points and ``verify`` checks are independent jobs; they go to
 forked worker processes through :func:`releasesim.scenario.parallel_map`,
@@ -74,21 +74,22 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file (defaults apply when omitted)")
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")
 
-    def run_overrides(sp, scheme=True):
+    def run_overrides(sp):
         sp.add_argument("--t-end", type=float, dest="t_end", help="override solver.t_end")
         sp.add_argument("--dt", type=float, help="override solver.dt")
         sp.add_argument("--nx0", type=int, help="override matrix-layer cell count")
         sp.add_argument("--nx1", type=int, help="override tissue-layer cell count")
-        if scheme:  # the closed forms read only the sample times and the grid
-            sp.add_argument("--theta", type=float, help="override time-stepping theta")
-            sp.add_argument("--outer-bc", dest="outer_bc", choices=[ZERO_FLUX, SINK],
-                            help="override the outer tissue boundary condition")
 
-    for name, summary in (("simulate", "integrate the scenario"),
-                          ("analytic", "evaluate the closed-form mode")):
-        sp = sub.add_parser(name, help=summary)
+    def scheme_overrides(sp):  # the closed forms step no scheme: not for analytic
+        sp.add_argument("--theta", type=float, help="override time-stepping theta")
+        sp.add_argument("--outer-bc", dest="outer_bc", choices=[ZERO_FLUX, SINK],
+                        help="override the outer tissue boundary condition")
+
+    sp_simulate = sub.add_parser("simulate", help="integrate the scenario")
+    for sp in (sp_simulate, sub.add_parser("analytic", help="evaluate the closed-form mode")):
         files(sp)
-        run_overrides(sp, scheme=name == "simulate")
+        run_overrides(sp)
+    scheme_overrides(sp_simulate)
 
     # the checks pin their own grids, steps and horizons: no run overrides
     sp_verify = sub.add_parser("verify", help="run built-in cross-checks")
@@ -100,6 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_sweep = sub.add_parser("sweep", help="rerun across one parameter's values")
     files(sp_sweep)
     run_overrides(sp_sweep)
+    scheme_overrides(sp_sweep)
     sp_sweep.add_argument("--param", required=True, help="flat parameter name, e.g. ka")
     values = sp_sweep.add_mutually_exclusive_group(required=True)
     values.add_argument("--values", help="comma-separated values, e.g. 0.1,0.2,0.5")
@@ -318,8 +320,8 @@ def main(argv=None) -> int:
 
 
 # Exit code of each fatal error class (see the module docstring).
-_EXIT_CODES = {ValueError: 1, MemoryError: 1, NumericalError: 2, ArithmeticError: 2, OSError: 3,
-               WorkerError: 4}
+_EXIT_CODES = {ValueError: 1, MemoryError: 1, NumericalError: 2, OverflowError: 2,
+               ZeroDivisionError: 2, OSError: 3, WorkerError: 4}
 
 
 if __name__ == "__main__":

@@ -596,13 +596,6 @@ class TestCliAnalytic:
                  for out in (first, second)]
         assert t_end == [2.0, rs.RunSpec().solver.t_end]
 
-    @pytest.mark.parametrize("flag", [["--theta", "1"], ["--outer-bc", "sink"]])
-    def test_scheme_overrides_are_rejected(self, tmp_path, flag):
-        # the closed forms read only the sample times and the grid
-        with pytest.raises(SystemExit) as exc:
-            main(["analytic", *flag, "--out", str(tmp_path / "a")])
-        assert exc.value.code == 2
-
 
 class TestCliVerify:
     def test_residual_check_passes(self, tmp_path, capsys):
@@ -618,13 +611,6 @@ class TestCliVerify:
         out = tmp_path / "mass"
         assert main(["verify", "mass", "--out", str(out)]) == 0
         assert "PASS mass" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("flag", [["--nx0", "16"], ["--t-end", "4"], ["--theta", "1"]])
-    def test_run_overrides_are_rejected(self, tmp_path, flag):
-        # the checks pin their own grids, steps and horizons
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "all", *flag, "--out", str(tmp_path / "v")])
-        assert exc.value.code == 2
 
     def test_verify_json_is_the_same_with_one_and_two_workers(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -759,18 +745,25 @@ ANSWERS = {
 }
 
 
-@pytest.mark.parametrize("command, scheme", [
-    (["simulate"], True), (["sweep", "--param", "ka", "--values", "1"], True),
-    (["analytic"], False),  # the closed forms step no scheme
-])
-def test_each_command_takes_its_run_overrides(command, scheme):
-    flags = ["--t-end", "2", "--dt", "0.5", "--nx0", "4", "--nx1", "6"]
-    expected = {"t_end": 2.0, "dt": 0.5, "nx0": 4, "nx1": 6, "theta": None, "outer_bc": None}
-    if scheme:
-        flags += ["--theta", "1", "--outer-bc", "sink"]
-        expected.update(theta=1.0, outer_bc="sink")
-    args = vars(_build_parser().parse_args([*command, *flags]))
-    assert {name: args.get(name) for name in expected} == expected
+@pytest.mark.parametrize("command, flag", [
+    # the checks pin their own grids, steps and horizons
+    (["verify", "all"], ["--nx0", "16"]), (["verify", "all"], ["--t-end", "4"]),
+    (["verify", "all"], ["--theta", "1"]),
+    # the closed forms read only the sample times and the grid
+    (["analytic"], ["--theta", "1"]), (["analytic"], ["--outer-bc", "sink"]),
+], ids=["verify-nx0", "verify-t-end", "verify-theta", "analytic-theta", "analytic-outer-bc"])
+def test_unread_run_overrides_are_rejected(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+def test_sweep_takes_all_six_run_overrides():
+    args = _build_parser().parse_args(["sweep", "--param", "ka", "--values", "1",
+                                       "--t-end", "2", "--dt", "0.5", "--nx0", "4", "--nx1", "6",
+                                       "--theta", "1", "--outer-bc", "sink"])
+    assert (args.t_end, args.dt, args.nx0, args.nx1, args.theta, args.outer_bc) == (
+        2.0, 0.5, 4, 6, 1.0, "sink")
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -878,6 +871,15 @@ class TestCliErrors:
         err = json.loads(lines[0])
         assert err["error"] == "OverflowError"
         assert err["exit_code"] == 2
+
+    def test_another_arithmetic_error_is_a_traceback(self, tmp_path, monkeypatch):
+        # only the overflows and zero divisions a run can meet are exit 2; any
+        # other ArithmeticError is a defect and must not pass as a failed run
+        def fail(args):
+            raise FloatingPointError("a defect")
+        monkeypatch.setattr(cli, "_cmd_simulate", fail)
+        with pytest.raises(FloatingPointError):
+            main(["simulate", "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-end", "inf"), ("--dt", "inf"), ("--t-end", "nan"), ("--dt", "nan"),
