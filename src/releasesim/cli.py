@@ -275,6 +275,8 @@ def _sweep_values(args) -> list[float]:
         raise ValidationError(f"--range LO and HI must be finite, got {lo:g} and {hi:g}")
     if n < 1:
         raise ValidationError(f"--range N must be >= 1, got {n}")
+    if n == 1 and lo != hi:
+        raise ValidationError(f"--range with N = 1 needs LO = HI, got {lo:g} and {hi:g}")
     if args.log:
         if lo <= 0 or hi <= 0:
             raise ValidationError(f"--range --log needs LO > 0 and HI > 0, got {lo:g} and {hi:g}")

@@ -49,9 +49,9 @@ import numpy as np
 from .errors import NumericalError
 from .params import DimensionlessParams
 
-# scipy.sparse, SuperLU, the CSR matvec kernel and LAPACK's tridiagonal
-# LU solve (for the RK4 oracle); None until load_scipy() binds them.
-sp = splu = csr_matvec = dgttrs = None
+# scipy.sparse, SuperLU, the CSR matvec and COO-to-CSR kernels and LAPACK's
+# tridiagonal LU solve (for the RK4 oracle); None until load_scipy() binds them.
+sp = splu = csr_matvec = coo_tocsr = dgttrs = None
 
 
 def load_scipy() -> None:
@@ -59,10 +59,10 @@ def load_scipy() -> None:
     as globals of this module.  Everything that solves calls this first;
     :func:`~releasesim.scenario.parallel_map` calls it before it forks, so
     its workers inherit SciPy rather than each importing it."""
-    global sp, splu, csr_matvec, dgttrs
+    global sp, splu, csr_matvec, coo_tocsr, dgttrs
     if dgttrs is None:  # bound last, so a failed import is retried
         import scipy.sparse as sp
-        from scipy.sparse._sparsetools import csr_matvec
+        from scipy.sparse._sparsetools import coo_tocsr, csr_matvec
         from scipy.sparse.linalg import splu
         from scipy.linalg.lapack import dgttrs
 
@@ -301,15 +301,16 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
     kinetics = {("c0s", "c0s"): -r, ("c0s", "c0"): q, ("c0", "c0s"): r, ("c0", "c0"): -q,
                 ("c1s", "c1"): p.ka, ("c1s", "c1s"): -s, ("c1", "c1s"): p.kd,
                 ("c1", "c1"): -p.ka, ("ci", "c1s"): p.ki, ("ci", "ci"): -p.kid}
-    for (name, col), rate in kinetics.items():
-        add(off[name] + nodes[name], off[col] + nodes[name], rate)
+    entries.append((np.concatenate([off[name] + nodes[name] for name, _ in kinetics]),
+                    np.concatenate([off[col] + nodes[name] for name, col in kinetics]),
+                    np.repeat([*kinetics.values()], [len(nodes[name]) for name, _ in kinetics])))
     for name, rate in (("c0s", -src), ("c0", src)):
         g[off[name] + nodes[name]] = rate
 
     rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
     L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    C = sp.csr_matrix((list(ties.values()), tuple(np.reshape(list(ties), (-1, 2)).T)),
-                      shape=(n, n))
+    C = _compressed(sp.csr_matrix, n, *np.reshape(list(ties), (-1, 2)).T,
+                    np.array(list(ties.values())))
     return L, g, C
 
 
@@ -317,20 +318,21 @@ def _assemble(grid: CompositeGrid, p: DimensionlessParams, outer_bc: str):
 _STABLE_TOL = 1e-9
 
 
-def _check_stable(grid: CompositeGrid, L, C, free, dt: float, theta: float) -> None:
+def _check_stable(grid: CompositeGrid, L, C, keep, dt: float, theta: float) -> None:
     """Refuse a theta < 1/2 step whose step matrix has spectral radius above 1.
 
     With each constrained unknown solved from its row of C, the scheme steps
-    the ``free`` unknowns by a matrix L_r.  An eigenvalue z of dt*L_r gives
-    (1 + (1-theta)*z) / (1 - theta*z), at most 1 in modulus exactly on the
-    disc of centre -c and radius c, c = 1/(1 - 2*theta).  Gershgorin column
-    discs of dt*L_r, weighted by each unknown's drug mass, that all lie in
-    that disc prove stability; else the eigenvalues of L_r decide.
+    the free unknowns (``keep``) by a matrix L_r.  An eigenvalue z of dt*L_r
+    gives (1 + (1-theta)*z) / (1 - theta*z), at most 1 in modulus exactly on
+    the disc of centre -c and radius c, c = 1/(1 - 2*theta).  Gershgorin
+    column discs of dt*L_r, weighted by each unknown's drug mass, that all lie
+    in that disc prove stability; else the eigenvalues of L_r decide.
     """
-    solve = sp.identity(L.shape[0], format="csr") - C
-    w = (solve.T @ np.concatenate([grid.layer_weights(layer)
-                                   for _, layer in FIELD_TABLE.values()]))[free]
-    z = (dt * (L @ solve))[free][:, free]
+    weights = np.concatenate([grid.layer_weights(layer) for _, layer in FIELD_TABLE.values()])
+    free, tied = np.flatnonzero(keep), np.flatnonzero(~keep)
+    ties = C[tied][:, free]   # C is the identity on the tied columns: u_tied = -ties @ u_free
+    w = weights[free] - ties.T @ weights[tied]
+    z = dt * (L[free][:, free] - L[free][:, tied] @ ties)
     centre, c = z.diagonal(), 1.0 / (1.0 - 2.0 * theta)
     if np.all(np.abs(centre + c) + (abs(z).T @ w) / w - np.abs(centre) <= c + _STABLE_TOL):
         return
@@ -356,6 +358,34 @@ def _kernel_step(R, src, solve):
     return step
 
 
+def _compressed(form, n: int, major, minor, vals):
+    """The n x n CSR or CSC ``form`` of the entries at (major, minor), each row
+    or column in the order given: SciPy's COO-to-CSR kernel, a counting sort.
+    Its indices are C ints, as SciPy and SuperLU store them."""
+    ptr, idx, data = np.empty(n + 1, np.intc), np.empty(len(vals), np.intc), np.empty(len(vals))
+    coo_tocsr(n, n, len(vals), major.astype(np.intc), minor.astype(np.intc), vals, ptr, idx, data)
+    return form((data, idx, ptr), shape=(n, n))
+
+
+def _step_matrices(L, C, keep, a: float, b: float):
+    """A, the kept rows of I - a*L with the rows of C, as CSC, and B, the kept
+    rows of I + b*L, as CSR, in O(nnz).  Array for array they are SciPy's
+    ``(diags(keep) @ (I - a*L) + C).tocsc()`` and ``diags(keep) @ (I + b*L)``:
+    every kept row of L holds its diagonal, exact zeros are dropped, and B
+    holds each row's entries in descending column order, as the CSR kernel sums."""
+    n = len(keep)
+    rows = np.repeat(np.arange(n), np.diff(L.indptr))
+    eye, kept = (L.indices == rows).astype(float), keep[rows]
+    vals = eye + b * L.data
+    on = np.flatnonzero(kept & (vals != 0))[::-1]   # backwards: descending columns
+    B = _compressed(sp.csr_matrix, n, rows[on], L.indices[on], vals[on])
+    vals, tie = eye - a * L.data, np.flatnonzero(C.data)
+    on, c_rows = kept & (vals != 0), np.repeat(np.arange(n), np.diff(C.indptr))[tie]
+    at = np.searchsorted(rows[on], c_rows)   # C's rows in their place, for ascending rows
+    return _compressed(sp.csc_matrix, n, *(np.insert(x[on], at, y) for x, y in (
+        (L.indices, C.indices[tie]), (rows, c_rows), (vals, C.data[tie])))), B
+
+
 class ThetaStepper:
     """The theta step's operands, bound once: R, the source and the factorized
     step matrix; ``_step(u)`` is the bare step (:func:`_kernel_step`).  Only
@@ -364,14 +394,11 @@ class ThetaStepper:
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
         L, g, C = _assemble(grid, p, config.outer_bc)
-        keep = (C.getnnz(axis=1) == 0).astype(float)
-        keep_diag = sp.diags(keep)
-        eye = sp.identity(L.shape[0], format="csr")
+        keep = np.diff(C.indptr) == 0
         dt, theta = config.dt, config.theta
         if theta < 0.5:
-            _check_stable(grid, L, C, np.flatnonzero(keep), dt, theta)
-        self._lhs = (keep_diag @ (eye - theta * dt * L) + C).tocsc()
-        self._rhs_mat = (keep_diag @ (eye + (1.0 - theta) * dt * L)).tocsr()
+            _check_stable(grid, L, C, keep, dt, theta)
+        self._lhs, self._rhs_mat = _step_matrices(L, C, keep, theta * dt, (1.0 - theta) * dt)
         self._rhs_src = dt * g * keep
         try:
             self._lu = splu(self._lhs)
@@ -394,8 +421,10 @@ def _block_diagonal(steppers: list[ThetaStepper]):
     R = sp.csr_matrix((np.concatenate([r.data for r in Rs]), np.concatenate(columns),
                        np.concatenate([[0], *(np.diff(r.indptr) for r in Rs)]).cumsum()),
                       shape=(offsets[-1], offsets[-1]))
-    lu = splu(sp.block_diag([s._lhs[:, np.argsort(perm)] for s, perm in zip(steppers, perms)],
-                            format="csc"), permc_spec="NATURAL")
+    # column j of a run's step matrix is column perm[j] of its block (rule 1)
+    lu = splu(_compressed(sp.csc_matrix, offsets[-1], *(np.concatenate(x) for x in zip(*(
+        (k + np.repeat(perm, np.diff(s._lhs.indptr)), k + s._lhs.indices, s._lhs.data)
+        for s, perm, k in zip(steppers, perms, offsets))))), permc_spec="NATURAL")
     return _kernel_step(R, np.concatenate([s._rhs_src for s in steppers]), lu.solve), perms
 
 

@@ -675,12 +675,22 @@ class TestCliSweep:
         assert [line.split()[:2] for line in table] == [
             ["%.4g" % v, "ok"] for v in space(0.1, 0.5, 3)]
 
+    @pytest.mark.parametrize("log", [[], ["--log"]], ids=["linear", "log"])
+    def test_a_one_point_range_is_its_one_value(self, tmp_path, capsys, log):
+        assert main(["sweep", "--out", str(tmp_path / "x"), "--param", "ka",
+                     "--range", "0.3", "0.3", "1", *log,
+                     "--nx0", "4", "--nx1", "4", "--t-end", "0.2", "--dt", "0.1"]) == 0
+        assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()[-1:]] == [
+            ["0.3", "ok"]]
+
     @pytest.mark.parametrize("bad", [
         ["--range", "nan", "0.5", "3"],
         ["--range", "0.1", "inf", "3"],
         ["--range", "0.1", "0.5", "0"],
         ["--range", "0.1", "0.5", "2.5"],
         ["--range", "0.1", "0.5", "three"],
+        ["--range", "0.1", "0.5", "1"],
+        ["--range", "0.1", "0.5", "1", "--log"],
         ["--range", "0", "0.5", "3", "--log"],
         ["--range", "0.1", "-0.5", "3", "--log"],
         ["--values", "0.1,0.5", "--log"],

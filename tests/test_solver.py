@@ -362,6 +362,16 @@ class TestBatchedMarch:
         rs.simulate(ref_params, rs.make_grid(ref_params, 8, 8), rs.SolverConfig(t_end=1.0))
         assert calls == [{}]
 
+    def test_a_batch_factorizes_each_run_then_the_whole_once(self, ref_params, monkeypatch):
+        solver.load_scipy()
+        splu, calls = solver.splu, []
+        monkeypatch.setattr(solver, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
+        cfg = rs.SolverConfig(t_end=1.0)
+        runs = [solver.prepare(p, rs.make_grid(p, 8, 8), cfg)
+                for p in (replace(ref_params, ka=ka) for ka in (0.5, 1.0, 2.0))]
+        assert solver.march(runs) == [None] * 3
+        assert calls == [{}] * 3 + [{"permc_spec": "NATURAL"}]
+
     def test_the_runs_of_a_batch_share_one_config(self, ref_params):
         grid = rs.make_grid(ref_params, 8, 8)
         runs = [solver.prepare(ref_params, grid, rs.SolverConfig(dt=dt, t_end=1.0))
@@ -721,3 +731,75 @@ class TestOperator:
     def test_operator_is_pinned(self, ref_params, pm, outer_bc):
         key = f"pm={pm:g} {outer_bc}"
         assert operator_digest(ref_params, pm, outer_bc) == self.DIGESTS[key]
+
+
+def sparse_arithmetic_operands(L, g, C, dt, theta):
+    """The step operands as SciPy's sparse arithmetic forms them, the
+    reference the stepper's direct build must equal array for array."""
+    sp = solver.sp
+    keep = (C.getnnz(axis=1) == 0).astype(float)
+    keep_diag, eye = sp.diags(keep), sp.identity(L.shape[0], format="csr")
+    lhs = (keep_diag @ (eye - theta * dt * L) + C).tocsc()
+    rhs = (keep_diag @ (eye + (1.0 - theta) * dt * L)).tocsr()
+    return lhs, rhs, dt * g * keep
+
+
+def assert_same_arrays(got, want):
+    """Equal formats, and equal arrays to the byte: dtype, order and the sign of 0."""
+    assert got.format == want.format and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+class TestStepOperands:
+    """The stepper builds A, B and the source from _assemble's arrays; they
+    are, array for array, what SciPy's sparse arithmetic makes of L, g and C,
+    entry order of B included, so SuperLU factorizes the same matrix."""
+
+    @pytest.mark.parametrize("theta, dt", [(0.25, 1e-4), (0.5, 0.01), (1.0, 0.01)])
+    @pytest.mark.parametrize("pm", [np.inf, 3.0, 0.0], ids=["pm=inf", "pm=3", "pm=0"])
+    @pytest.mark.parametrize("outer_bc", [rs.ZERO_FLUX, rs.SINK])
+    @pytest.mark.parametrize("kid", [None, 0.0], ids=["kid", "kid=0"])
+    @pytest.mark.parametrize("nx", [4, 8, 64])
+    def test_a_run_s_operands_are_the_sparse_arithmetic_s(self, ref_params, theta, dt, pm,
+                                                          outer_bc, kid, nx):
+        p = replace(ref_params, pm=pm, sigma=1.4, kid=ref_params.kid if kid is None else kid)
+        grid = rs.make_grid(p, nx, nx)
+        cfg = rs.SolverConfig(dt=dt, t_end=dt, theta=theta, outer_bc=outer_bc)
+        stepper = rs.ThetaStepper(grid, p, cfg)
+        lhs, rhs, src = sparse_arithmetic_operands(*solver._assemble(grid, p, outer_bc), dt, theta)
+        assert_same_arrays(stepper._lhs, lhs)
+        assert_same_arrays(stepper._rhs_mat, rhs)
+        assert stepper._rhs_src.tobytes() == src.tobytes()
+        lu = solver.splu(lhs)
+        for name in ("perm_c", "perm_r"):
+            assert np.array_equal(getattr(stepper._lu, name), getattr(lu, name)), name
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("pm, outer_bc", [(np.inf, rs.ZERO_FLUX), (3.0, rs.SINK)])
+    def test_a_batch_s_operands_are_the_sparse_arithmetic_s(self, ref_params, monkeypatch,
+                                                            theta, pm, outer_bc):
+        cfg = rs.SolverConfig(dt=0.05, t_end=0.1, theta=theta, outer_bc=outer_bc)
+        steppers = []
+        for nx, ka in [(4, 0.5), (8, 1.0), (64, 2.0)]:
+            p = replace(ref_params, pm=pm, ka=ka)
+            steppers.append(rs.ThetaStepper(rs.make_grid(p, nx, nx + 3), p, cfg))
+        built = {}
+        splu, kernel_step = solver.splu, solver._kernel_step
+        monkeypatch.setattr(solver, "splu", lambda a, **kw: built.update(lhs=a) or splu(a, **kw))
+        monkeypatch.setattr(solver, "_kernel_step",
+                            lambda R, src, solve: built.update(R=R, src=src) or kernel_step(
+                                R, src, solve))
+        _, perms = solver._block_diagonal(steppers)
+        sp = solver.sp
+        assert_same_arrays(built["lhs"], sp.block_diag(
+            [s._lhs[:, np.argsort(perm)] for s, perm in zip(steppers, perms)], format="csc"))
+        Rs, offsets = [s._rhs_mat for s in steppers], np.cumsum([0, *map(len, perms)])
+        R = sp.csr_matrix((np.concatenate([r.data for r in Rs]),
+                           np.concatenate([k + perm[r.indices]
+                                           for r, perm, k in zip(Rs, perms, offsets)]),
+                           np.concatenate([[0], *(np.diff(r.indptr) for r in Rs)]).cumsum()),
+                          shape=(offsets[-1], offsets[-1]))
+        assert_same_arrays(built["R"], R)
+        assert built["src"].tobytes() == np.concatenate([s._rhs_src for s in steppers]).tobytes()
