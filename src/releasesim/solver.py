@@ -21,9 +21,9 @@ new time level.  The step matrix is factorized once per
 A step is one call of SciPy's CSR matrix-vector kernel for the right-hand
 side, one addition of the source, one SuperLU solve and a finiteness test:
 a dot product with a zero vector, NaN exactly when an entry is NaN or
-infinite (0*inf is NaN).  :func:`march` alone takes steps: a batch of runs
-as one block-diagonal system, bit for bit as each alone, and a lone run
-(:func:`simulate`) by its own stepper.  The kernel is called directly, not
+infinite (0*inf is NaN).  :func:`march` alone takes steps: a batch of runs,
+a lone run (:func:`simulate`) being a batch of one, as one block-diagonal
+system, bit for bit as each run's own LU.  The kernel is called directly, not
 through ``R @ u``: the operator's dispatch (type, shape and upcast checks)
 cost more than the product itself on the grids the CLI runs.  It is the
 call ``R @ u`` makes, on the same operands in the same order, so every
@@ -388,9 +388,8 @@ def _step_matrices(L, C, keep, a: float, b: float):
 
 class ThetaStepper:
     """The theta step's operands, bound once: R, the source and the factorized
-    step matrix; ``_step(u)`` is the bare step (:func:`_kernel_step`).  Only
-    :func:`march` steps with them.
-    """
+    step matrix, whose COLAMD column order ``_lu.perm_c`` orders the run's
+    block in :func:`_block_diagonal`.  Only :func:`march` steps with them."""
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
         L, g, C = _assemble(grid, p, config.outer_bc)
@@ -406,16 +405,14 @@ class ThetaStepper:
             raise NumericalError(
                 f"step matrix factorization failed (dt={dt}, theta={theta}): {exc}"
             ) from exc
-        self._step = _kernel_step(self._rhs_mat, self._rhs_src, self._lu.solve)
 
 
 def _block_diagonal(steppers: list[ThetaStepper]):
-    """The steppers' runs as one block-diagonal step, and the column order of
-    each run's block (None: a lone run takes its own step).  Each block keeps
-    its lone run's bits by the two rules of README "Numerics"."""
-    if len(steppers) == 1:
-        return steppers[0]._step, [None]
-    perms, Rs = [s._lu.perm_c for s in steppers], [s._rhs_mat for s in steppers]
+    """The steppers' runs, one or more, as one block-diagonal step, and the
+    column order of each run's block, as intp: :func:`march` gathers every
+    sample by it.  Each block keeps the bits of a loop of its run's own LU
+    by the two rules of README "Numerics"."""
+    perms, Rs = [s._lu.perm_c.astype(np.intp) for s in steppers], [s._rhs_mat for s in steppers]
     offsets = np.cumsum([0, *map(len, perms)])
     columns = [k + perm[r.indices] for r, perm, k in zip(Rs, perms, offsets)]
     R = sp.csr_matrix((np.concatenate([r.data for r in Rs]), np.concatenate(columns),
@@ -482,25 +479,30 @@ def prepare(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
 
 
 def march(runs: list) -> list[NumericalError | None]:
-    """Step ``runs`` (each from :func:`prepare`, all on one config) as one
-    system, bit for bit as each alone, into their series.  Each run's
-    failure, or None: a run whose state turns non-finite fails at its step's
-    clock, read from its own series, and is zeroed, its samples unfinished;
-    the loop stops once all have failed."""
+    """Step ``runs`` (each from :func:`prepare`, all on one config) into their
+    series as one block-diagonal system, a lone run as a batch of one.  Each
+    run's failure, or None: a run whose state turns non-finite fails at its
+    step's clock, read from its own series, and is zeroed, its samples
+    unfinished; the loop stops once all have failed.  No step, no build."""
     series, steppers, states = zip(*runs)
     config = series[0].config
     if any(ts.config != config for ts in series):
         raise ValueError("the runs of a batch must share one SolverConfig")
+    errors = [None] * len(runs)
+    for ts, s in zip(series, states):
+        ts.u[0] = s
     idx = sample_indices(config.n_steps, config.sample_every)
-    step, perms = _block_diagonal(steppers) if len(idx) > 1 else (None, [None] * len(runs))
+    if len(idx) == 1:
+        return errors
+    step, perms = _block_diagonal(steppers)
     blocks = [slice(a, b) for a, b in pairwise(np.cumsum([0, *map(len, states)]))]
-    u = np.concatenate([s if perm is None else s[np.argsort(perm)]
-                        for s, perm in zip(states, perms)])
-    nonfinite, errors = np.zeros(len(u)).dot, [None] * len(runs)
+    # each run's state in its block's column order: entry j at perm[j]
+    u = np.concatenate([s[np.argsort(perm)] for s, perm in zip(states, perms)])
+    nonfinite = np.zeros(len(u)).dot
     # test every step: at theta = 1 a NaN in a constrained unknown is gone a step later
     with np.errstate(invalid="ignore"):
-        for k in range(len(idx)):
-            for j in range(idx[k - 1] + 1, idx[k] + 1) if k else ():
+        for k, (a, b) in enumerate(pairwise(idx), 1):
+            for j in range(a + 1, b + 1):
                 u = step(u)
                 if nonfinite(u):
                     for i, block in enumerate(blocks):
@@ -511,11 +513,8 @@ def march(runs: list) -> list[NumericalError | None]:
                             u[block] = 0.0
                     if all(errors):
                         return errors
-            for ts, block in zip(series, blocks):
-                ts.u[k] = u[block]
-    for ts, perm in zip(series, perms):
-        if perm is not None:
-            ts.u[:] = ts.u[:, perm]
+            for ts, block, perm in zip(series, blocks, perms):
+                ts.u[k] = u[block][perm]
     return errors
 
 

@@ -503,20 +503,19 @@ class TestCliSimulate:
     def test_failure_mid_run_leaves_trajectory_files_as_they_were(self, tmp_path, capsys,
                                                                   monkeypatch, workers):
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
-        init = rs.ThetaStepper.__init__
+        kernel_step = solver._kernel_step
 
-        def init_failing(self, *args):
-            # the loop calls the stepper's bare step; from step 101 it yields a NaN
-            init(self, *args)
-            step, steps = self._step, itertools.count(1)
+        def failing_step(R, src, solve):
+            # the loop's bound step; from step 101 it yields a NaN in the run's block
+            step, steps = kernel_step(R, src, solve), itertools.count(1)
 
             def failing(u):
                 u_new = step(u)
                 if next(steps) > 100:
                     u_new[0] = np.nan
                 return u_new
-            self._step = failing
-        monkeypatch.setattr(rs.ThetaStepper, "__init__", init_failing)
+            return failing
+        monkeypatch.setattr(solver, "_kernel_step", failing_step)
         out = tmp_path / "o"
         out.mkdir()
         before = {"matrix.csv": b"old matrix\n", "tissue.csv": b"old tissue\n"}

@@ -329,19 +329,23 @@ class TestKernelStep:
 
 class TestBatchedMarch:
     """Runs stepped together as one block-diagonal system hold, to the last
-    bit, the samples each holds stepped alone; a lone run factorizes once."""
+    bit, the samples of a loop of each run's own LU; a lone run is a batch
+    of one."""
 
     @given(pm=st.sampled_from([np.inf, 0.8, 3.0]), sigma=st.sampled_from([1.0, 1.4, 1.5]),
            theta=st.sampled_from([0.5, 1.0]), outer_bc=st.sampled_from([rs.ZERO_FLUX, rs.SINK]),
            nx=st.tuples(st.integers(4, 14), st.integers(4, 14)), every=st.integers(1, 9),
            name=st.sampled_from(["ka", "kid", "d1", "km", "l1"]),
-           values=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=scenario.BATCH_CAP + 3))
+           values=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=scenario.BATCH_CAP + 3),
+           t_end=st.just(2.0))
     @example(pm=1.4, sigma=1.5, theta=1.0, outer_bc=rs.SINK, nx=(5, 13), every=3, name="l1",
-             values=[0.1 * k for k in range(1, scenario.BATCH_CAP + 4)])
+             values=[0.1 * k for k in range(1, scenario.BATCH_CAP + 4)], t_end=2.0)
+    @example(pm=0.8, sigma=1.4, theta=0.5, outer_bc=rs.ZERO_FLUX, nx=(6, 9), every=2, name="l1",
+             values=[0.5, 1.0, 2.0], t_end=0.0)   # no step: each run holds its initial state
     @settings(max_examples=25)
     def test_every_run_of_a_batch_is_its_lone_run(self, ref_params, pm, sigma, theta, outer_bc,
-                                                  nx, every, name, values):
-        cfg = rs.SolverConfig(dt=0.05, t_end=2.0, theta=theta, outer_bc=outer_bc,
+                                                  nx, every, name, values, t_end):
+        cfg = rs.SolverConfig(dt=0.05, t_end=t_end, theta=theta, outer_bc=outer_bc,
                               sample_every=every)
         runs, lone = [], []
         for v in values:
@@ -349,28 +353,22 @@ class TestBatchedMarch:
             p = replace(ref_params, pm=pm, sigma=sigma, **{name: 1.0 + v if name == "l1" else v})
             grid = rs.make_grid(p, *nx)
             runs.append(solver.prepare(p, grid, cfg))
-            lone.append(rs.simulate(p, grid, cfg))
+            lone.append(operator_reference(p, grid, cfg))
         assert solver.march(runs) == [None] * len(values)
         for (ts, _, _), alone in zip(runs, lone):
-            assert ts.grid == alone.grid
-            assert np.array_equal(ts.u, alone.u)
+            assert np.array_equal(ts.u, alone)
 
-    def test_a_lone_run_factorizes_once(self, ref_params, monkeypatch):
-        solver.load_scipy()
-        splu, calls = solver.splu, []
-        monkeypatch.setattr(solver, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
-        rs.simulate(ref_params, rs.make_grid(ref_params, 8, 8), rs.SolverConfig(t_end=1.0))
-        assert calls == [{}]
-
-    def test_a_batch_factorizes_each_run_then_the_whole_once(self, ref_params, monkeypatch):
+    @pytest.mark.parametrize("kas", [(1.0,), (0.5, 1.0, 2.0)], ids=["lone", "batch"])
+    def test_a_batch_factorizes_each_run_then_the_whole_once(self, ref_params, monkeypatch,
+                                                             kas):
         solver.load_scipy()
         splu, calls = solver.splu, []
         monkeypatch.setattr(solver, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
         cfg = rs.SolverConfig(t_end=1.0)
         runs = [solver.prepare(p, rs.make_grid(p, 8, 8), cfg)
-                for p in (replace(ref_params, ka=ka) for ka in (0.5, 1.0, 2.0))]
-        assert solver.march(runs) == [None] * 3
-        assert calls == [{}] * 3 + [{"permc_spec": "NATURAL"}]
+                for p in (replace(ref_params, ka=ka) for ka in kas)]
+        assert solver.march(runs) == [None] * len(kas)
+        assert calls == [{}] * len(kas) + [{"permc_spec": "NATURAL"}]
 
     def test_the_runs_of_a_batch_share_one_config(self, ref_params):
         grid = rs.make_grid(ref_params, 8, 8)
@@ -574,21 +572,21 @@ class TestNonFiniteStates:
         # clears a NaN there: only a test of every step sees it
         u = rs.initialize(grid)
         u[pin] = np.nan
-        assert np.isfinite(rs.ThetaStepper(grid, ref_params, cfg)._step(u)).all() == (
-            theta == 1.0)
-        splu, solves = solver.splu, []
+        stepper = rs.ThetaStepper(grid, ref_params, cfg)
+        step = solver._kernel_step(stepper._rhs_mat, stepper._rhs_src, stepper._lu.solve)
+        assert np.isfinite(step(u)).all() == (theta == 1.0)
+        at = stepper._lu.perm_c[pin]   # the pin's place in the run's block
+        kernel_step, solves = solver._kernel_step, []
 
-        class NaNAtStepTen:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, rhs):
+        def nan_at_step_ten(R, src, solve):
+            def solve_then_poison(rhs):
                 solves.append(1)
-                u_new = self.lu.solve(rhs)
+                u_new = solve(rhs)
                 if len(solves) == 10:   # between samples 7 and 14
-                    u_new[pin] = np.nan
+                    u_new[at] = np.nan
                 return u_new
-        monkeypatch.setattr(solver, "splu", lambda a: NaNAtStepTen(splu(a)))
+            return kernel_step(R, src, solve_then_poison)
+        monkeypatch.setattr(solver, "_kernel_step", nan_at_step_ten)
         with pytest.raises(NumericalError) as err:
             rs.simulate(ref_params, grid, cfg, t0=3.0)
         assert str(err.value) == "non-finite solution while advancing to t=3.5; reduce dt"
