@@ -10,9 +10,9 @@ sweep        rerun a scenario across one parameter's values
 Exit codes: 0 success, 1 invalid config/parameters or a run too large to
 allocate (``MemoryError``), 2 numerical failure (``OverflowError`` and
 ``ZeroDivisionError`` too) or failed verification, 3 I/O failure, 4 a
-worker process of ``sweep`` or ``verify`` died before it sent back its
-jobs' results (no answer file is written).  Fatal errors also emit one JSON
-line on stderr with the error class and message.
+worker process of ``sweep`` or ``verify``, or ``simulate``'s writer, died
+before it sent back its results (no answer file is written).  Fatal errors
+also emit one JSON line on stderr with the error class and message.
 
 ``sweep`` points and ``verify`` checks are independent jobs; they go to
 forked worker processes through :func:`releasesim.scenario.parallel_map`,
@@ -21,11 +21,13 @@ worker, each batch's runs stepped as one system (``scenario.map_param``).
 ``verify``'s jobs go out longest first: the convergence study, the oracle's
 three balances, one job each on the one grid the command builds, the mass
 check, then the residuals.
-``simulate`` runs in this process: its time loop, then the writers of its
-two trajectory files (``matrix.csv``, ``tissue.csv``).  Each writer writes a
-temp file; both are renamed onto their names only once both have returned,
-both or neither, so a run that fails (in the loop, in a writer or in a
-rename) leaves both files as they were.
+``simulate`` writes its two trajectory files (``matrix.csv``,
+``tissue.csv``) from one writer process beside its time loop
+(``scenario.beside``) where ``scenario.can_fork(2)``, else after the loop in
+this process; the writer writes each file's chunks as the loop stores their
+samples, and each writer hashes as it writes.  Both go to temp files, renamed
+onto their names only once both are complete, both or neither, so a run that
+fails (in the loop, in a writer or in a rename) leaves both files as they were.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from .metrics import release_metrics, sweep as run_sweep
 from .params import DimensionlessParams
 from .runio import (hash_file, load_config, replacing, spec_to_config, spell_infinite_pm,
                     write_analytic_csv, write_flux_mismatch_csv, write_json,
-                    write_matrix_csv, write_sweep_csv, write_tissue_csv)
-from .scenario import CONFIG_FIELDS, RunSpec, parallel_map, run_spec
-from .solver import SINK, ZERO_FLUX, make_grid, sample_times
+                    write_matrix_csv, write_sweep_csv, write_tissue_csv, write_trajectories)
+from .scenario import CONFIG_FIELDS, RunSpec, beside, can_fork, parallel_map, run_spec
+from .solver import SINK, ZERO_FLUX, make_grid, prepare, sample_times, simulate_all
 from .verification import (check_convergence, check_mass, check_residuals,
                            convergence_study, mass_audit, ode_oracle, oracle_jobs)
 
@@ -150,10 +152,11 @@ def _warn_still_rising(metrics, prefix: str = "") -> None:
                   "of the run; its peak metrics are lower bounds", file=sys.stderr)
 
 
-def _finish(out: Path, args, spec: RunSpec, p, started: str,
-            artifact_names: list[str], extra: dict | None = None) -> None:
-    """Write config.resolved.json and the run manifest with output hashes;
-    ``extra`` goes into the manifest, an "analytic" mode also into the config."""
+def _finish(out: Path, args, spec: RunSpec, p, started: str, artifact_names: list[str],
+            extra: dict | None = None, digests: dict | None = None) -> None:
+    """Write config.resolved.json and the run manifest with output hashes,
+    those in ``digests`` (name -> SHA-256) as taken while writing; ``extra``
+    goes into the manifest, an "analytic" mode also into the config."""
     extra = extra or {}
     write_json(out / "config.resolved.json", spec_to_config(spec, extra.get("analytic")))
     names = artifact_names + ["config.resolved.json"]
@@ -164,7 +167,8 @@ def _finish(out: Path, args, spec: RunSpec, p, started: str,
                    "dimensionless": spell_infinite_pm(asdict(p))},
         "started": started,
         "finished": _now(),
-        "outputs": {name: hash_file(out / name) for name in names},
+        "outputs": {name: (digests or {}).get(name) or hash_file(out / name)
+                    for name in names},
         **extra,
     }
     write_json(out / "run.json", manifest)
@@ -174,16 +178,22 @@ def _finish(out: Path, args, spec: RunSpec, p, started: str,
 
 def _cmd_simulate(args) -> int:
     started, spec, _, out, p = _begin(args)
-    with replacing(out / "matrix.csv", out / "tissue.csv") as (matrix_tmp, tissue_tmp):
-        ts = run_spec(spec)
-        write_matrix_csv(matrix_tmp, ts)
-        write_tissue_csv(tissue_tmp, ts)
+    trajectories = ["matrix.csv", "tissue.csv"]
+    with replacing(*(out / name for name in trajectories)) as temps:
+        if spec.solver.n_steps and can_fork(2):
+            run = prepare(p, make_grid(p, spec.nx0, spec.nx1), spec.solver)
+            ts = run[0]
+            digests = beside(lambda progress: simulate_all([run], progress),
+                             lambda wait: write_trajectories(*temps, ts, wait))
+        else:
+            ts = run_spec(spec)
+            digests = write_matrix_csv(temps[0], ts), write_tissue_csv(temps[1], ts)
     ledger = mass_audit(ts)
     metrics = release_metrics(ts, ledger=ledger)
     write_json(out / "metrics.json", metrics)
     write_json(out / "ledger.json", ledger)
-    _finish(out, args, spec, p, started,
-            ["matrix.csv", "tissue.csv", "metrics.json", "ledger.json"])
+    _finish(out, args, spec, p, started, [*trajectories, "metrics.json", "ledger.json"],
+            digests=dict(zip(trajectories, digests)))
     _warn_still_rising(metrics)
     print(f"matrix fraction {metrics.matrix_fraction:.4f}, "
           f"degraded fraction {metrics.degraded_fraction:.4f} at t={metrics.t_end:g}")

@@ -63,18 +63,11 @@ def _jsonable(obj):
     return obj
 
 
-def _write_text(path, head: str, lines=()) -> None:
-    """An answer file: ``head``, then ``lines``, which are UTF-8 bytes.  The
-    text's own newlines are LF."""
-    with open(path, "wb") as fh:
-        fh.write(head.encode("utf-8"))
-        fh.writelines(lines)
-
-
 def write_json(path, obj) -> None:
     """Deterministic JSON: sorted keys, two-space indent, LF, UTF-8."""
-    _write_text(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2,
-                                 separators=(",", ": "), allow_nan=False) + "\n")
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, separators=(",", ": "),
+                      allow_nan=False) + "\n"
+    _write_chunks([path], [[(0, text.encode)]])
 
 
 _HASH_CHUNK = 1 << 20
@@ -380,40 +373,65 @@ def _lines(t: np.ndarray, mid: np.ndarray, per_line: int, rows) -> bytearray:
     return buf.translate(None, b"\0")
 
 
-def _write_blocks(path, header: list[str], cells: list[str], per_line: int,
-                  times, rows) -> None:
-    """Long-format answer file, one block of lines per time: line i is t,
-    ``cells[i]``, then the next ``per_line`` values of the time's row.
-    ``rows(a, b)`` gives the rows of samples a to b as a 2-D float array;
-    they are asked for in chunks of about _CHUNK values.
-    """
+def _chunks(header: list[str], cells: list[str], per_line: int, times, rows):
+    """A long-format answer file as the ``(samples, text)`` chunks of
+    :func:`_write_chunks`: the header line, then a block of lines per time,
+    where line i is t, ``cells[i]``, then the next ``per_line`` values of the
+    time's row.  ``rows(a, b)`` gives the rows of samples a to b as a 2-D
+    float array, in chunks of about _CHUNK values."""
     t = _padded(_texts(times))
     mid = _padded(f",{cell}," for cell in cells)
     step = max(1, _CHUNK // (len(cells) * per_line))
-    _write_text(path, ",".join(header) + "\n",
-                (_lines(t[a:a + step], mid, per_line, rows(a, min(a + step, len(t))))
-                 for a in range(0, len(t), step)))
+    yield 0, (",".join(header) + "\n").encode
+    for a in range(0, len(t), step):
+        b = min(a + step, len(t))
+        yield b, lambda a=a, b=b: _lines(t[a:b], mid, per_line, rows(a, b))
 
 
-def _write_layer(path, ts: TimeSeries, layer: str) -> None:
-    """Long-format trajectory of one layer: t, x, then its fields' labels."""
+def _write_chunks(paths, files, wait=lambda samples: None) -> list[str]:
+    """Write each of ``paths`` from its file's chunks, ``(samples, text)``
+    pairs in file order whose ``text()`` makes the next bytes from the first
+    ``samples`` samples only: all files' chunks in sample order, each once
+    ``wait(samples)`` has returned.  The SHA-256 hex digest of each file."""
+    hashes = [hashlib.sha256() for _ in paths]
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "wb")) for path in paths]
+        for samples, i, text in sorted(((samples, i, text) for i, chunks in enumerate(files)
+                                        for samples, text in chunks), key=lambda c: c[:2]):
+            wait(samples)
+            data = text()
+            handles[i].write(data)
+            hashes[i].update(data)
+    return [h.hexdigest() for h in hashes]
+
+
+def _layer_chunks(ts: TimeSeries, layer: str):
+    """The chunks of one layer's long-format trajectory: t, x, then its
+    fields' labels."""
     names = LAYER_FIELDS[layer]
     # a file row's columns of the packed state: the fields interleaved by node
     cols = (np.arange(ts.grid.layer_nodes(layer))[:, None]
             + [ts.grid.field_slice(name).start for name, _ in names]).ravel()
-    _write_blocks(path, ["t", "x", *(label for _, label in names)],
-                  _texts(ts.grid.layer_x(layer)), len(names), ts.times,
-                  lambda a, b: ts.u[a:b, cols])
+    return _chunks(["t", "x", *(label for _, label in names)],
+                   _texts(ts.grid.layer_x(layer)), len(names), ts.times,
+                   lambda a, b: ts.u[a:b, cols])
 
 
-def write_matrix_csv(path, ts: TimeSeries) -> None:
-    """Long-format matrix-layer trajectory: t, x, C0_star, C0."""
-    _write_layer(path, ts, MATRIX)
+def write_matrix_csv(path, ts: TimeSeries) -> str:
+    """Long-format matrix-layer trajectory: t, x, C0_star, C0; its SHA-256."""
+    return _write_chunks([path], [_layer_chunks(ts, MATRIX)])[0]
 
 
-def write_tissue_csv(path, ts: TimeSeries) -> None:
-    """Long-format tissue-layer trajectory: t, x, C1_star, C1, Ci."""
-    _write_layer(path, ts, TISSUE)
+def write_tissue_csv(path, ts: TimeSeries) -> str:
+    """Long-format tissue-layer trajectory: t, x, C1_star, C1, Ci; its SHA-256."""
+    return _write_chunks([path], [_layer_chunks(ts, TISSUE)])[0]
+
+
+def write_trajectories(matrix_path, tissue_path, ts: TimeSeries, wait) -> list[str]:
+    """:func:`write_matrix_csv` and :func:`write_tissue_csv` at once, each
+    chunk once ``wait(samples)`` has returned: their SHA-256 digests."""
+    return _write_chunks([matrix_path, tissue_path],
+                         [_layer_chunks(ts, layer) for layer in (MATRIX, TISSUE)], wait)
 
 
 def write_analytic_csv(path, times, grid: CompositeGrid, p, ap: AnalyticParams) -> None:
@@ -422,17 +440,17 @@ def write_analytic_csv(path, times, grid: CompositeGrid, p, ap: AnalyticParams) 
     times = np.asarray(times, float)
     cells = [f"{x},{label}" for name, (label, layer) in FIELD_TABLE.items()
              for x in _texts(grid.layer_x(layer))]
-    _write_blocks(path, ["t", "x", "species", "value"], cells, 1, times,
-                  lambda a, b: np.array([analytic_state(p, ap, grid, t)
-                                         for t in times[a:b].tolist()]))
+    _write_chunks([path], [_chunks(["t", "x", "species", "value"], cells, 1, times,
+                                   lambda a, b: np.array([analytic_state(p, ap, grid, t)
+                                                          for t in times[a:b].tolist()]))])
 
 
 def write_flux_mismatch_csv(path, times, flux_matrix, flux_tissue) -> None:
     """Interface fluxes of the closed-form mode and their gap per time."""
     t, fm, ft = (np.asarray(a, float) for a in (times, flux_matrix, flux_tissue))
     texts = _texts(np.column_stack([t, fm, ft, np.abs(fm - ft)]))
-    _write_text(path, "t,matrix_side,tissue_side,mismatch\n",
-                ["".join(",".join(line) + "\n" for line in zip(*[iter(texts)] * 4)).encode()])
+    text = "".join(",".join(line) + "\n" for line in zip(*[iter(texts)] * 4))
+    _write_chunks([path], [[(0, ("t,matrix_side,tissue_side,mismatch\n" + text).encode)]])
 
 
 def write_sweep_csv(path, rows_in) -> None:
@@ -456,8 +474,8 @@ def write_sweep_csv(path, rows_in) -> None:
     lines = "".join(f"{param},{value},{status},{species},{x},{peak},{t_peak},{t_extinct},"
                     f"{at_end}\n" for (param, status, species, at_end),
                     (value, x, peak, t_peak, t_extinct) in zip(labels, zip(*[iter(texts)] * 5)))
-    _write_text(path, "param,value,status,species,x,peak,t_peak,t_extinct,peak_at_end\n",
-                [lines.encode()])
+    head = "param,value,status,species,x,peak,t_peak,t_extinct,peak_at_end\n"
+    _write_chunks([path], [[(0, (head + lines).encode)]])
 
 
 # ---------------------------------------------------------------------------

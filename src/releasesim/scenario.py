@@ -4,7 +4,9 @@ A :class:`RunSpec` is the unit the CLI, the sweeps, and the sensitivity
 probes all operate on.  Parameter edits go through :func:`replace_param`,
 which addresses any physical parameter by its flat field name.
 Independent runs go to worker processes through :func:`parallel_map`, which
-forks them itself and hands them the items one at a time.
+forks them itself and hands them the items one at a time; :func:`beside`
+forks one process that works beside this one, as the CLI's ``simulate``
+writes its trajectory files beside its time loop.
 :func:`map_param` runs a spec over a parameter's values in contiguous
 batches, at least one per worker and at most ``BATCH_CAP`` values each; a
 worker steps a batch's runs as one block-diagonal system
@@ -13,6 +15,7 @@ worker steps a batch's runs as one block-diagonal system
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import pickle
@@ -110,13 +113,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_context(workers: int):
-    """The fork context for ``workers`` workers, or None: run in-process."""
-    if workers > 1 and _TASK is None and threading.active_count() == 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-    return None
+def can_fork(workers: int) -> bool:
+    """Whether ``workers`` may run as forked processes: at least two, as many
+    usable CPUs, not inside a worker (a nested call), no other thread running
+    (a fork copies their locks in whatever state they are in), and a
+    platform that forks."""
+    return (min(workers, _usable_cpus()) > 1 and _TASK is None
+            and threading.active_count() == 1 and hasattr(os, "fork"))
 
 
 def _flush_std_streams() -> None:
@@ -128,10 +131,25 @@ def _flush_std_streams() -> None:
             pass    # absent, closed or broken: nothing to copy
 
 
+def _send(out, i: int, call: Callable[[], object]) -> None:
+    """Write ``(i, ok, result or exception)`` of ``call()`` to the pipe file
+    ``out`` as one pickle."""
+    try:
+        outcome = i, True, call()
+    except Exception as exc:        # it goes back to the caller, as itself
+        outcome = i, False, exc
+    try:
+        data = pickle.dumps(outcome)
+    except Exception as exc:        # a result or exception that does not pickle
+        data = pickle.dumps((i, False, exc))
+    out.write(data)
+    out.flush()
+
+
 def _work(next_item, fd: int) -> None:
     """A forked worker's jobs: it takes the task's item indices from the
-    shared counter ``next_item`` until none is left, and writes each
-    ``(index, ok, result or exception)`` to the pipe ``fd`` as one pickle."""
+    shared counter ``next_item`` until none is left, and sends each one's
+    outcome to the pipe ``fd``."""
     fn, items = _TASK
     with open(fd, "wb") as out:
         while True:
@@ -140,20 +158,13 @@ def _work(next_item, fd: int) -> None:
                 next_item.value = i + 1
             if i >= len(items):
                 return
-            try:
-                outcome = i, True, fn(items[i])
-            except Exception as exc:        # it goes back to the caller, as itself
-                outcome = i, False, exc
-            try:
-                data = pickle.dumps(outcome)
-            except Exception as exc:        # a result or exception that does not pickle
-                data = pickle.dumps((i, False, exc))
-            out.write(data)
-            out.flush()
+            _send(out, i, lambda: fn(items[i]))
 
 
-def _fork_worker(next_item) -> tuple[int, int]:
-    """(read end of its pipe, pid) of a forked child that runs :func:`_work`."""
+def _fork(child: Callable[[int], None]) -> tuple[int, int]:
+    """(read end of its pipe, pid) of a forked child that runs ``child`` on
+    the pipe's write end, then exits, 0 if it returned."""
+    _flush_std_streams()
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -165,7 +176,7 @@ def _fork_worker(next_item) -> tuple[int, int]:
         code = 1
         try:
             os.close(r)
-            _work(next_item, w)
+            child(w)
             code = 0
         finally:
             try:
@@ -208,6 +219,16 @@ def _collect(running: dict[int, int], n: int) -> list[tuple[bool, object]]:
     return outcomes
 
 
+def _stop(running: dict[int, int]) -> None:
+    """Kill, reap and close the pipes of ``running``'s unreaped workers."""
+    import signal
+    for pid in running.values():
+        os.kill(pid, signal.SIGKILL)    # unreaped, so this pid is still the worker's
+    for fd, pid in running.items():
+        os.waitpid(pid, 0)
+        os.close(fd)
+
+
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """``[fn(x) for x in items]``, with each call in a forked worker process.
 
@@ -228,31 +249,65 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     global _TASK
     items = list(items)
     workers = min(len(items), _usable_cpus())
-    context = _fork_context(workers)
-    if context is None:
+    if not can_fork(workers):
         return [fn(x) for x in items]
     load_scipy()
-    import signal
-    next_item = context.Value("q", 0)
+    import multiprocessing
+    next_item = multiprocessing.get_context("fork").Value("q", 0)
     running: dict[int, int] = {}    # read end of an unreaped worker's pipe -> its pid
     _TASK = fn, items
     try:
-        _flush_std_streams()
         for _ in range(workers):
-            fd, pid = _fork_worker(next_item)
+            fd, pid = _fork(lambda w: _work(next_item, w))
             running[fd] = pid
         outcomes = _collect(running, len(items))
     finally:
         _TASK = None
-        for pid in running.values():
-            os.kill(pid, signal.SIGKILL)    # unreaped, so this pid is still the worker's
-        for fd, pid in running.items():
-            os.waitpid(pid, 0)
-            os.close(fd)
+        _stop(running)
     for ok, value in outcomes:
         if not ok:
             raise value
     return [value for _, value in outcomes]
+
+
+def beside(work: Callable[[Callable[[int], None]], object],
+           child: Callable[[Callable[[int], None]], R]) -> R:
+    """``child(wait)``, called in one process forked beside this one (see
+    :func:`can_fork`) while this one calls ``work(progress)``.  ``wait(k)``
+    returns once the work has called ``progress(k)``: a pipe write, which
+    orders the work's stores to a shared mapping before the child's loads.
+    The child's exception comes back as itself once the work is done or finds
+    the child gone; a child that dies raises WorkerError.  The child is
+    reaped before this returns or raises, whatever it raises."""
+    read, write = os.pipe()
+    running: dict[int, int] = {}    # read end of the child's pipe -> its pid
+
+    def in_child(fd: int) -> None:
+        os.close(write)
+        done = [0]
+
+        def wait(k: int) -> None:
+            while done[0] < k:
+                counts = os.read(read, 1 << 16)     # whole 8-byte counts: each is one write
+                if not counts:
+                    raise WorkerError(f"the work stopped after {done[0]} units")
+                done[0] = int.from_bytes(counts[-8:], "little")
+        with open(fd, "wb") as out:
+            _send(out, 0, lambda: child(wait))
+    try:
+        with open(write, "wb", buffering=0) as progress:
+            try:
+                running.update([_fork(in_child)])
+            finally:
+                os.close(read)
+            with contextlib.suppress(BrokenPipeError):   # the child is gone: its outcome says why
+                work(lambda k: progress.write(k.to_bytes(8, "little")))
+        [(ok, value)] = _collect(running, 1)
+    finally:
+        _stop(running)
+    if not ok:
+        raise value
+    return value
 
 
 #: Most runs one worker steps together: it bounds a batch's samples in

@@ -40,6 +40,7 @@ the step calls the kernel by a plain global name.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
 from dataclasses import dataclass
 from itertools import pairwise
@@ -387,9 +388,9 @@ def _step_matrices(L, C, keep, a: float, b: float):
 
 
 class ThetaStepper:
-    """The theta step's operands, bound once: R, the source and the factorized
-    step matrix, whose COLAMD column order ``_lu.perm_c`` orders the run's
-    block in :func:`_block_diagonal`.  Only :func:`march` steps with them."""
+    """The theta step's operands, bound once: R, the source, the step matrix
+    and the COLAMD column order ``_perm_c`` of its LU (not kept), which orders
+    the run's block in :func:`_block_diagonal`.  Only :func:`march` steps."""
 
     def __init__(self, grid: CompositeGrid, p: DimensionlessParams, config: SolverConfig):
         L, g, C = _assemble(grid, p, config.outer_bc)
@@ -400,7 +401,7 @@ class ThetaStepper:
         self._lhs, self._rhs_mat = _step_matrices(L, C, keep, theta * dt, (1.0 - theta) * dt)
         self._rhs_src = dt * g * keep
         try:
-            self._lu = splu(self._lhs)
+            self._perm_c = splu(self._lhs).perm_c.astype(np.intp)   # a copy: the LU is freed
         except RuntimeError as exc:
             raise NumericalError(
                 f"step matrix factorization failed (dt={dt}, theta={theta}): {exc}"
@@ -412,7 +413,7 @@ def _block_diagonal(steppers: list[ThetaStepper]):
     column order of each run's block, as intp: :func:`march` gathers every
     sample by it.  Each block keeps the bits of a loop of its run's own LU
     by the two rules of README "Numerics"."""
-    perms, Rs = [s._lu.perm_c.astype(np.intp) for s in steppers], [s._rhs_mat for s in steppers]
+    perms, Rs = [s._perm_c for s in steppers], [s._rhs_mat for s in steppers]
     offsets = np.cumsum([0, *map(len, perms)])
     columns = [k + perm[r.indices] for r, perm, k in zip(Rs, perms, offsets)]
     R = sp.csr_matrix((np.concatenate([r.data for r in Rs]), np.concatenate(columns),
@@ -470,20 +471,25 @@ def prepare(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     if u.shape != (grid.n,):
         raise ValueError(f"u0 must have shape ({grid.n},), got {u.shape}")
     times = sample_times(config, t0)
-    series = TimeSeries(times, np.empty((len(times), grid.n)), grid=grid, params=p,
-                        config=config)
+    try:    # shared, so that a process forked after this sees each row as it is stored
+        samples = mmap.mmap(-1, len(times) * grid.n * 8)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map {len(times)} samples of {grid.n} unknowns") from exc
+    series = TimeSeries(times, np.frombuffer(samples).reshape(len(times), grid.n), grid=grid,
+                        params=p, config=config)
     stepper = ThetaStepper(grid, p, config) if len(times) > 1 else None
     if not np.isfinite(u).all():
         raise NumericalError(f"non-finite initial state at t={t0:.6g}")
     return series, stepper, u
 
 
-def march(runs: list) -> list[NumericalError | None]:
+def march(runs: list, progress=lambda stored: None) -> list[NumericalError | None]:
     """Step ``runs`` (each from :func:`prepare`, all on one config) into their
     series as one block-diagonal system, a lone run as a batch of one.  Each
     run's failure, or None: a run whose state turns non-finite fails at its
     step's clock, read from its own series, and is zeroed, its samples
-    unfinished; the loop stops once all have failed.  No step, no build."""
+    unfinished; the loop stops once all have failed.  No step, no build.
+    ``progress(k)`` follows the storing of each sample k - 1 of every run."""
     series, steppers, states = zip(*runs)
     config = series[0].config
     if any(ts.config != config for ts in series):
@@ -491,6 +497,7 @@ def march(runs: list) -> list[NumericalError | None]:
     errors = [None] * len(runs)
     for ts, s in zip(series, states):
         ts.u[0] = s
+    progress(1)
     idx = sample_indices(config.n_steps, config.sample_every)
     if len(idx) == 1:
         return errors
@@ -515,21 +522,22 @@ def march(runs: list) -> list[NumericalError | None]:
                         return errors
             for ts, block, perm in zip(series, blocks, perms):
                 ts.u[k] = u[block][perm]
+            progress(k + 1)
     return errors
 
 
-def simulate_all(runs) -> list[TimeSeries]:
+def simulate_all(runs, progress=lambda stored: None) -> list[TimeSeries]:
     """The series of ``runs`` (each from :func:`prepare`, all on one config),
-    stepped as one system by :func:`march`.  It raises the first failure in
-    run order, as :func:`simulate` of each in turn would: ``runs`` may be a
-    generator that prepares them, and if preparing one raises, the runs
-    before it step first."""
+    stepped as one system by :func:`march` with ``progress``.  It raises the
+    first failure in run order, as :func:`simulate` of each in turn would:
+    ``runs`` may be a generator that prepares them, and if preparing one
+    raises, the runs before it step first."""
     prepared, failure = [], None
     try:
         prepared.extend(runs)
     except Exception as exc:
         failure = exc
-    for error in march(prepared) if prepared else ():
+    for error in march(prepared, progress) if prepared else ():
         if error:
             raise error
     if failure:
@@ -546,8 +554,9 @@ def simulate(p: DimensionlessParams, grid: CompositeGrid, config: SolverConfig,
     :func:`initialize`); it is copied, never modified.  With ``t0`` it lets
     a run continue another from its last sample, or start from the closed
     forms' state at some time.  The samples are preallocated, samples x
-    unknowns x 8 bytes.  Every state the run holds is finite, or it raises
-    :class:`NumericalError`, as the initial state at ``t0`` for ``u0``, else
-    at the clock of its step: this is :func:`simulate_all` of a batch of one.
+    unknowns x 8 bytes, in a shared mapping.  Every state the run holds is
+    finite, or it raises :class:`NumericalError`, as the initial state at
+    ``t0`` for ``u0``, else at the clock of its step: this is
+    :func:`simulate_all` of a batch of one.
     """
     return simulate_all([prepare(p, grid, config, u0, t0)])[0]

@@ -471,16 +471,17 @@ class TestCliSimulate:
                 "solver": {"dt": 0.01, "t_end": 9.99, "sample_every": 1}}
 
     def test_streamed_files_equal_the_in_process_ones(self, tmp_path, capsys, monkeypatch):
-        # on 1 or 2 usable CPUs, simulate forks nothing, and its trajectory
-        # files are the writers' output for run_spec's series, byte for byte
+        # on 1 usable CPU simulate forks nothing; on 2 it forks one writer
+        # process beside its loop.  Either way its trajectory files are the
+        # writers' output for run_spec's series, byte for byte
         # a chunk's samples: runio._CHUNK values over 5 nodes of 2 or 3 fields
         blocks = [runio._CHUNK // 10, runio._CHUNK // 15]
         assert all(1000 > block and 1000 % block for block in blocks)
         cfg = small_config(tmp_path, **self.STREAMED)
         names = ("matrix.csv", "tissue.csv", "metrics.json", "ledger.json",
                  "config.resolved.json")
-        contexts = []
-        monkeypatch.setattr(scenario, "_fork_context", contexts.append)
+        forks, fork = [], scenario._fork
+        monkeypatch.setattr(scenario, "_fork", lambda child: forks.append(n) or fork(child))
         files, stdouts = [], []
         for n in (1, 2):
             monkeypatch.setattr(scenario, "_usable_cpus", lambda: n)
@@ -489,7 +490,7 @@ class TestCliSimulate:
             files.append([(out / name).read_bytes() for name in names])
             stdouts.append(capsys.readouterr().out.replace(str(out), "OUT"))
             assert sorted(p.name for p in out.iterdir()) == sorted([*names, "run.json"])
-        assert contexts == []
+        assert forks == [2]
         assert files[0] == files[1]
         assert stdouts[0] == stdouts[1]
         assert files[0][0].count(b"\n") == 1 + 1000 * 5
@@ -531,19 +532,23 @@ class TestCliSimulate:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_writer_failure_leaves_both_trajectory_files_as_they_were(
             self, tmp_path, capsys, monkeypatch, workers):
-        # the tissue writer fails once the matrix writer has returned
+        # the tissue file's last chunk fails once the matrix file's last one
+        # is made: the chunks both paths write, in the order they write them
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: workers)
         done = tmp_path / "matrix-writer-returned"
-        write_matrix = cli.write_matrix_csv
+        layer_chunks = runio._layer_chunks
 
-        def matrix_then_mark(path, *args):
-            write_matrix(path, *args)
-            done.touch()
+        def tissue_fails_after_matrix(ts, layer):
+            *chunks, (samples, last) = layer_chunks(ts, layer)
 
-        def fail_after_matrix(path, *args):
-            raise OSError(f"injected failure writing {path}")
-        monkeypatch.setattr(cli, "write_matrix_csv", matrix_then_mark)
-        monkeypatch.setattr(cli, "write_tissue_csv", fail_after_matrix)
+            def last_chunk():
+                if layer == solver.TISSUE:
+                    raise OSError("injected failure writing the tissue file")
+                data = last()
+                done.touch()
+                return data
+            return [*chunks, (samples, last_chunk)]
+        monkeypatch.setattr(runio, "_layer_chunks", tissue_fails_after_matrix)
         out = tmp_path / "o"
         out.mkdir()
         before = {"matrix.csv": b"OLD\n", "tissue.csv": b"OLD\n"}
@@ -865,6 +870,22 @@ class TestCliErrors:
         assert err["error"] == "MemoryError"
         assert err["exit_code"] == 1
 
+    @pytest.mark.parametrize("refusal", [OSError(12, "Cannot allocate memory"),
+                                         OverflowError("too large for C ssize_t")])
+    def test_unmappable_samples_exit_one(self, tmp_path, capsys, monkeypatch, refusal):
+        # the samples' shared mapping, refused as mmap refuses a size past
+        # the memory or past ssize_t, is a run too large to allocate
+        def unmappable(fd, length):
+            raise refusal
+        monkeypatch.setattr(solver.mmap, "mmap", unmappable)
+        code = main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "2",
+                     "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "MemoryError" and "21 samples of 25 unknowns" in err["message"]
+
     @pytest.mark.parametrize("config", [
         '{"tissue": {"l1": 1e300}}',                          # h1 ** 2 in the assembly
         '{"matrix": {"l0": 1e200}, "tissue": {"l1": 1e201}}',  # l0 ** 2 in the scaling
@@ -947,6 +968,90 @@ sys.exit(cli.main([*sys.argv[2:], "--out", sys.argv[1]]))
             "cli.ode_oracle = lambda which, *args: os._exit(1) if which == 'matrix_solid' else 0.0",
             "verify", "all")
 
+    def test_dead_writer_of_simulate_exits_four(self, tmp_path, run_fresh):
+        # the writer dies at once; the loop's 10,001 progress counts are more
+        # than the pipe holds, so the loop goes on only if a write finds the
+        # writer gone rather than waiting for it
+        cfg = small_config(tmp_path, grid={"nx0": 4, "nx1": 4},
+                           solver={"dt": 0.001, "t_end": 10.0, "sample_every": 1})
+        self.check_dead_worker_exits_four(
+            run_fresh, tmp_path, "cli.write_trajectories = lambda *args: os._exit(1)",
+            "simulate", "--config", str(cfg))
+
+    INTERRUPTED_LOOP = """
+import itertools, json, os, sys
+from pathlib import Path
+import releasesim.cli as cli
+from releasesim import scenario, solver
+scenario._usable_cpus = lambda: 2
+fork, forks = scenario._fork, []
+scenario._fork = lambda child: forks.append(1) or fork(child)
+kernel_step = solver._kernel_step
+
+def interrupted_step(R, src, solve):
+    step, steps = kernel_step(R, src, solve), itertools.count(1)
+    def interrupting(u):
+        if next(steps) > 100:
+            raise KeyboardInterrupt
+        return step(u)
+    return interrupting
+solver._kernel_step = interrupted_step
+out = Path(sys.argv[1])
+try:
+    cli.main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "2", "--out", str(out)])
+    raised = False
+except KeyboardInterrupt:
+    raised = True
+try:
+    children = os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    children = None
+print(json.dumps({"raised": raised, "forks": len(forks), "children": children,
+                  "left": sorted(p.name for p in out.iterdir())}))
+"""
+
+    def test_interrupted_loop_leaves_no_writer_and_no_temp_file(self, tmp_path, run_fresh):
+        # a Ctrl-C in the loop on 2 CPUs: the writer process is killed and
+        # reaped before the temp files are removed, so none reappears
+        proc = run_fresh(self.INTERRUPTED_LOOP, str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+            "raised": True, "forks": 1, "children": None, "left": []}
+
+    ON_ONE_AND_TWO_CPUS = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+import releasesim.cli as cli
+from releasesim import scenario
+fork, forks = scenario._fork, []
+scenario._fork = lambda child: forks.append(1) or fork(child)
+out, runs = Path(sys.argv[1]), {}
+for n in (1, 2):
+    scenario._usable_cpus = lambda: n
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*sys.argv[2:], "--out", str(out / str(n))])
+    runs[n] = [code, len(forks), {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                  for p in (out / str(n)).iterdir() if p.name != "run.json"}]
+print(json.dumps(runs))
+"""
+
+    @pytest.mark.parametrize("t_end, forks", [("10", 1), ("0", 0)])
+    def test_writer_keeps_up_with_more_samples_than_the_progress_pipe_holds(
+            self, tmp_path, run_fresh, t_end, forks):
+        # 10,001 samples: their 8-byte counts are more than a 64 KiB pipe
+        # holds unread, so the loop waits on the writer; in a fresh
+        # interpreter, so that a deadlock meets run_fresh's timeout.  A run of
+        # one sample forks nothing
+        cfg = small_config(tmp_path, grid={"nx0": 4, "nx1": 4},
+                           solver={"dt": 0.001, "t_end": 10.0, "sample_every": 1})
+        proc = run_fresh(self.ON_ONE_AND_TWO_CPUS, str(tmp_path / "o"), "simulate",
+                         "--config", str(cfg), "--t-end", t_end)
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert [runs["1"][:2], runs["2"][:2]] == [[0, 0], [0, forks]]
+        assert runs["1"][2] == runs["2"][2]
+        assert len(runs["1"][2]) == 5
+
     def test_unstable_theta_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["simulate", "--theta", "0", "--dt", "0.4", "--t-end", "8",
@@ -983,12 +1088,18 @@ sys.exit(cli.main([*sys.argv[2:], "--out", sys.argv[1]]))
 
     def test_matrix_writer_failure_leaves_the_tissue_writer_uncalled(
             self, tmp_path, capsys, monkeypatch):
-        # the writers run in turn after the loop: the first to fail ends the run
+        # the matrix file is opened first, in this process after the loop or
+        # in the writer process beside it: its failure ends the run before
+        # the tissue file is opened
+        calls = tmp_path / "tissue-writer-called"
+
         def fail(path, *args):
-            raise OSError(f"injected failure writing {path}")
-        calls = []
-        monkeypatch.setattr(cli, "write_matrix_csv", fail)
-        monkeypatch.setattr(cli, "write_tissue_csv", lambda *args: calls.append(args))
+            if Path(path).name == "matrix.csv.tmp":
+                raise OSError(f"injected failure writing {path}")
+            if Path(path).name == "tissue.csv.tmp":
+                calls.touch()
+            return open(path, *args)
+        monkeypatch.setattr(runio, "open", fail, raising=False)
         out = tmp_path / "o"
         out.mkdir()
         before = {"matrix.csv": b"OLD\n", "tissue.csv": b"OLD\n"}
@@ -997,7 +1108,7 @@ sys.exit(cli.main([*sys.argv[2:], "--out", sys.argv[1]]))
         code = main(["simulate", "--nx0", "4", "--nx1", "4", "--t-end", "2",
                      "--out", str(out)])
         lines = capsys.readouterr().err.strip().splitlines()
-        assert code == 3 and calls == []
+        assert code == 3 and not calls.exists()
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "OSError" and str(out / "matrix.csv") in err["message"]

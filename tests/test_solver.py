@@ -235,13 +235,14 @@ def operator_reference(p, grid, cfg, u0=None, t0=0.0):
     the first that fails raises ``NonFinite``: ``u0`` as the initial state at
     t0, a step's result with the clock of that step."""
     stepper = rs.ThetaStepper(grid, p, cfg)
+    lu = solver.splu(stepper._lhs)
     u = rs.initialize(grid) if u0 is None else np.asarray(u0, dtype=float)
     if not np.isfinite(u).all():
         raise NonFinite(f"non-finite initial state at t={t0:.6g}")
     states = [u]
     with np.errstate(all="ignore"):
         for j in range(1, cfg.n_steps + 1):
-            u = stepper._lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
+            u = lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
             if not np.isfinite(u).all():
                 t = t0 + j * cfg.dt
                 raise NonFinite(f"non-finite solution while advancing to t={t:.6g}; reduce dt")
@@ -322,7 +323,7 @@ class TestKernelStep:
         u = make_rng(19).random(grid.n)
         ts = rs.simulate(p, grid, cfg, u0=u, t0=3.0)
         stepper = rs.ThetaStepper(grid, p, cfg)
-        one_step = stepper._lu.solve(stepper._rhs_mat @ u + stepper._rhs_src)
+        one_step = solver.splu(stepper._lhs).solve(stepper._rhs_mat @ u + stepper._rhs_src)
         np.testing.assert_array_equal(ts.u, [u, one_step])
         np.testing.assert_array_equal(ts.times, [3.0, 3.0 + 0.05])
 
@@ -573,9 +574,10 @@ class TestNonFiniteStates:
         u = rs.initialize(grid)
         u[pin] = np.nan
         stepper = rs.ThetaStepper(grid, ref_params, cfg)
-        step = solver._kernel_step(stepper._rhs_mat, stepper._rhs_src, stepper._lu.solve)
+        lu = solver.splu(stepper._lhs)
+        step = solver._kernel_step(stepper._rhs_mat, stepper._rhs_src, lu.solve)
         assert np.isfinite(step(u)).all() == (theta == 1.0)
-        at = stepper._lu.perm_c[pin]   # the pin's place in the run's block
+        at = stepper._perm_c[pin]   # the pin's place in the run's block
         kernel_step, solves = solver._kernel_step, []
 
         def nan_at_step_ten(R, src, solve):
@@ -652,7 +654,7 @@ class TestThetaStability:
         # the same step matrix, formed densely without the check
         monkeypatch.setattr(solver, "_check_stable", lambda *args: None)
         stepper = rs.ThetaStepper(grid, p, cfg)
-        step = stepper._lu.solve(stepper._rhs_mat.toarray())
+        step = solver.splu(stepper._lhs).solve(stepper._rhs_mat.toarray())
         assert reported == pytest.approx(np.max(np.abs(np.linalg.eigvals(step))), rel=1e-5)
 
     @pytest.mark.parametrize("pm, outer_bc", [(np.inf, rs.ZERO_FLUX), (3.0, rs.SINK)])
@@ -770,9 +772,10 @@ class TestStepOperands:
         assert_same_arrays(stepper._lhs, lhs)
         assert_same_arrays(stepper._rhs_mat, rhs)
         assert stepper._rhs_src.tobytes() == src.tobytes()
-        lu = solver.splu(lhs)
+        lu, own = solver.splu(lhs), solver.splu(stepper._lhs)
         for name in ("perm_c", "perm_r"):
-            assert np.array_equal(getattr(stepper._lu, name), getattr(lu, name)), name
+            assert np.array_equal(getattr(own, name), getattr(lu, name)), name
+        assert np.array_equal(stepper._perm_c, lu.perm_c)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("pm, outer_bc", [(np.inf, rs.ZERO_FLUX), (3.0, rs.SINK)])

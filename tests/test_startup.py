@@ -73,7 +73,7 @@ print(json.dumps({"code": code, "loaded": [m for m in sys.argv[3:] if m in sys.m
 
 
 def check_simulate_loads_no_process_pool(run_fresh, tmp_path, cpus):
-    # on any CPU count, the run and then the writers, all in-process
+    # on any CPU count; on two, simulate forks its one writer by os.fork, no pool
     proc = run_fresh(SIMULATE_ON_CPUS, str(tmp_path / "out"), str(cpus), *POOL)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"code": 0, "loaded": []}
