@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--nx1", type=int, help="override tissue-layer cell count")
 
     def scheme_overrides(sp):  # the closed forms step no scheme: not for analytic
-        sp.add_argument("--theta", type=float, help="override time-stepping theta")
+        sp.add_argument("--theta", type=float, help="override time-stepping theta in [0.5, 1]")
         sp.add_argument("--outer-bc", dest="outer_bc", choices=[ZERO_FLUX, SINK],
                         help="override the outer tissue boundary condition")
 

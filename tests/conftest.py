@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 import releasesim as rs
+from releasesim import solver
 
 # One seed for the whole suite; tests derive child generators from it so
 # reruns are reproducible.
@@ -35,6 +36,17 @@ def short_run(ref_params) -> rs.TimeSeries:
     grid = rs.make_grid(ref_params, 32, 32)
     cfg = rs.SolverConfig(dt=0.02, t_end=40.0, sample_every=10)
     return rs.simulate(ref_params, grid, cfg)
+
+
+@pytest.fixture
+def overflowing_steps(monkeypatch):
+    """Every stepper built from here on has its R scaled by 1e30, so that
+    every run's state overflows to non-finite some steps in."""
+    class Amplified(solver.ThetaStepper):
+        def __init__(self, grid, p, config):
+            super().__init__(grid, p, config)
+            self._rhs_mat.data *= 1e30   # in place: the bound step sees it
+    monkeypatch.setattr(solver, "ThetaStepper", Amplified)
 
 
 def make_rng(salt: int = 0) -> np.random.Generator:

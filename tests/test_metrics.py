@@ -265,16 +265,17 @@ def row_bytes(tmp_path, row: rs.SweepRow) -> bytes:
 
 @pytest.fixture
 def faults(monkeypatch):
-    """Makes the ka point ``unfactorable`` fail its factorization and the ka
-    point ``poisoned`` turn non-finite some steps into its run, alone or
-    batched."""
-    def install(spec, unfactorable: float, poisoned: float) -> None:
+    """Makes the ka point ``unfactorable`` fail its factorization, the ka
+    point ``poisoned`` turn non-finite some steps into its run and the ka
+    points ``unbuildable`` fail to build their steppers, alone or batched."""
+    def install(spec, unfactorable: float, poisoned: float, unbuildable=()) -> None:
         solver.load_scipy()
         splu, stepper = solver.splu, solver.ThetaStepper
         p = rs.replace_param(spec, "ka", unfactorable).dimensionless()
         grid = rs.make_grid(p, spec.nx0, spec.nx1)
         singular = stepper(grid, p, spec.solver)._lhs.diagonal().sum()
-        poisoned_ka = rs.replace_param(spec, "ka", poisoned).dimensionless().ka
+        poisoned_ka, *unbuildable_ka = (rs.replace_param(spec, "ka", v).dimensionless().ka
+                                        for v in (poisoned, *unbuildable))
 
         def failing_splu(a, **kwargs):
             if not kwargs and a.diagonal().sum() == singular:
@@ -283,6 +284,8 @@ def faults(monkeypatch):
 
         class Poisoned(stepper):
             def __init__(self, grid, p, config):
+                if p.ka in unbuildable_ka:
+                    raise NumericalError(f"cannot build the stepper of ka={p.ka:g}")
                 super().__init__(grid, p, config)
                 if p.ka == poisoned_ka:
                     self._rhs_mat.data *= 1e30   # in place: the bound step sees it
@@ -315,20 +318,19 @@ class TestBatchedSweep:
             row_bytes(tmp_path, lone_row(spec, "l1", v)) for v in values]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("theta, dt, values, failed", [
-        # invalid, then unstable explicit steps, refused when their steppers are built
-        (0.0, 0.002, [0.3, -1.0, 1000.0, 3.0, 3000.0, 30.0],
-         ["ValidationError", "spectral radius", "spectral radius"]),
+    @pytest.mark.parametrize("dt, values, unbuildable, failed", [
+        # invalid, then steppers that fail to build (ka 1000 and 3000)
+        (0.002, [0.3, -1.0, 1000.0, 3.0, 3000.0, 30.0], (1000.0, 3000.0),
+         ["ValidationError", "cannot build", "cannot build"]),
         # a factorization that fails (ka 0.9), and a run that turns non-finite
         # mid-run (ka 2.0)
-        (0.5, 0.05, [0.3, 0.9, -1.0, 2.0, 5.0, 0.7],
+        (0.05, [0.3, 0.9, -1.0, 2.0, 5.0, 0.7], (),
          ["factorization failed", "ValidationError", "advancing to t=0.5"]),
     ], ids=["build", "factorize-and-step"])
-    def test_failures_stay_on_their_own_rows(self, tmp_path, cpus, faults, workers, theta, dt,
-                                             values, failed):
-        spec = small_spec(theta=theta, dt=dt, t_end=100 * dt)
-        if theta:   # at theta = 0 every step matrix is the same
-            faults(spec, unfactorable=0.9, poisoned=2.0)
+    def test_failures_stay_on_their_own_rows(self, tmp_path, cpus, faults, workers, dt, values,
+                                             unbuildable, failed):
+        spec = small_spec(dt=dt, t_end=100 * dt)
+        faults(spec, unfactorable=0.9, poisoned=2.0, unbuildable=unbuildable)
         lone = [lone_row(spec, "ka", v) for v in values]
         assert [failure in r.error for r, failure in
                 zip([r for r in lone if r.error], failed)] == [True] * len(failed)

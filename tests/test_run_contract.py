@@ -1,10 +1,11 @@
 """The run contract of ``releasesim simulate``, as a property over random runs.
 
 Each example draws a ``RunSpec`` over small grids (4-16 cells a layer, at
-most 400 steps), rates log-uniform over six decades, every theta regime,
-either outer wall, a finite or infinite membrane and any sampling stride,
-saves it as a config file and runs ``simulate --config`` through
-``cli.main`` on one or two usable CPUs.  Whatever the draw:
+most 400 steps), rates log-uniform over six decades, any theta the solver
+takes (the trapezoid rule 0.5 to implicit Euler 1), either outer wall, a
+finite or infinite membrane and any sampling stride, saves it as a config
+file and runs ``simulate --config`` through ``cli.main`` on one or two
+usable CPUs.  Whatever the draw:
 
 * the exit code is 0, 1, 2 or 3 (never a worker death or an escaped error);
 * a nonzero exit writes exactly one line on stderr, a JSON object whose
@@ -13,6 +14,9 @@ saves it as a config file and runs ``simulate --config`` through
 * exit 0 leaves the last rows of both trajectory files at ``t_end``, every
   value in them finite, no ``*.tmp`` or ``*.bak`` file behind, and nothing
   on stderr but ``warning: `` lines (probes still rising at ``t_end``).
+
+The same draw with ``solver.theta`` below 0.5 exits 1 as a ``ConfigError``,
+with one JSON line on stderr and no output directory.
 """
 
 import contextlib
@@ -55,8 +59,7 @@ def run_specs(draw):
     dt = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.2, 0.5]))
     solver = rs.SolverConfig(
         dt=dt, t_end=draw(st.integers(0, 400)) * dt,
-        theta=draw(st.one_of(st.sampled_from([0.0, 0.2, 0.45, 0.5, 0.75, 1.0]),
-                             st.floats(0.0, 1.0))),
+        theta=draw(st.one_of(st.sampled_from([0.5, 0.75, 1.0]), st.floats(0.5, 1.0))),
         outer_bc=draw(st.sampled_from([rs.ZERO_FLUX, rs.SINK])),
         sample_every=draw(st.integers(1, 40)))
     return rs.RunSpec(matrix=matrix, tissue=tissue, interface=interface,
@@ -108,3 +111,22 @@ def test_simulate_keeps_the_run_contract(spec, cpus):
             assert len(table) >= nodes and {row[0] for row in table[-nodes:]} == \
                 {spec.solver.t_end}, name
         assert not [p.name for p in out.iterdir() if p.suffix in (".tmp", ".bak")]
+
+
+@given(spec=run_specs(), theta=st.floats(0.0, 0.5, exclude_max=True))
+@settings(max_examples=20)
+def test_a_theta_below_half_exits_one(spec, theta):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.json", Path(tmp) / "out"
+        raw = rs.spec_to_config(spec)
+        raw["solver"]["theta"] = theta
+        rs.write_json(config, raw)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 1)
+        assert not out.exists()

@@ -612,17 +612,20 @@ class TestBatchedVerifyRuns:
         defects = check["closed_system_defect"], check["with_degradation_defect"]
         assert defects == _lone_mass(spec)
 
-    def test_an_unstable_explicit_level_fails_as_alone(self, ref_params):
-        cfg = rs.SolverConfig(dt=2e-3, t_end=0.1, theta=0.25, sample_every=10 ** 9)
-        spec = rs.RunSpec(solver=rs.SolverConfig(theta=0.25))
-        # the 64-cell reference is past the explicit limit, the 16-cell one is not
+    def test_a_run_that_fails_to_build_fails_as_alone(self, ref_params, monkeypatch):
+        cfg = rs.SolverConfig(dt=2e-3, t_end=0.1, sample_every=10 ** 9)
+        # the 64-cell reference and the mass check's closed run fail to build,
+        # the 16-cell reference does not
+        self._poison(monkeypatch, {}, fail_to_build={(64, ref_params.kid), (32, 0.0)})
         for cells, ref_cells in (((8, 16, 32), 64), ((4, 8), 16)):
             lone = _outcome(lambda: _lone_spatial(ref_params, cfg, cells, ref_cells))
             assert _outcome(lambda: rs.spatial_convergence(ref_params, cfg, cells,
                                                            ref_cells).errors) == lone
-        assert "unstable" in _outcome(lambda: _lone_spatial(ref_params, cfg, (8, 16, 32), 64))[1]
-        lone = _outcome(lambda: _lone_mass(spec))
-        assert "unstable" in lone[1] and _outcome(lambda: check_mass(spec)) == lone
+        assert "cannot build 64" in _outcome(
+            lambda: _lone_spatial(ref_params, cfg, (8, 16, 32), 64))[1]
+        lone = _outcome(lambda: _lone_mass(rs.RunSpec()))
+        assert "cannot build 32" in lone[1]
+        assert _outcome(lambda: check_mass(rs.RunSpec())) == lone
 
     @staticmethod
     def _poison(monkeypatch, factors, fail_to_build=()):
